@@ -14,7 +14,6 @@ from partlat import (
     named_lattice,
     one_point_extension,
     parse,
-    star_join,
     two_point_extension,
     validate_partial_lattice,
 )
@@ -35,8 +34,8 @@ print("star is a pentagon:", find_isomorphism(ext.star, named_lattice("N5")) is 
 # Undefined joins land on the adjoined top; defined ones keep their values.
 
 a, b, c = (ext.embed[fig4.index(x)] for x in "abc")
-print("a v b in the star:", ext.star.labels[star_join(ext, a, b)])
-print("a v c in the star:", ext.star.labels[star_join(ext, a, c)])
+print("a v b in the star:", ext.star.labels[ext.star.join[a, b]])
+print("a v c in the star:", ext.star.labels[ext.star.join[a, c]])
 
 ###############################################################################
 # The one-point totalization of the same structure is not a partial lattice

@@ -12,6 +12,7 @@ from .errors import (
     CycleDetected,
     DuplicateLabel,
     ImageEscapes,
+    InvariantError,
     NotACongruence,
     NotALattice,
     NotClosed,
@@ -61,8 +62,6 @@ from .extension import (
     Extension,
     OnePointAlgebra,
     one_point_extension,
-    star_join,
-    star_meet,
     two_point_extension,
 )
 from .congruence import (

@@ -9,15 +9,14 @@ import re
 import sys
 
 from . import figures, fmt, verify
-from .congruence import all_partial_congruences, quotient
+from .congruence import quotient
 from .errors import ParseError, PartlatError, SemanticError
-from .extension import one_point_extension, two_point_extension
+from .extension import one_point_extension
 from .morphism import find_isomorphism
 from .order import Poset, is_plos, named_lattice, validate_lattice
 from .plattice import (
     check_absorption,
     from_plos,
-    induced_order,
     is_total,
     to_lattice,
     validate_partial_lattice,
@@ -71,14 +70,14 @@ def cmd_validate(args):
 
 def cmd_order(args):
     structure = _load(args.file)
-    p = structure if isinstance(structure, Poset) else induced_order(structure)
+    p = structure if isinstance(structure, Poset) else structure.order
     _emit(p, args.dot)
     return 0
 
 
 def cmd_extend(args):
     lat = _as_plattice(_load(args.file))
-    ext = two_point_extension(lat)
+    ext = lat.extension
     if ext.added:
         labels = {"bottom": "⊥*", "top": "⊤*"}
         print("added " + ", ".join(labels[a] for a in ext.added), file=sys.stderr)
@@ -112,7 +111,7 @@ def cmd_onepoint(args):
 
 def cmd_congruences(args):
     lat = _as_plattice(_load(args.file))
-    for e in all_partial_congruences(lat):
+    for e in lat.congruences:
         print(e.render(lat.labels))
     return 0
 

@@ -15,6 +15,7 @@ __all__ = [
     "SideConditionFails",
     "ParseError",
     "SemanticError",
+    "InvariantError",
 ]
 
 
@@ -108,3 +109,13 @@ class SemanticError(PartlatError):
         self.line = line
         self.col = col
         super().__init__(f"line {line}, col {col}: {message}")
+
+
+class InvariantError(PartlatError):
+    """A library result broke a property that holds for correct code."""
+
+
+def ensure(condition, message):
+    """Raise InvariantError unless ``condition``; unlike ``assert``, survives -O."""
+    if not condition:
+        raise InvariantError(message)

@@ -12,7 +12,6 @@ from .plattice import (
     MEET_PARTIAL,
     UNDEF,
     PartialLattice,
-    induced_order,
     is_total,
 )
 
@@ -62,7 +61,7 @@ def two_point_extension(lat):
     totality = is_total(lat)
     add_bottom = totality in (MEET_PARTIAL, BOTH_PARTIAL)
     add_top = totality in (JOIN_PARTIAL, BOTH_PARTIAL)
-    base = induced_order(lat)
+    base = lat.order
     n = lat.n
     m = n + add_bottom + add_top
     labels = list(lat.labels)
@@ -82,16 +81,6 @@ def two_point_extension(lat):
         leq[:, top] = True
     star = validate_lattice(Poset(labels, leq))
     return Extension(lat, star, tuple(range(n)), bottom, top)
-
-
-def star_join(ext, a, b):
-    """Join of two star elements inside the extension lattice."""
-    return int(ext.star.join[a, b])
-
-
-def star_meet(ext, a, b):
-    """Meet of two star elements inside the extension lattice."""
-    return int(ext.star.meet[a, b])
 
 
 @dataclass(frozen=True, eq=False)

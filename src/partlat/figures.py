@@ -7,7 +7,6 @@ exercise of the parser, the extension, and the quotient machinery.
 
 from . import fmt
 from .congruence import is_congruence_on_partial, lattice_quotient, quotient
-from .extension import two_point_extension
 
 FIG1_TEXT = """\
 poset
@@ -92,7 +91,7 @@ def congruence_of(lat, classes):
 
 
 def _star(fig):
-    return two_point_extension(source(fig)).star
+    return source(fig).extension.star
 
 
 def _quot(fig, classes):
@@ -101,7 +100,7 @@ def _quot(fig, classes):
 
 
 def _quot_star(fig, classes):
-    return two_point_extension(_quot(fig, classes)).star
+    return _quot(fig, classes).extension.star
 
 
 def _star_quot(fig, classes):

@@ -20,7 +20,7 @@ import numpy as np
 from .congruence import Partition
 from .errors import ParseError, SemanticError
 from .order import Lattice, Poset, make_poset
-from .plattice import UNDEF, PartialLattice, from_lattice, induced_order, validate_partial_lattice
+from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 
@@ -199,7 +199,7 @@ def emit_dot(structure):
     deterministic for equal structures.
     """
     if isinstance(structure, PartialLattice):
-        p = induced_order(structure)
+        p = structure.order
     elif isinstance(structure, Lattice):
         p = structure.poset
     else:

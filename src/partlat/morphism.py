@@ -12,18 +12,17 @@ import numpy as np
 
 from .congruence import (
     Partition,
+    _require_congruence,
     is_congruence_on_partial,
     lattice_quotient,
-    quotient,
 )
 from .errors import (
     BadParameter,
     ImageEscapes,
-    NotACongruence,
     NotClosed,
     SideConditionFails,
+    ensure,
 )
-from .extension import two_point_extension
 from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
 
 NOT_HOM = "not_hom"
@@ -95,10 +94,8 @@ def canonical_projection(lat, e, witness=None):
     Always a homomorphism; closed exactly when each adjoined bound of the
     extension forms a singleton class of the generated congruence.
     """
-    w = witness if witness is not None else is_congruence_on_partial(lat, e)
-    if not w.is_congruence:
-        raise NotACongruence(w)
-    return Morphism(lat, quotient(lat, e, witness=w), tuple(e.block_of))
+    w = _require_congruence(lat, e, witness)
+    return Morphism(lat, w.quot, tuple(e.block_of))
 
 
 def extend_hom(h):
@@ -112,19 +109,20 @@ def extend_hom(h):
     report = check_hom(h.mapping, h.source, h.target)
     if report.kind != CLOSED_HOM:
         raise NotClosed(report)
-    x1 = two_point_extension(h.source)
-    x2 = two_point_extension(h.target)
+    x1 = h.source.extension
+    x2 = h.target.extension
     mapping = [None] * x1.star.n
     for i in range(h.source.n):
         mapping[x1.embed[i]] = x2.embed[h.mapping[i]]
     if x1.added_bottom is not None:
-        assert x2.added_bottom is not None, "closedness forces a target bottom"
+        ensure(x2.added_bottom is not None, "closedness forces a target bottom")
         mapping[x1.added_bottom] = x2.added_bottom
     if x1.added_top is not None:
-        assert x2.added_top is not None, "closedness forces a target top"
+        ensure(x2.added_top is not None, "closedness forces a target top")
         mapping[x1.added_top] = x2.added_top
     hstar = Morphism(from_lattice(x1.star), from_lattice(x2.star), tuple(mapping))
-    assert check_hom(hstar.mapping, hstar.source, hstar.target).kind != NOT_HOM
+    ensure(check_hom(hstar.mapping, hstar.source, hstar.target).kind != NOT_HOM,
+           "extended map must be a homomorphism")
     return hstar
 
 
@@ -136,8 +134,8 @@ def restrict_hom(hstar, source, target):
     """
     if check_hom(hstar.mapping, hstar.source, hstar.target).kind == NOT_HOM:
         raise BadParameter("star map is not a homomorphism")
-    x1 = two_point_extension(source)
-    x2 = two_point_extension(target)
+    x1 = source.extension
+    x2 = target.extension
     inv2 = {s: i for i, s in enumerate(x2.embed)}
     mapping = []
     for i in range(source.n):
@@ -146,7 +144,8 @@ def restrict_hom(hstar, source, target):
             raise ImageEscapes((i, s))
         mapping.append(inv2[s])
     h = Morphism(source, target, tuple(mapping))
-    assert check_hom(h.mapping, h.source, h.target).kind != NOT_HOM
+    ensure(check_hom(h.mapping, h.source, h.target).kind != NOT_HOM,
+           "restricted map must be a homomorphism")
     return h
 
 
@@ -200,7 +199,7 @@ def _image_sublattice(h):
             for kb, b in enumerate(present):
                 v = int(table[a, b])
                 if v != UNDEF:
-                    assert v in pos, "closed image must be operation closed"
+                    ensure(v in pos, "closed image must be operation closed")
                     out[ka, kb] = pos[v]
     return validate_partial_lattice(labels, jt, mt), pos
 
@@ -217,18 +216,18 @@ def hom_theorem_check(h):
         raise NotClosed(report)
     ker = kernel(h)
     w = is_congruence_on_partial(h.source, ker)
-    assert w.is_congruence, "kernel of a closed homomorphism must be a congruence"
+    ensure(w.is_congruence, "kernel of a closed homomorphism must be a congruence")
     ext = w.extension
     for bound, name in ((ext.added_bottom, "bottom"), (ext.added_top, "top")):
         if bound is not None and len(w.theta.block_containing(bound)) != 1:
             raise SideConditionFails(name)
     image, pos = _image_sublattice(h)
-    quot = quotient(h.source, ker, witness=w)
+    quot = w.quot
     fwd_map = [None] * image.n
     for i in range(h.source.n):
         fwd_map[pos[h.mapping[i]]] = ker.block_of[i]
     iso = _verify_iso(Morphism(image, quot, tuple(fwd_map)))
-    assert iso is not None, "image must be isomorphic to the kernel quotient"
+    ensure(iso is not None, "image must be isomorphic to the kernel quotient")
     return HomTheoremReport(ker, image, quot, iso)
 
 
@@ -240,24 +239,21 @@ def quotient_extension_iso(lat, e, witness=None):
     identifies them. A verification failure would be a library bug, so it
     aborts loudly instead of returning a value.
     """
-    w = witness if witness is not None else is_congruence_on_partial(lat, e)
-    if not w.is_congruence:
-        raise NotACongruence(w)
+    w = _require_congruence(lat, e, witness)
     ext = w.extension
-    quot = quotient(lat, e, witness=w)
-    qx = two_point_extension(quot)
+    qx = w.quot.extension
     big = lattice_quotient(ext.star, w.theta)
     mapping = [None] * qx.star.n
     for block_id, block in enumerate(e.blocks):
         mapping[qx.embed[block_id]] = w.theta.block_of[ext.embed[block[0]]]
     if qx.added_bottom is not None:
-        assert ext.added_bottom is not None, "a quotient bottom needs a source bottom"
+        ensure(ext.added_bottom is not None, "a quotient bottom needs a source bottom")
         mapping[qx.added_bottom] = w.theta.block_of[ext.added_bottom]
     if qx.added_top is not None:
-        assert ext.added_top is not None, "a quotient top needs a source top"
+        ensure(ext.added_top is not None, "a quotient top needs a source top")
         mapping[qx.added_top] = w.theta.block_of[ext.added_top]
     iso = _verify_iso(Morphism(from_lattice(qx.star), from_lattice(big), tuple(mapping)))
-    assert iso is not None, "quotient extension exchange failed to verify"
+    ensure(iso is not None, "quotient extension exchange failed to verify")
     return iso
 
 
@@ -319,5 +315,5 @@ def find_isomorphism(a, b):
     if mapping is None:
         return None
     iso = _verify_iso(Morphism(from_lattice(a), from_lattice(b), mapping))
-    assert iso is not None, "order isomorphism of lattices must preserve operations"
+    ensure(iso is not None, "order isomorphism of lattices must preserve operations")
     return iso

@@ -41,16 +41,8 @@ def _check_labels(labels):
         seen.add(lbl)
 
 
-class Poset:
-    """A finite partially ordered set."""
-
-    def __init__(self, labels, leq):
-        labels = tuple(labels)
-        leq = np.array(leq, dtype=bool)
-        if leq.shape != (len(labels), len(labels)):
-            raise BadParameter("order matrix shape does not match label count")
-        self.labels = labels
-        self.leq = _frozen(leq)
+class Carrier:
+    """Label lookup shared by every structure over dense indices 0..n-1."""
 
     @property
     def n(self):
@@ -64,6 +56,18 @@ class Poset:
 
     def indices(self, labels):
         return tuple(self.index(x) for x in labels)
+
+
+class Poset(Carrier):
+    """A finite partially ordered set."""
+
+    def __init__(self, labels, leq):
+        labels = tuple(labels)
+        leq = np.array(leq, dtype=bool)
+        if leq.shape != (len(labels), len(labels)):
+            raise BadParameter("order matrix shape does not match label count")
+        self.labels = labels
+        self.leq = _frozen(leq)
 
     @cached_property
     def covers(self):
@@ -193,7 +197,7 @@ def is_plos(p):
     return PlosReport(True)
 
 
-class Lattice:
+class Lattice(Carrier):
     """A finite lattice: a poset with total join and meet tables."""
 
     def __init__(self, poset, join, meet):
@@ -206,15 +210,8 @@ class Lattice:
         return self.poset.labels
 
     @property
-    def n(self):
-        return self.poset.n
-
-    @property
     def leq(self):
         return self.poset.leq
-
-    def index(self, label):
-        return self.poset.index(label)
 
     def __eq__(self, other):
         return (

@@ -6,11 +6,13 @@ with ``UNDEF`` marking an undefined cell. A compound term such as
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolation, BadParameter, NotPlos, UnknownLabel
+from .errors import AxiomViolation, BadParameter, NotPlos
 from .order import (
+    Carrier,
     Lattice,
     Poset,
     _check_labels,
@@ -30,27 +32,38 @@ MEET_PARTIAL = "meet_partial"
 BOTH_PARTIAL = "both_partial"
 
 
-class PartialLattice:
+class PartialLattice(Carrier):
     """Partial algebra (L, v, ^) with strongly idempotent, commutative,
-    associative operations tied together by the duality conditions."""
+    associative operations tied together by the duality conditions.
+
+    The induced order, the two-point extension and the congruence set depend
+    only on the tables, so each is built once, on first access, by its
+    module-level builder.
+    """
 
     def __init__(self, labels, join, meet):
         self.labels = tuple(labels)
         self.join = _frozen(np.array(join, dtype=np.int64))
         self.meet = _frozen(np.array(meet, dtype=np.int64))
 
-    @property
-    def n(self):
-        return len(self.labels)
+    @cached_property
+    def order(self):
+        """The induced order, as built by ``induced_order``."""
+        return induced_order(self)
 
-    def index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(label) from None
+    @cached_property
+    def extension(self):
+        """The two-point extension, as built by ``two_point_extension``."""
+        from . import extension
 
-    def indices(self, labels):
-        return tuple(self.index(x) for x in labels)
+        return extension.two_point_extension(self)
+
+    @cached_property
+    def congruences(self):
+        """All congruences, as listed by ``all_partial_congruences``."""
+        from . import congruence
+
+        return congruence.all_partial_congruences(self)
 
     def __eq__(self, other):
         return (
@@ -127,10 +140,7 @@ def validate_partial_lattice(labels, join, meet):
 
 def induced_order(lat):
     """The order x <= y iff x v y = y (equivalently x ^ y = x)."""
-    n = lat.n
-    p = Poset(lat.labels, lat.join == np.arange(n)[None, :])
-    assert is_plos(p), "induced order must satisfy both bound properties"
-    return p
+    return Poset(lat.labels, lat.join == np.arange(lat.n)[None, :])
 
 
 def from_plos(p):
@@ -155,12 +165,12 @@ def from_plos(p):
 
 def lp_roundtrip(lat):
     """Whether from_plos(induced_order(lat)) reproduces lat cell for cell."""
-    return from_plos(induced_order(lat)) == lat
+    return from_plos(lat.order) == lat
 
 
 def pl_roundtrip(p):
     """Whether induced_order(from_plos(p)) reproduces p matrix for matrix."""
-    return induced_order(from_plos(p)) == p
+    return from_plos(p).order == p
 
 
 @dataclass(frozen=True)
@@ -250,7 +260,7 @@ def to_lattice(lat):
     """Repackage a total partial lattice as a Lattice."""
     if is_total(lat) != BOTH_TOTAL:
         raise BadParameter("operations are not total")
-    return Lattice(induced_order(lat), lat.join, lat.meet)
+    return Lattice(lat.order, lat.join, lat.meet)
 
 
 def antichain(n):

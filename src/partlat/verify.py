@@ -9,14 +9,11 @@ import numpy as np
 
 from . import fmt
 from .congruence import (
-    all_partial_congruences,
     con_is_closed_under_meets,
     is_congruence_on_partial,
-    quotient,
     quotient_join_case,
 )
 from .enumeration import enumerate_partial_lattices
-from .extension import star_join, star_meet, two_point_extension
 from .morphism import (
     CLOSED_HOM,
     NOT_HOM,
@@ -33,7 +30,6 @@ from .plattice import (
     UNDEF,
     check_absorption,
     from_lattice,
-    induced_order,
     is_total,
     lp_roundtrip,
     pl_roundtrip,
@@ -48,8 +44,8 @@ def serialize(lat):
 def _check_extension(lat):
     """Extension is a lattice, reflects the source exactly, and obeys the
     bound-set case law on every pair."""
-    ext = two_point_extension(lat)
-    base = induced_order(lat)
+    ext = lat.extension
+    base = lat.order
     star_order = ext.star.poset
     for i in range(lat.n):
         for j in range(lat.n):
@@ -66,8 +62,8 @@ def _check_extension(lat):
                 return False, f"adjoined {name} is not extremal"
     for a in range(lat.n):
         for b in range(lat.n):
-            sj = star_join(ext, ext.embed[a], ext.embed[b])
-            sm = star_meet(ext, ext.embed[a], ext.embed[b])
+            sj = int(ext.star.join[ext.embed[a], ext.embed[b]])
+            sm = int(ext.star.meet[ext.embed[a], ext.embed[b]])
             if upper_bounds(base, a, b):
                 if lat.join[a, b] == UNDEF or sj != ext.embed[lat.join[a, b]]:
                     return False, f"join case law broken at ({a}, {b})"
@@ -93,7 +89,7 @@ def _check_congruence(lat, e):
     w = is_congruence_on_partial(lat, e)
     if not w.is_congruence:
         return False, f"enumerated congruence not recognized: {e!r}"
-    quot = quotient(lat, e, witness=w)
+    quot = w.quot
 
     # Case analysis agrees with the quotient tables across all representatives.
     for p, block_p in enumerate(e.blocks):
@@ -111,8 +107,8 @@ def _check_congruence(lat, e):
                 return False, f"join case depends on representatives at blocks ({p}, {q})"
 
     # Undefined quotient joins come from undefined source joins.
-    base = induced_order(lat)
-    qorder = induced_order(quot)
+    base = lat.order
+    qorder = quot.order
     for a in range(lat.n):
         for b in range(lat.n):
             pa, pb = e.block_of[a], e.block_of[b]
@@ -161,19 +157,18 @@ def structure_checks(lat):
         plain(lambda: check_absorption(lat, "strong").holds == (is_total(lat) == BOTH_TOTAL),
               "strong absorption must characterize total structures"))
     run("roundtrip_structure", plain(lambda: lp_roundtrip(lat), "structure roundtrip failed"))
-    run("roundtrip_order", plain(lambda: pl_roundtrip(induced_order(lat)),
+    run("roundtrip_order", plain(lambda: pl_roundtrip(lat.order),
                                  "order roundtrip failed"))
     run("order_coincidence", plain(
         lambda: bool(((lat.join == np.arange(lat.n)[None, :])
                       == (lat.meet == np.arange(lat.n)[:, None])).all()),
         "join and meet induce different orders"))
-    run("induced_order_plos", plain(lambda: bool(is_plos(induced_order(lat))),
+    run("induced_order_plos", plain(lambda: bool(is_plos(lat.order)),
                                     "induced order fails a bound property"))
     run("extension", lambda: _check_extension(lat))
 
     def congruence_sweep():
-        cons = all_partial_congruences(lat)
-        for e in cons:
+        for e in lat.congruences:
             ok, detail = _check_congruence(lat, e)
             if not ok:
                 return False, detail

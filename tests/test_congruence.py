@@ -3,6 +3,8 @@ import pytest
 from partlat import (
     UNDEF,
     BadParameter,
+    CongruenceWitness,
+    InvariantError,
     NotACongruence,
     Partition,
     all_congruences,
@@ -11,6 +13,7 @@ from partlat import (
     generate_congruence,
     is_congruence_on_partial,
     is_total,
+    from_lattice,
     lattice_quotient,
     named_lattice,
     quotient,
@@ -53,9 +56,11 @@ class TestPartition:
         assert p.meet(q).refines(q)
 
     def test_union_closure(self):
+        # Two seeds generate the join of their congruences in one closure.
+        chain = named_lattice("chain", 4)
         p = Partition([0, 0, 1, 2])
         q = Partition([0, 1, 1, 2])
-        assert Partition.union_closure(p, q) == Partition([0, 0, 0, 1])
+        assert generate_congruence(chain, p, q) == Partition([0, 0, 0, 1])
 
     def test_restrict_reindexes(self):
         p = Partition([0, 1, 0, 2])
@@ -211,6 +216,23 @@ class TestQuotient:
         e = figs.congruence_of(fig9, "a b|c|d")
         with pytest.raises(NotACongruence):
             quotient(fig9, e)
+
+    def test_witness_builds_its_quotient_once(self, fig9):
+        w = is_congruence_on_partial(fig9, figs.congruence_of(fig9, "a|b d|c"))
+        assert w.quot is w.quot
+        assert w.quot == quotient(fig9, w.restriction)
+        bad = is_congruence_on_partial(fig9, figs.congruence_of(fig9, "a b|c|d"))
+        with pytest.raises(NotACongruence):
+            bad.quot
+
+    def test_forged_witness_raises_invariant_error(self):
+        # c1 and c3 share a block but c1 v c2 and c3 v c2 land in different
+        # ones; a witness that skips the closure must not yield a quotient.
+        lat = from_lattice(named_lattice("chain", 3))
+        e = Partition([0, 1, 0])
+        forged = CongruenceWitness(e, e, True, lat.extension)
+        with pytest.raises(InvariantError):
+            quotient(lat, e, witness=forged)
 
 
 class TestQuotientJoinCase:

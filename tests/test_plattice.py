@@ -8,6 +8,7 @@ from partlat import (
     UNDEF,
     AxiomViolation,
     NotPlos,
+    all_partial_congruences,
     antichain,
     check_absorption,
     check_distributivity,
@@ -21,6 +22,7 @@ from partlat import (
     named_lattice,
     pl_roundtrip,
     to_lattice,
+    two_point_extension,
     upper_bounds,
     validate_partial_lattice,
 )
@@ -100,6 +102,20 @@ class TestInducedOrder:
         a, b, c, d = fig9.indices(("a", "b", "c", "d"))
         assert p.leq[a, c] and p.leq[b, c] and p.leq[b, d]
         assert not p.leq[a, d] and not p.leq[c, d] and not p.leq[a, b]
+
+
+class TestDerivedObjects:
+    def test_cached_values_match_fresh_builds(self, corpus5):
+        for lat in corpus5:
+            assert lat.order == induced_order(lat)
+            assert lat.extension == two_point_extension(lat)
+            assert lat.congruences == all_partial_congruences(lat)
+
+    def test_repeated_access_returns_the_same_object(self, corpus5):
+        for lat in corpus5:
+            assert lat.order is lat.order
+            assert lat.extension is lat.extension
+            assert lat.congruences is lat.congruences
 
 
 class TestFromPlos:

@@ -12,14 +12,15 @@ from partlat import (
     generate_congruence,
     induced_order,
     is_congruence_on_partial,
+    is_plos,
     lower_bounds,
     lp_roundtrip,
     make_poset,
+    named_lattice,
     quotient,
-    star_join,
-    star_meet,
     two_point_extension,
     upper_bounds,
+    validate_partial_lattice,
 )
 
 from oracles import least_congruence_bruteforce, partition_to_comparable
@@ -80,17 +81,29 @@ def test_roundtrip_everywhere(lat):
     assert lp_roundtrip(lat)
 
 
+@given(structure_with_partition())
+@settings(max_examples=80)
+def test_induced_order_of_validated_structures_is_plos(case):
+    lat, e = case
+    validated = [validate_partial_lattice(lat.labels, lat.join, lat.meet)]
+    w = is_congruence_on_partial(lat, e)
+    if w.is_congruence:
+        validated.append(w.quot)
+    for s in validated:
+        assert is_plos(induced_order(s))
+
+
 @given(structure_with_pair())
 def test_extension_case_law(case):
     lat, a, b = case
     ext = two_point_extension(lat)
     p = induced_order(lat)
-    sj = star_join(ext, ext.embed[a], ext.embed[b])
+    sj = ext.star.join[ext.embed[a], ext.embed[b]]
     if upper_bounds(p, a, b):
         assert sj == ext.embed[int(lat.join[a, b])]
     else:
         assert sj == ext.added_top
-    sm = star_meet(ext, ext.embed[a], ext.embed[b])
+    sm = ext.star.meet[ext.embed[a], ext.embed[b]]
     if lower_bounds(p, a, b):
         assert sm == ext.embed[int(lat.meet[a, b])]
     else:
@@ -187,4 +200,7 @@ def test_partition_meet_refines_both(case_a, case_b):
         return
     m = p.meet(q)
     assert m.refines(p) and m.refines(q)
-    assert p.refines(Partition.union_closure(p, q))
+    chain = named_lattice("chain", p.n)
+    joined = generate_congruence(chain, p, q)
+    assert p.refines(joined) and q.refines(joined)
+    assert joined == generate_congruence(chain, generate_congruence(chain, p), q)

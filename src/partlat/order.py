@@ -241,8 +241,16 @@ def validate_lattice(p):
     return Lattice(p, join, meet)
 
 
+# Largest carrier a named lattice may have, so ``boolean 7`` is the largest
+# Boolean lattice. The check runs before any label or table is built.
+MAX_NAMED_ELEMENTS = 128
+
+
 def named_lattice(kind, size=None):
-    """A standard lattice: ``chain k``, ``M n``, ``N5``, or ``boolean k``."""
+    """A standard lattice: ``chain k``, ``M n``, ``N5``, or ``boolean k``.
+
+    Raises BadParameter when the carrier would exceed MAX_NAMED_ELEMENTS.
+    """
     if kind == "N5":
         if size is not None:
             raise BadParameter("N5 takes no size parameter")
@@ -250,6 +258,11 @@ def named_lattice(kind, size=None):
         return validate_lattice(make_poset(("0", "x", "z", "y", "1"), rel))
     if size is None or size < 1:
         raise BadParameter(f"{kind!r} needs a size parameter >= 1")
+    # min() keeps the shift small for absurd sizes; 2**8 is already too many.
+    elements = {"chain": size, "M": size + 2, "boolean": 1 << min(size, 8)}.get(kind, 0)
+    if elements > MAX_NAMED_ELEMENTS:
+        raise BadParameter(
+            f"{kind} {size} would have more than {MAX_NAMED_ELEMENTS} elements")
     if kind == "chain":
         labels = tuple(f"c{i + 1}" for i in range(size))
         rel = tuple(zip(labels, labels[1:]))

@@ -5,6 +5,8 @@ partial lattices. Failures carry the offending structure serialized in the
 input format so they can be replayed from the command line.
 """
 
+import traceback
+
 import numpy as np
 
 from . import fmt
@@ -138,14 +140,17 @@ def _check_congruence(lat, e):
 
 
 def structure_checks(lat):
-    """Run every per-structure law; yields (name, ok, detail) triples."""
+    """Run every per-structure law; yields (name, ok, detail) triples.
+
+    A law that raises fails with the formatted traceback as its detail.
+    """
     results = []
 
     def run(name, fn):
         try:
             ok, detail = fn()
-        except Exception as exc:  # record and keep sweeping
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        except Exception:  # record and keep sweeping
+            ok, detail = False, traceback.format_exc()
         results.append((name, ok, detail))
 
     def plain(predicate, message):

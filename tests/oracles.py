@@ -2,10 +2,16 @@
 
 Everything here recomputes results from first principles (Bell-number
 enumeration, permutation search, definition scans) and deliberately avoids
-the library's own closure and search algorithms.
+the library's own closure and search algorithms. The one exception is
+``all_congruences_closure``, the earlier congruence lister kept as the
+reference for the join-irreducible one: it reuses ``generate_congruence``,
+which the Bell-number oracles check on their own.
 """
 
+from collections import deque
 from itertools import permutations
+
+from partlat import Partition, generate_congruence
 
 
 def all_partitions(n):
@@ -50,6 +56,32 @@ def all_congruences_bruteforce(lat):
         for blocks in all_partitions(lat.n)
         if is_lattice_congruence(lat, blocks)
     ]
+
+
+def all_congruences_closure(lat):
+    """Every congruence of a total lattice, sorted.
+
+    Principal congruences are generated for each pair, then the set is closed
+    under pairwise join (generation over the blockwise union) until stable.
+    This avoids filtering the Bell-number space of all partitions.
+    """
+    n = lat.n
+    found = {Partition.identity(n)}
+    work = deque()
+    for a in range(n):
+        for b in range(a + 1, n):
+            principal = generate_congruence(lat, Partition.from_blocks(n, [(a, b)]))
+            if principal not in found:
+                found.add(principal)
+                work.append(principal)
+    while work:
+        theta = work.popleft()
+        for other in list(found):
+            joined = generate_congruence(lat, theta, other)
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
+    return tuple(sorted(found))
 
 
 def refine(first, second, n):

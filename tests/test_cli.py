@@ -137,6 +137,10 @@ class TestIso:
     def test_named_lattice_arguments(self, capsys):
         assert cli(["iso", "M2", "boolean2"]) == 0
 
+    def test_oversized_named_lattice_exits_1(self, capsys):
+        assert cli(["iso", "boolean99", "chain1"]) == 1
+        assert "more than 128 elements" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_corpus(self, capsys):

@@ -10,6 +10,7 @@ from partlat import (
     all_congruences,
     all_partial_congruences,
     con_is_closed_under_meets,
+    enumerate_partial_lattices,
     generate_congruence,
     is_congruence_on_partial,
     is_total,
@@ -25,6 +26,7 @@ from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
 
 from oracles import (
     all_congruences_bruteforce,
+    all_congruences_closure,
     least_congruence_bruteforce,
     partition_to_comparable,
 )
@@ -155,6 +157,45 @@ class TestAllCongruences:
         assert len(cons) == 2
         oracle = all_congruences_bruteforce(lat)
         assert len(oracle) == 2
+
+    def test_matches_closure_on_corpus6_extensions(self):
+        compared = 0
+        for lat in enumerate_partial_lattices(6):
+            star = lat.extension.star
+            assert all_congruences(star) == all_congruences_closure(star), lat.labels
+            compared += 1
+        assert compared == 298
+
+    @pytest.mark.parametrize("kind, size", [
+        ("chain", 1), ("chain", 6), ("boolean", 3), ("boolean", 4),
+        ("M", 2), ("M", 4), ("M", 12), ("N5", None),
+    ])
+    def test_matches_closure_on_named(self, kind, size):
+        lat = named_lattice(kind, size)
+        assert all_congruences(lat) == all_congruences_closure(lat)
+
+    @pytest.mark.parametrize("kind, size, count", [
+        *(("chain", k, 2 ** (k - 1)) for k in range(1, 9)),
+        *(("boolean", k, 2 ** k) for k in range(1, 6)),
+        *(("M", n, 2) for n in (3, 4, 8, 12)),
+        ("N5", None, 5),
+    ])
+    def test_exact_counts(self, kind, size, count):
+        lat = named_lattice(kind, size)
+        cons = all_congruences(lat)
+        assert len(cons) == count
+        assert len(set(cons)) == count
+        assert {Partition.identity(lat.n), Partition.full(lat.n)} <= set(cons)
+
+    @pytest.mark.parametrize("kind, size", [
+        ("chain", 8), ("boolean", 3), ("M", 6), ("N5", None),
+    ])
+    def test_matches_bell_number_oracle(self, kind, size):
+        lat = named_lattice(kind, size)
+        got = {partition_to_comparable(p) for p in all_congruences(lat)}
+        want = {tuple(sorted(tuple(sorted(b)) for b in bs))
+                for bs in all_congruences_bruteforce(lat)}
+        assert got == want
 
 
 class TestAllPartialCongruences:

@@ -186,6 +186,11 @@ class TestNamedLattice:
         with pytest.raises(BadParameter):
             named_lattice("N5", 3)
 
+    def test_carrier_cap(self):
+        for kind, size in (("boolean", 8), ("boolean", 99), ("chain", 129), ("M", 127)):
+            with pytest.raises(BadParameter, match="more than 128 elements"):
+                named_lattice(kind, size)
+
 
 class TestDistributiveModular:
     def test_boolean_two(self):

@@ -1,14 +1,16 @@
 """Property tests over random inputs and the enumerated corpus."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partlat import (
     UNDEF,
     CycleDetected,
     Partition,
+    all_congruences,
     check_absorption,
     enumerate_partial_lattices,
+    from_plos,
     generate_congruence,
     induced_order,
     is_congruence_on_partial,
@@ -23,7 +25,11 @@ from partlat import (
     validate_partial_lattice,
 )
 
-from oracles import least_congruence_bruteforce, partition_to_comparable
+from oracles import (
+    all_congruences_closure,
+    least_congruence_bruteforce,
+    partition_to_comparable,
+)
 
 CORPUS = list(enumerate_partial_lattices(4))
 LABELS = "abcde"
@@ -50,6 +56,21 @@ def relations(draw):
         )
     )
     return labels, pairs
+
+
+@st.composite
+def plos_extensions(draw):
+    """Two-point extension of a random partially lattice-ordered set on up
+    to seven elements, past the n <= 6 enumerated corpus."""
+    n = draw(st.integers(1, 7))
+    labels = "abcdefg"[:n]
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=12))
+    # Arcs point from the smaller index up, so no cycle can form.
+    p = make_poset(labels, [(labels[min(arc)], labels[max(arc)])
+                            for arc in arcs if arc[0] != arc[1]])
+    assume(is_plos(p))
+    return from_plos(p).extension.star
 
 
 @st.composite
@@ -204,3 +225,12 @@ def test_partition_meet_refines_both(case_a, case_b):
     joined = generate_congruence(chain, p, q)
     assert p.refines(joined) and q.refines(joined)
     assert joined == generate_congruence(chain, generate_congruence(chain, p), q)
+
+
+@given(plos_extensions())
+@settings(max_examples=80, deadline=None)
+def test_all_congruences_matches_closure_beyond_the_corpus(star):
+    cons = all_congruences(star)
+    assert cons == all_congruences_closure(star)
+    found = set(cons)
+    assert all(p.meet(q) in found for p in cons for q in cons)

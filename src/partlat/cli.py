@@ -10,7 +10,7 @@ import sys
 
 from . import figures, fmt, verify
 from .congruence import quotient
-from .errors import ParseError, PartlatError, SemanticError
+from .errors import BadParameter, ParseError, PartlatError, SemanticError
 from .extension import one_point_extension
 from .morphism import find_isomorphism
 from .order import Poset, is_plos, named_lattice, validate_lattice
@@ -22,7 +22,7 @@ from .plattice import (
     validate_partial_lattice,
 )
 
-_NAMED = re.compile(r"^(N5|M(\d+)|chain(\d+)|boolean(\d+))$")
+_NAMED = re.compile(r"^(?:N5|(M|chain|boolean)(\d+))$")
 
 
 def _read(path):
@@ -126,13 +126,12 @@ def cmd_quotient(args):
 def _load_lattice(ref):
     m = _NAMED.match(ref)
     if m:
-        if m.group(2):
-            return named_lattice("M", int(m.group(2)))
-        if m.group(3):
-            return named_lattice("chain", int(m.group(3)))
-        if m.group(4):
-            return named_lattice("boolean", int(m.group(4)))
-        return named_lattice("N5")
+        kind, digits = m.groups()
+        if kind is None:
+            return named_lattice("N5")
+        if len(digits.lstrip("0")) > 9:  # far past the cap; int() refuses thousands
+            raise BadParameter(f"{kind} size has {len(digits)} digits")
+        return named_lattice(kind, int(digits))
     structure = _load(ref)
     if isinstance(structure, Poset):
         return validate_lattice(structure)
@@ -219,10 +218,7 @@ def cli(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ParseError, SemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, SemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PartlatError as exc:

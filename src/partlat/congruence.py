@@ -335,12 +335,8 @@ def lattice_quotient(lat, theta):
     well-defined for lattice congruences; the result is validated as a
     lattice.
     """
-    m = len(theta.blocks)
-    leq = np.zeros((m, m), dtype=bool)
-    for p in range(m):
-        for q in range(m):
-            leq[p, q] = any(
-                lat.leq[x, y] for x in theta.blocks[p] for y in theta.blocks[q]
-            )
+    member = np.zeros((lat.n, len(theta.blocks)), dtype=np.int64)
+    member[np.arange(lat.n), theta.block_of] = 1
+    leq = (member.T @ lat.leq.astype(np.int64) @ member) > 0
     labels = tuple(f"[{lat.labels[block[0]]}]" for block in theta.blocks)
     return validate_lattice(Poset(labels, leq))

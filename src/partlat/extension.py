@@ -4,13 +4,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import BOTTOM_LABEL, TOP_LABEL, Lattice, Poset, _frozen, validate_lattice
+from .order import (BOTTOM_LABEL, TOP_LABEL, Lattice, Poset, _frozen, sink_table,
+                    validate_lattice)
 from .plattice import (
     BOTH_PARTIAL,
     BOTH_TOTAL,
     JOIN_PARTIAL,
     MEET_PARTIAL,
-    UNDEF,
     PartialLattice,
     is_total,
 )
@@ -109,16 +109,6 @@ def one_point_extension(lat):
     """
     if is_total(lat) == BOTH_TOTAL:
         return OnePointAlgebra(lat.labels, lat.join, lat.meet, None)
-    n = lat.n
-    c = n
-
-    def totalize(t):
-        g = np.full((n + 1, n + 1), c, dtype=np.int64)
-        block = np.array(t)
-        block[block == UNDEF] = c
-        g[:n, :n] = block
-        return _frozen(g)
-
-    return OnePointAlgebra(
-        lat.labels + (ONE_POINT_LABEL,), totalize(lat.join), totalize(lat.meet), c
-    )
+    # The sink tables send every undefined cell to the new element n.
+    return OnePointAlgebra(lat.labels + (ONE_POINT_LABEL,), _frozen(sink_table(lat.join)),
+                           _frozen(sink_table(lat.meet)), lat.n)

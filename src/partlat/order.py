@@ -23,10 +23,21 @@ BOTTOM_LABEL = "⊥*"
 TOP_LABEL = "⊤*"
 RESERVED_LABELS = frozenset((BOTTOM_LABEL, TOP_LABEL))
 
+# Marks an undefined operation cell, and a pair without sup or inf.
+UNDEF = -1
+
 
 def _frozen(arr):
     arr.flags.writeable = False
     return arr
+
+
+def first_true(mask):
+    """Index tuple of the first True cell in row-major order, or None."""
+    flat = int(mask.argmax())  # argmax finds the first True, or 0 if there is none
+    if not mask.flat[flat]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
 
 
 def _check_labels(labels):
@@ -131,11 +142,10 @@ def make_poset(labels, relation):
         arcs.append((idx[x], idx[y]))
     for k in range(n):
         reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
-    sym = reach & reach.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = (int(v) for v in np.argwhere(sym)[0])
-        forth = _arc_path(arcs, i, j)
-        back = _arc_path(arcs, j, i)
+    pair = first_true(reach & reach.T & ~np.eye(n, dtype=bool))
+    if pair is not None:
+        forth = _arc_path(arcs, *pair)
+        back = _arc_path(arcs, *pair[::-1])
         cycle = forth + back[1:-1] if len(back) > 2 else forth
         raise CycleDetected(labels[k] for k in cycle)
     return Poset(labels, reach)
@@ -151,21 +161,6 @@ def lower_bounds(p, a, b):
     return frozenset(np.flatnonzero(p.leq[:, a] & p.leq[:, b]).tolist())
 
 
-def least_of(p, members):
-    """The member of ``members`` below all others, or None."""
-    for x in members:
-        if all(p.leq[x, y] for y in members):
-            return int(x)
-    return None
-
-
-def greatest_of(p, members):
-    for x in members:
-        if all(p.leq[y, x] for y in members):
-            return int(x)
-    return None
-
-
 @dataclass(frozen=True)
 class PlosReport:
     """Outcome of the bound-property check, with a witness on failure."""
@@ -179,6 +174,44 @@ class PlosReport:
         return self.ok
 
 
+def extrema(p):
+    """Sup and inf of every pair of ``p``, one carrier row at a time.
+
+    Returns ``(tables, missing)``, each 2 x n x n: ``tables`` holds the sup
+    and the inf table, UNDEF where there is none, and ``missing`` the pairs
+    whose nonempty upper or lower bound set has no extremum.
+
+    x is least in U(a, b) exactly when U(a, b) is the up-set of x, and since
+    that up-set lies inside U(a, b) whenever x does, exactly when both sets
+    have the same size; dually for L(a, b). Both sides are scanned together
+    and every temporary is 2 x n x n.
+    """
+    n = p.n
+    rel = np.stack((p.leq, p.leq.T))  # rel[0][a, x]: a <= x; rel[1][a, x]: x <= a
+    sizes = rel.sum(2)[:, None, :]  # sizes of the up-set and the down-set of x
+    tables = np.full((2, n, n), UNDEF, dtype=np.int64)
+    missing = np.zeros((2, n, n), dtype=bool)
+    for a in range(n):
+        bounds = rel[:, a, None, :] & rel  # bounds[side, b, x]: x bounds a and b
+        count = bounds.sum(2)
+        hit = bounds & (count[:, :, None] == sizes)
+        found = hit.any(2)
+        tables[:, a] = np.where(found, hit.argmax(2), UNDEF)
+        missing[:, a] = (count > 0) & ~found
+    return tables, missing
+
+
+def plos_report(p, missing):
+    """The bound-property report for ``p`` from the ``missing`` mask of
+    ``extrema``: the first pair a <= b that fails, upper side first."""
+    pair = first_true(np.triu(missing.any(0)))
+    if pair is None:
+        return PlosReport(True)
+    if missing[0][pair]:
+        return PlosReport(False, "upper", pair, upper_bounds(p, *pair))
+    return PlosReport(False, "lower", pair, lower_bounds(p, *pair))
+
+
 def is_plos(p):
     """Check the lower and upper bound properties.
 
@@ -186,15 +219,7 @@ def is_plos(p):
     a greatest one; the first offending pair is reported together with its
     bound set.
     """
-    for a in range(p.n):
-        for b in range(a, p.n):
-            ups = upper_bounds(p, a, b)
-            if ups and least_of(p, ups) is None:
-                return PlosReport(False, "upper", (a, b), ups)
-            lows = lower_bounds(p, a, b)
-            if lows and greatest_of(p, lows) is None:
-                return PlosReport(False, "lower", (a, b), lows)
-    return PlosReport(True)
+    return plos_report(p, extrema(p)[1])
 
 
 class Lattice(Carrier):
@@ -227,18 +252,11 @@ class Lattice(Carrier):
 
 def validate_lattice(p):
     """Totalize sup and inf over ``p``, failing at the first pair without both."""
-    n = p.n
-    join = np.full((n, n), -1, dtype=np.int64)
-    meet = np.full((n, n), -1, dtype=np.int64)
-    for a in range(n):
-        for b in range(a, n):
-            sup = least_of(p, upper_bounds(p, a, b))
-            inf = greatest_of(p, lower_bounds(p, a, b))
-            if sup is None or inf is None:
-                raise NotALattice((a, b))
-            join[a, b] = join[b, a] = sup
-            meet[a, b] = meet[b, a] = inf
-    return Lattice(p, join, meet)
+    tables, _ = extrema(p)
+    pair = first_true(np.triu((tables == UNDEF).any(0)))
+    if pair is not None:
+        raise NotALattice(pair)
+    return Lattice(p, *tables)
 
 
 # Largest carrier a named lattice may have, so ``boolean 7`` is the largest
@@ -282,25 +300,49 @@ def named_lattice(kind, size=None):
     raise BadParameter(f"unknown lattice kind {kind!r}")
 
 
+def sink_table(t):
+    """``t`` with UNDEF cells sent to an extra index n whose row and column
+    hold n, so a compound term through an undefined cell evaluates to n."""
+    n = len(t)
+    sink = np.full((n + 1, n + 1), n, dtype=np.int64)
+    sink[:n, :n] = np.where(t == UNDEF, n, t)
+    return sink
+
+
+def first_mismatch(n, lhs, rhs, strong=True):
+    """First (x, y, z) in row-major order where two compound terms differ.
+
+    ``lhs(x)`` and ``rhs(x)`` give a term's n x n values over (y, z) as sink
+    indices. Weak mode compares only where both are defined; strong mode
+    also counts a difference in definedness.
+    """
+    for x in range(n):
+        left, right = lhs(x), rhs(x)
+        differ = left != right
+        if not strong:
+            differ &= (left < n) & (right < n)
+        yz = first_true(differ)
+        if yz is not None:
+            return (x, *yz)
+    return None
+
+
+def distributive_mismatch(jn, mt, strong=True):
+    """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ."""
+    n = len(jn)
+    js, ms = sink_table(jn), sink_table(mt)
+    return first_mismatch(n, lambda x: ms[x][js[:n, :n]],
+                          lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)
+
+
 def is_distributive(lat):
-    """Brute-force check of x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
-    jn, mt = lat.join, lat.meet
-    for x in range(lat.n):
-        for y in range(lat.n):
-            for z in range(lat.n):
-                if mt[x, jn[y, z]] != jn[mt[x, y], mt[x, z]]:
-                    return False
-    return True
+    """Check x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
+    return distributive_mismatch(lat.join, lat.meet) is None
 
 
 def is_modular(lat):
-    """Brute-force check of x <= z implies x v (y ^ z) = (x v y) ^ z."""
+    """Check that x <= z implies x v (y ^ z) = (x v y) ^ z over all triples."""
     jn, mt, leq = lat.join, lat.meet, lat.leq
-    for x in range(lat.n):
-        for z in range(lat.n):
-            if not leq[x, z]:
-                continue
-            for y in range(lat.n):
-                if jn[x, mt[y, z]] != mt[jn[x, y], z]:
-                    return False
-    return True
+    # Both sides read 0 where x is not below z, so those positions agree.
+    return first_mismatch(lat.n, lambda x: np.where(leq[x], jn[x][mt], 0),
+                          lambda x: np.where(leq[x], mt[jn[x]], 0)) is None

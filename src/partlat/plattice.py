@@ -12,19 +12,19 @@ import numpy as np
 
 from .errors import AxiomViolation, BadParameter, NotPlos
 from .order import (
+    UNDEF,
     Carrier,
     Lattice,
     Poset,
     _check_labels,
     _frozen,
-    greatest_of,
-    is_plos,
-    least_of,
-    lower_bounds,
-    upper_bounds,
+    distributive_mismatch,
+    extrema,
+    first_mismatch,
+    first_true,
+    plos_report,
+    sink_table,
 )
-
-UNDEF = -1
 
 BOTH_TOTAL = "both_total"
 JOIN_PARTIAL = "join_partial"
@@ -89,14 +89,6 @@ def _as_table(n, table):
     return arr
 
 
-def _compound(t, outer_first, i, j, k):
-    if outer_first:  # (i . j) . k
-        ij = t[i, j]
-        return UNDEF if ij == UNDEF else int(t[ij, k])
-    jk = t[j, k]  # i . (j . k)
-    return UNDEF if jk == UNDEF else int(t[i, jk])
-
-
 def validate_partial_lattice(labels, join, meet):
     """Check the partial lattice axioms and return the validated structure.
 
@@ -112,29 +104,26 @@ def validate_partial_lattice(labels, join, meet):
     for t, name in ((jt, "join"), (mt, "meet")):
         if t.shape != (n, n):
             raise BadParameter(f"{name} table shape does not match carrier")
-        bad = (t < UNDEF) | (t >= n)
-        if bad.any():
-            i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise BadParameter(f"{name}[{i},{j}] is not an element index")
-    for i in range(n):
-        if jt[i, i] != i or mt[i, i] != i:
-            raise AxiomViolation("idempotency", (i,), labels[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if jt[i, j] != jt[j, i] or mt[i, j] != mt[j, i]:
-                raise AxiomViolation("commutativity", (i, j))
-    for i in range(n):
-        for j in range(n):
-            if jt[i, j] == i and mt[i, j] != j:
-                raise AxiomViolation("duality", (i, j), "join gives i but meet is not j")
-            if mt[i, j] == i and jt[i, j] != j:
-                raise AxiomViolation("duality", (i, j), "meet gives i but join is not j")
+        cell = first_true((t < UNDEF) | (t >= n))
+        if cell is not None:
+            raise BadParameter(f"{name}[{cell[0]},{cell[1]}] is not an element index")
+    idx = np.arange(n)
+    cell = first_true((jt.diagonal() != idx) | (mt.diagonal() != idx))
+    if cell is not None:
+        raise AxiomViolation("idempotency", cell, labels[cell[0]])
+    pair = first_true(np.triu((jt != jt.T) | (mt != mt.T), 1))
+    if pair is not None:
+        raise AxiomViolation("commutativity", pair)
+    join_dual = (jt == idx[:, None]) & (mt != idx)
+    pair = first_true(join_dual | ((mt == idx[:, None]) & (jt != idx)))
+    if pair is not None:
+        raise AxiomViolation("duality", pair, "join gives i but meet is not j"
+                             if join_dual[pair] else "meet gives i but join is not j")
     for t, name in ((jt, "join"), (mt, "meet")):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if _compound(t, True, i, j, k) != _compound(t, False, i, j, k):
-                        raise AxiomViolation("associativity", (i, j, k), name)
+        s = sink_table(t)  # (x . y) . z against x . (y . z)
+        triple = first_mismatch(n, lambda x: s[s[x, :n], :n], lambda x: s[x][s[:n, :n]])
+        if triple is not None:
+            raise AxiomViolation("associativity", triple, name)
     return PartialLattice(labels, jt, mt)
 
 
@@ -146,21 +135,11 @@ def induced_order(lat):
 def from_plos(p):
     """Canonical partial lattice on ``p``: sup where U(x, y) is nonempty and
     inf where L(x, y) is, everything else undefined."""
-    report = is_plos(p)
+    tables, missing = extrema(p)
+    report = plos_report(p, missing)
     if not report:
         raise NotPlos(report)
-    n = p.n
-    jt = np.full((n, n), UNDEF, dtype=np.int64)
-    mt = np.full((n, n), UNDEF, dtype=np.int64)
-    for a in range(n):
-        for b in range(a, n):
-            ups = upper_bounds(p, a, b)
-            if ups:
-                jt[a, b] = jt[b, a] = least_of(p, ups)
-            lows = lower_bounds(p, a, b)
-            if lows:
-                mt[a, b] = mt[b, a] = greatest_of(p, lows)
-    return PartialLattice(p.labels, jt, mt)
+    return PartialLattice(p.labels, *tables)
 
 
 def lp_roundtrip(lat):
@@ -203,16 +182,13 @@ def check_absorption(lat, mode="weak"):
         ("absorption_join", lat.join, lat.meet),
         ("absorption_meet", lat.meet, lat.join),
     )
+    n = lat.n
+    x = np.arange(n)[:, None]
     for schema, inner, outer in schemas:
-        for x in range(lat.n):
-            for y in range(lat.n):
-                xy = inner[x, y]
-                lhs = UNDEF if xy == UNDEF else int(outer[xy, x])
-                if lhs == UNDEF:
-                    if mode == "strong":
-                        return IdentityReport(schema, mode, False, (x, y))
-                elif lhs != x:
-                    return IdentityReport(schema, mode, False, (x, y))
+        lhs = sink_table(outer)[sink_table(inner)[:n, :n], x]  # [x, y]: (x . y) . x
+        pair = first_true((lhs != x) & ((lhs < n) | (mode == "strong")))
+        if pair is not None:
+            return IdentityReport(schema, mode, False, pair)
     return IdentityReport(None, mode, True)
 
 
@@ -224,17 +200,9 @@ def check_distributivity(lat, mode="strong"):
         ("distributive_join_over_meet", lat.meet, lat.join),
     )
     for schema, jn, mt in schemas:
-        for x in range(lat.n):
-            for y in range(lat.n):
-                for z in range(lat.n):
-                    yz = jn[y, z]
-                    lhs = UNDEF if yz == UNDEF else int(mt[x, yz])
-                    xy, xz = mt[x, y], mt[x, z]
-                    rhs = UNDEF if UNDEF in (xy, xz) else int(jn[xy, xz])
-                    if mode == "strong" and (lhs == UNDEF) != (rhs == UNDEF):
-                        return IdentityReport(schema, mode, False, (x, y, z))
-                    if lhs != UNDEF and rhs != UNDEF and lhs != rhs:
-                        return IdentityReport(schema, mode, False, (x, y, z))
+        triple = distributive_mismatch(jn, mt, mode == "strong")
+        if triple is not None:
+            return IdentityReport(schema, mode, False, triple)
     return IdentityReport(None, mode, True)
 
 

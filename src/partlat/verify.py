@@ -142,7 +142,8 @@ def _check_congruence(lat, e):
 def structure_checks(lat):
     """Run every per-structure law; yields (name, ok, detail) triples.
 
-    A law that raises fails with the formatted traceback as its detail.
+    A passing law has an empty detail; a law that raises fails with the
+    formatted traceback as its detail.
     """
     results = []
 
@@ -151,7 +152,7 @@ def structure_checks(lat):
             ok, detail = fn()
         except Exception:  # record and keep sweeping
             ok, detail = False, traceback.format_exc()
-        results.append((name, ok, detail))
+        results.append((name, ok, "" if ok else detail))
 
     def plain(predicate, message):
         return lambda: (bool(predicate()), message)

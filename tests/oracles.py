@@ -6,12 +6,32 @@ the library's own closure and search algorithms. The one exception is
 ``all_congruences_closure``, the earlier congruence lister kept as the
 reference for the join-irreducible one: it reuses ``generate_congruence``,
 which the Bell-number oracles check on their own.
+
+The ``*_loops`` functions are the per-pair and per-triple Python scans that
+the library's array kernels replaced, kept unchanged as references: they
+return or raise exactly what the library versions must.
 """
 
 from collections import deque
 from itertools import permutations
 
-from partlat import Partition, generate_congruence
+import numpy as np
+
+from partlat import (
+    UNDEF,
+    AxiomViolation,
+    BadParameter,
+    IdentityReport,
+    Lattice,
+    NotALattice,
+    NotPlos,
+    PartialLattice,
+    Partition,
+    PlosReport,
+    generate_congruence,
+    lower_bounds,
+    upper_bounds,
+)
 
 
 def all_partitions(n):
@@ -127,3 +147,170 @@ def isomorphic_bruteforce(p, q):
         ):
             return True
     return False
+
+
+def least_of(p, members):
+    """The member of ``members`` below all others, or None."""
+    for x in members:
+        if all(p.leq[x, y] for y in members):
+            return int(x)
+    return None
+
+
+def greatest_of(p, members):
+    for x in members:
+        if all(p.leq[y, x] for y in members):
+            return int(x)
+    return None
+
+
+def is_plos_loops(p):
+    """First pair (a <= b in index order) whose nonempty bound set lacks an
+    extremum, upper side checked before lower."""
+    for a in range(p.n):
+        for b in range(a, p.n):
+            ups = upper_bounds(p, a, b)
+            if ups and least_of(p, ups) is None:
+                return PlosReport(False, "upper", (a, b), ups)
+            lows = lower_bounds(p, a, b)
+            if lows and greatest_of(p, lows) is None:
+                return PlosReport(False, "lower", (a, b), lows)
+    return PlosReport(True)
+
+
+def validate_lattice_loops(p):
+    """The lattice on ``p``; NotALattice at the first pair without both."""
+    n = p.n
+    join = np.full((n, n), -1, dtype=np.int64)
+    meet = np.full((n, n), -1, dtype=np.int64)
+    for a in range(n):
+        for b in range(a, n):
+            sup = least_of(p, upper_bounds(p, a, b))
+            inf = greatest_of(p, lower_bounds(p, a, b))
+            if sup is None or inf is None:
+                raise NotALattice((a, b))
+            join[a, b] = join[b, a] = sup
+            meet[a, b] = meet[b, a] = inf
+    return Lattice(p, join, meet)
+
+
+def from_plos_loops(p):
+    """The canonical partial lattice on ``p``; NotPlos if ``p`` is not plos."""
+    report = is_plos_loops(p)
+    if not report:
+        raise NotPlos(report)
+    n = p.n
+    jt = np.full((n, n), UNDEF, dtype=np.int64)
+    mt = np.full((n, n), UNDEF, dtype=np.int64)
+    for a in range(n):
+        for b in range(a, n):
+            ups = upper_bounds(p, a, b)
+            if ups:
+                jt[a, b] = jt[b, a] = least_of(p, ups)
+            lows = lower_bounds(p, a, b)
+            if lows:
+                mt[a, b] = mt[b, a] = greatest_of(p, lows)
+    return PartialLattice(p.labels, jt, mt)
+
+
+def _compound(t, outer_first, i, j, k):
+    if outer_first:  # (i . j) . k
+        ij = t[i, j]
+        return UNDEF if ij == UNDEF else int(t[ij, k])
+    jk = t[j, k]  # i . (j . k)
+    return UNDEF if jk == UNDEF else int(t[i, jk])
+
+
+def validate_partial_lattice_loops(labels, jt, mt):
+    """The axiom checks on integer tables, in the library's order; raises
+    what the library raises and returns the structure otherwise."""
+    n = len(labels)
+    for t, name in ((jt, "join"), (mt, "meet")):
+        bad = (t < UNDEF) | (t >= n)
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise BadParameter(f"{name}[{i},{j}] is not an element index")
+    for i in range(n):
+        if jt[i, i] != i or mt[i, i] != i:
+            raise AxiomViolation("idempotency", (i,), labels[i])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if jt[i, j] != jt[j, i] or mt[i, j] != mt[j, i]:
+                raise AxiomViolation("commutativity", (i, j))
+    for i in range(n):
+        for j in range(n):
+            if jt[i, j] == i and mt[i, j] != j:
+                raise AxiomViolation("duality", (i, j), "join gives i but meet is not j")
+            if mt[i, j] == i and jt[i, j] != j:
+                raise AxiomViolation("duality", (i, j), "meet gives i but join is not j")
+    for t, name in ((jt, "join"), (mt, "meet")):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if _compound(t, True, i, j, k) != _compound(t, False, i, j, k):
+                        raise AxiomViolation("associativity", (i, j, k), name)
+    return PartialLattice(labels, jt, mt)
+
+
+def check_absorption_loops(lat, mode="weak"):
+    """Scan (x v y) ^ x and (x ^ y) v x against the bare x."""
+    schemas = (
+        ("absorption_join", lat.join, lat.meet),
+        ("absorption_meet", lat.meet, lat.join),
+    )
+    for schema, inner, outer in schemas:
+        for x in range(lat.n):
+            for y in range(lat.n):
+                xy = inner[x, y]
+                lhs = UNDEF if xy == UNDEF else int(outer[xy, x])
+                if lhs == UNDEF:
+                    if mode == "strong":
+                        return IdentityReport(schema, mode, False, (x, y))
+                elif lhs != x:
+                    return IdentityReport(schema, mode, False, (x, y))
+    return IdentityReport(None, mode, True)
+
+
+def check_distributivity_loops(lat, mode="strong"):
+    """Scan x ^ (y v z) against (x ^ y) v (x ^ z), and the dual schema."""
+    schemas = (
+        ("distributive_meet_over_join", lat.join, lat.meet),
+        ("distributive_join_over_meet", lat.meet, lat.join),
+    )
+    for schema, jn, mt in schemas:
+        for x in range(lat.n):
+            for y in range(lat.n):
+                for z in range(lat.n):
+                    yz = jn[y, z]
+                    lhs = UNDEF if yz == UNDEF else int(mt[x, yz])
+                    xy, xz = mt[x, y], mt[x, z]
+                    rhs = UNDEF if UNDEF in (xy, xz) else int(jn[xy, xz])
+                    if mode == "strong" and (lhs == UNDEF) != (rhs == UNDEF):
+                        return IdentityReport(schema, mode, False, (x, y, z))
+                    if lhs != UNDEF and rhs != UNDEF and lhs != rhs:
+                        return IdentityReport(schema, mode, False, (x, y, z))
+    return IdentityReport(None, mode, True)
+
+
+def is_distributive_loops(lat):
+    """x ^ (y v z) = (x ^ y) v (x ^ z) over all triples of a total lattice."""
+    jn, mt = lat.join, lat.meet
+    for x in range(lat.n):
+        for y in range(lat.n):
+            for z in range(lat.n):
+                if mt[x, jn[y, z]] != jn[mt[x, y], mt[x, z]]:
+                    return False
+    return True
+
+
+def is_modular_loops(lat):
+    """x <= z implies x v (y ^ z) = (x v y) ^ z over all triples."""
+    jn, mt, leq = lat.join, lat.meet, lat.leq
+    for x in range(lat.n):
+        for z in range(lat.n):
+            if not leq[x, z]:
+                continue
+            for y in range(lat.n):
+                if jn[x, mt[y, z]] != mt[jn[x, y], z]:
+                    return False
+    return True

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,10 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, capsys):
         assert cli(["validate", "/nonexistent/x.pl"]) == 2
+
+    def test_directory_argument_exits_2(self, tmp_path, capsys):
+        assert cli(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOrderExtend:
@@ -141,6 +147,15 @@ class TestIso:
         assert cli(["iso", "boolean99", "chain1"]) == 1
         assert "more than 128 elements" in capsys.readouterr().err
 
+    def test_named_lattice_with_thousands_of_digits_exits_1(self, capsys):
+        # int() refuses digit strings this long, so the size is rejected first.
+        assert cli(["iso", "chain" + "9" * 5000, "chain1"]) == 1
+        assert "chain size has 5000 digits" in capsys.readouterr().err
+
+    def test_overlong_file_name_exits_2(self, capsys):
+        assert cli(["iso", "x" * 5000, "chain1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestVerify:
     def test_small_corpus(self, capsys):
@@ -148,6 +163,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "checked 8 partial lattices" in out
         assert "ok" in out
+
+    def test_sweep_under_optimize_flag(self):
+        # python -O strips assert statements; the sweep must still pass.
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "partlat", "verify", "--n", "5"],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "checked 76 partial lattices on up to 5 elements: ok\n"
 
 
 class TestDemo:

@@ -1,0 +1,157 @@
+"""The sup/inf kernel and the compound-term gather against the loop scans
+they replaced (``tests/oracles.py``), past the enumerated corpus."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from partlat import (
+    UNDEF,
+    PartialLattice,
+    PartlatError,
+    Poset,
+    check_absorption,
+    check_distributivity,
+    from_lattice,
+    from_plos,
+    is_distributive,
+    is_modular,
+    is_plos,
+    make_poset,
+    named_lattice,
+    validate_lattice,
+    validate_partial_lattice,
+)
+
+from oracles import (
+    check_absorption_loops,
+    check_distributivity_loops,
+    from_plos_loops,
+    is_distributive_loops,
+    is_modular_loops,
+    is_plos_loops,
+    validate_lattice_loops,
+    validate_partial_lattice_loops,
+)
+
+BOOLEAN4 = named_lattice("boolean", 4)
+
+
+def outcome(fn, *args):
+    """The result, or the raised error's type, message and witness."""
+    try:
+        return fn(*args)
+    except PartlatError as exc:
+        witness = [getattr(exc, attr, None) for attr in ("pair", "report", "witness")]
+        return type(exc), str(exc), witness
+
+
+@st.composite
+def boolean4_suborders(draw):
+    """The order of ``boolean 4`` restricted to a random subset, in a random
+    index order: up to 16 elements, past the n <= 6 corpus."""
+    members = draw(st.permutations(range(16)))[: draw(st.integers(1, 16))]
+    labels = tuple(BOOLEAN4.labels[i] for i in members)
+    return Poset(labels, BOOLEAN4.leq[np.ix_(members, members)])
+
+
+@st.composite
+def random_posets(draw):
+    """A random order on up to 9 elements in a random index order; unlike
+    sub-orders of ``boolean 4``, a pair can lack both sup and inf."""
+    n = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(n)))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=16))
+    labels = "abcdefghi"[:n]
+    # Arcs point up from the smaller number before relabelling, so no cycle forms.
+    return make_poset(labels, [(labels[perm[min(arc)]], labels[perm[max(arc)]])
+                               for arc in arcs if arc[0] != arc[1]])
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Labels and two symmetric tables with UNDEF cells. ``shape`` picks how
+    far they get through validation: anything, idempotent, or idempotent
+    and dual so that associativity is what gets scanned."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(("any", "idempotent", "dual", "dual")))
+    cells = st.integers(UNDEF, n - 1)
+    jt = np.full((n, n), UNDEF, dtype=np.int64)
+    mt = np.full((n, n), UNDEF, dtype=np.int64)
+    for i in range(n):
+        for j in range(i if shape == "any" else i + 1, n):
+            jt[i, j] = jt[j, i] = draw(cells)
+            if shape != "dual":
+                mt[i, j] = mt[j, i] = draw(cells)
+            elif jt[i, j] in (i, j):  # duality fixes the meet of a comparable pair
+                mt[i, j] = mt[j, i] = i + j - jt[i, j]
+            else:
+                mt[i, j] = mt[j, i] = draw(cells.filter(lambda v: v not in (i, j)))
+    if shape != "any":
+        np.fill_diagonal(jt, np.arange(n))
+        np.fill_diagonal(mt, np.arange(n))
+    return tuple("abcdefg"[:n]), jt, mt
+
+
+# a, b lie above c, d and below e, f: the pair (a, b) fails on both sides.
+BOWTIE = make_poset("abcdef", [(x, y) for x in "cd" for y in "ab"]
+                    + [(x, y) for x in "ab" for y in "ef"])
+
+
+@given(st.one_of(boolean4_suborders(), random_posets()))
+@example(BOWTIE)
+@settings(max_examples=300, deadline=None)
+def test_bound_kernel_matches_loops(p):
+    report = is_plos(p)
+    assert report == is_plos_loops(p)
+    assert report or all(type(v) is int for v in report.witness + tuple(report.bound_set))
+    assert outcome(validate_lattice, p) == outcome(validate_lattice_loops, p)
+    lat = outcome(from_plos, p)
+    assert lat == outcome(from_plos_loops, p)
+    if isinstance(lat, PartialLattice):
+        assert lat == validate_partial_lattice(lat.labels, lat.join, lat.meet)
+        for mode in ("weak", "strong"):
+            assert check_absorption(lat, mode) == check_absorption_loops(lat, mode)
+            assert check_distributivity(lat, mode) == check_distributivity_loops(lat, mode)
+
+
+@given(st.one_of(boolean4_suborders(), random_posets()))
+@example(named_lattice("M", 3).poset)  # modular, not distributive
+@example(named_lattice("N5").poset)
+@settings(max_examples=150, deadline=None)
+def test_lattice_laws_match_loops(p):
+    lat = outcome(validate_lattice, p)
+    if isinstance(lat, tuple):
+        return
+    assert is_distributive(lat) == is_distributive_loops(lat)
+    assert is_modular(lat) == is_modular_loops(lat)
+
+
+@given(symmetric_tables())
+@settings(max_examples=300, deadline=None)
+def test_axiom_scan_matches_loops(case):
+    labels, jt, mt = case
+    assert (outcome(validate_partial_lattice, labels, jt, mt)
+            == outcome(validate_partial_lattice_loops, labels, jt, mt))
+
+
+@given(symmetric_tables(), st.sampled_from(("weak", "strong")))
+@settings(max_examples=300, deadline=None)
+def test_identity_scans_match_loops(case, mode):
+    lat = PartialLattice(*case)
+    for scan, loops in ((check_absorption, check_absorption_loops),
+                        (check_distributivity, check_distributivity_loops)):
+        report = scan(lat, mode)
+        assert report == loops(lat, mode)
+        assert report.witness is None or all(type(v) is int for v in report.witness)
+
+
+def test_largest_named_lattice_goes_through_every_scan():
+    lat = named_lattice("boolean", 7)
+    assert lat.n == 128
+    plat = from_lattice(lat)
+    assert validate_partial_lattice(plat.labels, plat.join, plat.meet) == plat
+    assert check_distributivity(plat, "strong") and check_distributivity(plat, "weak")
+    assert is_modular(lat) and is_distributive(lat)
+

@@ -1,4 +1,4 @@
-from partlat import verify
+from partlat import enumerate_partial_lattices, verify
 from partlat.verify import structure_checks
 
 
@@ -14,3 +14,10 @@ def test_raising_law_keeps_its_traceback(monkeypatch, fig4):
     assert "in broken" in detail
     assert detail.rstrip().endswith("RuntimeError: absorption exploded")
     assert results["roundtrip_structure"][0]  # the sweep went on
+
+
+def test_passing_checks_have_empty_detail():
+    for lat in enumerate_partial_lattices(3):
+        for name, ok, detail in structure_checks(lat):
+            assert ok, (name, detail)
+            assert detail == "", name

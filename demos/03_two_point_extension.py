@@ -33,7 +33,7 @@ print("star is a pentagon:", find_isomorphism(ext.star, named_lattice("N5")) is 
 ###############################################################################
 # Undefined joins land on the adjoined top; defined ones keep their values.
 
-a, b, c = (ext.embed[fig4.index(x)] for x in "abc")
+a, b, c = (fig4.index(x) for x in "abc")
 print("a v b in the star:", ext.star.labels[ext.star.join[a, b]])
 print("a v c in the star:", ext.star.labels[ext.star.join[a, c]])
 

@@ -171,11 +171,10 @@ def is_congruence_on_partial(lat, e):
     if e.n != lat.n:
         raise BadParameter("partition carrier mismatch")
     ext = lat.extension
-    lifted = Partition.from_blocks(
-        ext.star.n, [tuple(ext.embed[i] for i in block) for block in e.blocks]
-    )
+    # Block ids of e are below n, so the adjoined bounds n.. stay singletons.
+    lifted = Partition(e.block_of + tuple(range(lat.n, ext.star.n)))
     theta = generate_congruence(ext.star, lifted)
-    restriction = theta.restrict(ext.embed)
+    restriction = theta.restrict(range(lat.n))
     return CongruenceWitness(theta, restriction, restriction == e, ext)
 
 
@@ -229,8 +228,9 @@ def all_congruences(lat):
 
 def all_partial_congruences(lat):
     """Restrictions to the carrier of all congruences of the extension."""
-    ext = lat.extension
-    return tuple(sorted({theta.restrict(ext.embed) for theta in all_congruences(ext.star)}))
+    carrier = range(lat.n)
+    cons = all_congruences(lat.extension.star)
+    return tuple(sorted({theta.restrict(carrier) for theta in cons}))
 
 
 def con_is_closed_under_meets(lat):
@@ -261,52 +261,38 @@ def _require_congruence(lat, e, witness):
     return w
 
 
-def _carrier_hits(ext, star_class):
-    """Source indices of the star-class members that lie in the carrier."""
-    hits = [ext.source_index(s) for s in star_class]
-    return sorted(h for h in hits if h is not None)
-
-
-def _class_cell(lat, e, w, star_table, a, b):
-    """Theta-class of a star operation value intersected with the carrier,
-    reported as a block id of ``e``, or None when the intersection is empty."""
-    ext = w.extension
-    value = int(star_table[ext.embed[a], ext.embed[b]])
-    hits = _carrier_hits(ext, w.theta.block_containing(value))
-    if not hits:
-        return None
-    block = e.block_of[hits[0]]
-    ensure(all(e.block_of[h] == block for h in hits), "class must hit one block")
-    return block
-
-
 def quotient(lat, e, witness=None):
     """Quotient partial lattice: blocks of ``e`` with class operations.
 
     A class join is the generated-congruence class of a star join
     intersected with the carrier when that intersection is nonempty,
-    undefined otherwise; meets dually. Every representative pair is
-    evaluated, so well-definedness is checked rather than assumed, and the
-    result passes the axiom validator.
+    undefined otherwise; meets dually. The class operation is gathered for
+    every carrier pair, so well-definedness is checked rather than assumed,
+    and the result passes the axiom validator.
     """
     w = _require_congruence(lat, e, witness)
     star = w.extension.star
-    m = len(e.blocks)
-    labels = tuple(f"[{lat.labels[block[0]]}]" for block in e.blocks)
-    jt = np.full((m, m), UNDEF, dtype=np.int64)
-    mt = np.full((m, m), UNDEF, dtype=np.int64)
-    for table, out in ((star.join, jt), (star.meet, mt)):
-        for p in range(m):
-            for q in range(p, m):
-                results = {
-                    _class_cell(lat, e, w, table, a, b)
-                    for a in e.blocks[p]
-                    for b in e.blocks[q]
-                }
-                ensure(len(results) == 1, "class operation depends on representatives")
-                value = results.pop()
-                out[p, q] = out[q, p] = UNDEF if value is None else value
-    return validate_partial_lattice(labels, jt, mt)
+    n = lat.n
+    block_of = np.array(e.block_of)
+    theta = np.array(w.theta.block_of)
+    # The carrier is the prefix of the star, so a theta-class meets it exactly
+    # when its least member lies in it; cls[k] is that member's block of e.
+    least = np.array([block[0] for block in w.theta.blocks])
+    in_carrier = least < n
+    cls = np.full(len(least), UNDEF, dtype=np.int64)
+    cls[in_carrier] = block_of[least[in_carrier]]
+    # Each class meets the carrier inside one block: theta on 0..n-1 refines e.
+    ensure((cls[theta[:n]] == block_of).all(), "class must hit one block")
+    reps = np.array([block[0] for block in e.blocks])
+    labels = tuple(f"[{lat.labels[r]}]" for r in reps)
+    tables = []
+    for table in (star.join, star.meet):
+        cell = cls[theta[table[:n, :n]]]
+        out = cell[reps[:, None], reps]
+        ensure((cell == out[block_of[:, None], block_of]).all(),
+               "class operation depends on representatives")
+        tables.append(out)
+    return validate_partial_lattice(labels, *tables)
 
 
 def quotient_join_case(lat, e, a, b, witness=None):
@@ -314,17 +300,19 @@ def quotient_join_case(lat, e, a, b, witness=None):
 
     Defined with value [a v b] when the join exists; otherwise undefined when
     the adjoined top forms a singleton class, or the class of the least
-    carrier element identified with the top.
+    carrier element identified with the top. Raises BadParameter unless a
+    and b are carrier elements.
     """
+    if not (lat.is_index(a) and lat.is_index(b)):
+        raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
     w = _require_congruence(lat, e, witness)
     if lat.join[a, b] != UNDEF:
         return JoinCase(DEFINED, int(e.block_of[int(lat.join[a, b])]))
     ext = w.extension
     ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
-    hits = _carrier_hits(ext, w.theta.block_containing(ext.added_top))
-    if not hits:
+    alpha = w.theta.block_containing(ext.added_top)[0]
+    if alpha >= lat.n:
         return JoinCase(UNDEFINED_TOP_SINGLETON)
-    alpha = hits[0]
     return JoinCase(ALPHA, int(e.block_of[alpha]), alpha)
 
 

@@ -10,8 +10,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import BadParameter
-from .order import Poset, is_plos
+from .errors import BadParameter, NotPlos
+from .order import Poset
 from .plattice import from_plos
 
 _LABELS = "abcdef"
@@ -57,12 +57,16 @@ def all_posets(n):
 def enumerate_partial_lattices(n_max):
     """Stream all partial lattices on at most n_max elements up to isomorphism.
 
-    Enumerated posets are filtered by the bound properties and mapped to
-    their canonical partial lattices; the stream order is deterministic.
+    Each enumerated poset is mapped to its canonical partial lattice in one
+    scan, which also rejects posets that fail the bound properties; the
+    stream order is deterministic.
     """
     if not 1 <= n_max <= 6:
         raise BadParameter("n_max must be between 1 and 6")
     for n in range(1, n_max + 1):
         for p in all_posets(n):
-            if is_plos(p):
-                yield from_plos(p)
+            try:
+                lat = from_plos(p)
+            except NotPlos:
+                continue
+            yield lat

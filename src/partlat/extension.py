@@ -22,15 +22,15 @@ ONE_POINT_LABEL = "c*"
 class Extension:
     """A partial lattice embedded in the total lattice that adjoins bounds.
 
-    ``embed`` maps source indices to star indices; the adjoined bottom sits
-    strictly below every other star element and the adjoined top strictly
-    above. The source is kept by reference so congruence and quotient code
-    can move between both index spaces.
+    The carrier is the prefix of the star: source element i is star index
+    i, an adjoined bottom is star index n and an adjoined top is the last
+    star index. The bottom sits strictly below every other star element
+    and the top strictly above. The source is kept by reference so
+    congruence and quotient code can move between both index spaces.
     """
 
     source: PartialLattice
     star: Lattice
-    embed: tuple
     added_bottom: int | None
     added_top: int | None
 
@@ -42,13 +42,6 @@ class Extension:
         if self.added_top is not None:
             out += ("top",)
         return out
-
-    def source_index(self, star_index):
-        """Inverse of embed; None for an adjoined bound."""
-        try:
-            return self.embed.index(star_index)
-        except ValueError:
-            return None
 
 
 def two_point_extension(lat):
@@ -80,7 +73,7 @@ def two_point_extension(lat):
     if top is not None:
         leq[:, top] = True
     star = validate_lattice(Poset(labels, leq))
-    return Extension(lat, star, tuple(range(n)), bottom, top)
+    return Extension(lat, star, bottom, top)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,11 +23,21 @@ from .errors import (
     SideConditionFails,
     ensure,
 )
+from .order import first_true
 from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
 
 NOT_HOM = "not_hom"
 HOM = "hom"
 CLOSED_HOM = "closed_hom"
+
+
+def _require_map(mapping, source, target):
+    """Raise BadParameter unless ``mapping`` sends every source element to a
+    target element."""
+    if len(mapping) != source.n:
+        raise BadParameter("mapping length differs from source carrier")
+    if not all(map(target.is_index, mapping)):
+        raise BadParameter("mapping value outside target carrier")
 
 
 @dataclass(frozen=True)
@@ -39,10 +49,7 @@ class Morphism:
     mapping: tuple
 
     def __post_init__(self):
-        if len(self.mapping) != self.source.n:
-            raise BadParameter("mapping length differs from source carrier")
-        if any(not 0 <= v < self.target.n for v in self.mapping):
-            raise BadParameter("mapping value outside target carrier")
+        _require_map(self.mapping, self.source, self.target)
 
     def __call__(self, i):
         return self.mapping[i]
@@ -60,26 +67,25 @@ class HomReport:
 def check_hom(mapping, source, target):
     """Classify a map as not_hom, hom, or closed_hom.
 
-    The witness is the first offending pair: one whose defined source
-    operation is not matched in the target, or, for a plain homomorphism,
-    one whose target operation is defined while the source one is not.
+    The witness is the first offending pair in row-major order, join before
+    meet: one whose defined source operation is not matched in the target,
+    or, for a plain homomorphism, one whose target operation is defined
+    while the source one is not. Raises BadParameter unless the map sends
+    every source element to a target element.
     """
     h = tuple(mapping)
-    tables = (("join", source.join, target.join), ("meet", source.meet, target.meet))
-    for a in range(source.n):
-        for b in range(source.n):
-            for op, st, tt in tables:
-                sv = st[a, b]
-                if sv == UNDEF:
-                    continue
-                tv = tt[h[a], h[b]]
-                if tv == UNDEF or tv != h[sv]:
-                    return HomReport(NOT_HOM, (a, b), op)
-    for a in range(source.n):
-        for b in range(source.n):
-            for op, st, tt in tables:
-                if st[a, b] == UNDEF and tt[h[a], h[b]] != UNDEF:
-                    return HomReport(HOM, (a, b), op)
+    _require_map(h, source, target)
+    h = np.array(h, dtype=np.int64)
+    broken, extra = [], []
+    for st, tt in ((source.join, target.join), (source.meet, target.meet)):
+        image = tt[h[:, None], h]  # [a, b]: h(a) . h(b)
+        defined = st != UNDEF
+        broken.append(defined & (image != h[st]))
+        extra.append(~defined & (image != UNDEF))
+    for kind, (join_mask, meet_mask) in ((NOT_HOM, broken), (HOM, extra)):
+        pair = first_true(join_mask | meet_mask)
+        if pair is not None:
+            return HomReport(kind, pair, "join" if join_mask[pair] else "meet")
     return HomReport(CLOSED_HOM)
 
 
@@ -111,15 +117,14 @@ def extend_hom(h):
         raise NotClosed(report)
     x1 = h.source.extension
     x2 = h.target.extension
-    mapping = [None] * x1.star.n
-    for i in range(h.source.n):
-        mapping[x1.embed[i]] = x2.embed[h.mapping[i]]
+    # Both carriers are star prefixes, followed by the bottom, then the top.
+    mapping = list(h.mapping)
     if x1.added_bottom is not None:
         ensure(x2.added_bottom is not None, "closedness forces a target bottom")
-        mapping[x1.added_bottom] = x2.added_bottom
+        mapping.append(x2.added_bottom)
     if x1.added_top is not None:
         ensure(x2.added_top is not None, "closedness forces a target top")
-        mapping[x1.added_top] = x2.added_top
+        mapping.append(x2.added_top)
     hstar = Morphism(from_lattice(x1.star), from_lattice(x2.star), tuple(mapping))
     ensure(check_hom(hstar.mapping, hstar.source, hstar.target).kind != NOT_HOM,
            "extended map must be a homomorphism")
@@ -134,15 +139,11 @@ def restrict_hom(hstar, source, target):
     """
     if check_hom(hstar.mapping, hstar.source, hstar.target).kind == NOT_HOM:
         raise BadParameter("star map is not a homomorphism")
-    x1 = source.extension
-    x2 = target.extension
-    inv2 = {s: i for i, s in enumerate(x2.embed)}
-    mapping = []
-    for i in range(source.n):
-        s = hstar.mapping[x1.embed[i]]
-        if s not in inv2:
-            raise ImageEscapes((i, s))
-        mapping.append(inv2[s])
+    # Both carriers are star prefixes, so the restriction is a prefix too.
+    mapping = hstar.mapping[:source.n]
+    escaped = first_true(np.array(mapping) >= target.n)
+    if escaped is not None:
+        raise ImageEscapes((escaped[0], mapping[escaped[0]]))
     h = Morphism(source, target, tuple(mapping))
     ensure(check_hom(h.mapping, h.source, h.target).kind != NOT_HOM,
            "restricted map must be a homomorphism")
@@ -162,10 +163,7 @@ def _verify_iso(fwd):
     n = fwd.source.n
     if fwd.target.n != n or len(set(fwd.mapping)) != n:
         return None
-    inverse = [0] * n
-    for i, v in enumerate(fwd.mapping):
-        inverse[v] = i
-    bwd = Morphism(fwd.target, fwd.source, tuple(inverse))
+    bwd = Morphism(fwd.target, fwd.source, tuple(np.argsort(fwd.mapping).tolist()))
     if check_hom(fwd.mapping, fwd.source, fwd.target).kind != CLOSED_HOM:
         return None
     if check_hom(bwd.mapping, bwd.source, bwd.target).kind != CLOSED_HOM:
@@ -184,24 +182,22 @@ class HomTheoremReport:
 
 
 def _image_sublattice(h):
-    """Partial lattice on the image carrier with operations as in the target.
+    """Partial lattice on the image carrier with operations as in the target,
+    and the position of each target element in it (UNDEF off the image).
 
     Closedness keeps every defined value inside the image.
     """
-    present = sorted(set(h.mapping))
+    present = np.unique(h.mapping)
     labels = tuple(h.target.labels[t] for t in present)
-    pos = {t: k for k, t in enumerate(present)}
-    m = len(present)
-    jt = np.full((m, m), UNDEF, dtype=np.int64)
-    mt = np.full((m, m), UNDEF, dtype=np.int64)
-    for table, out in ((h.target.join, jt), (h.target.meet, mt)):
-        for ka, a in enumerate(present):
-            for kb, b in enumerate(present):
-                v = int(table[a, b])
-                if v != UNDEF:
-                    ensure(v in pos, "closed image must be operation closed")
-                    out[ka, kb] = pos[v]
-    return validate_partial_lattice(labels, jt, mt), pos
+    pos = np.full(h.target.n + 1, UNDEF, dtype=np.int64)  # pos[UNDEF] stays UNDEF
+    pos[present] = np.arange(len(present))
+    tables = []
+    for table in (h.target.join, h.target.meet):
+        cell = table[present[:, None], present]
+        out = pos[cell]
+        ensure(((out != UNDEF) | (cell == UNDEF)).all(), "closed image must be operation closed")
+        tables.append(out)
+    return validate_partial_lattice(labels, *tables), pos
 
 
 def hom_theorem_check(h):
@@ -223,10 +219,9 @@ def hom_theorem_check(h):
             raise SideConditionFails(name)
     image, pos = _image_sublattice(h)
     quot = w.quot
-    fwd_map = [None] * image.n
-    for i in range(h.source.n):
-        fwd_map[pos[h.mapping[i]]] = ker.block_of[i]
-    iso = _verify_iso(Morphism(image, quot, tuple(fwd_map)))
+    fwd_map = np.empty(image.n, dtype=np.int64)
+    fwd_map[pos[list(h.mapping)]] = ker.block_of
+    iso = _verify_iso(Morphism(image, quot, tuple(fwd_map.tolist())))
     ensure(iso is not None, "image must be isomorphic to the kernel quotient")
     return HomTheoremReport(ker, image, quot, iso)
 
@@ -243,15 +238,14 @@ def quotient_extension_iso(lat, e, witness=None):
     ext = w.extension
     qx = w.quot.extension
     big = lattice_quotient(ext.star, w.theta)
-    mapping = [None] * qx.star.n
-    for block_id, block in enumerate(e.blocks):
-        mapping[qx.embed[block_id]] = w.theta.block_of[ext.embed[block[0]]]
+    # Star prefixes again: block k of e, then the bottom, then the top.
+    mapping = [w.theta.block_of[block[0]] for block in e.blocks]
     if qx.added_bottom is not None:
         ensure(ext.added_bottom is not None, "a quotient bottom needs a source bottom")
-        mapping[qx.added_bottom] = w.theta.block_of[ext.added_bottom]
+        mapping.append(w.theta.block_of[ext.added_bottom])
     if qx.added_top is not None:
         ensure(ext.added_top is not None, "a quotient top needs a source top")
-        mapping[qx.added_top] = w.theta.block_of[ext.added_top]
+        mapping.append(w.theta.block_of[ext.added_top])
     iso = _verify_iso(Morphism(from_lattice(qx.star), from_lattice(big), tuple(mapping)))
     ensure(iso is not None, "quotient extension exchange failed to verify")
     return iso

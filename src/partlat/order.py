@@ -68,6 +68,10 @@ class Carrier:
     def indices(self, labels):
         return tuple(self.index(x) for x in labels)
 
+    def is_index(self, i):
+        """Whether ``i`` is an integer in 0..n-1, which numpy will not wrap."""
+        return isinstance(i, (int, np.integer)) and 0 <= i < self.n
+
 
 class Poset(Carrier):
     """A finite partially ordered set."""

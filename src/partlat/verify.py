@@ -26,7 +26,7 @@ from .morphism import (
     quotient_extension_iso,
     restrict_hom,
 )
-from .order import is_plos, lower_bounds, upper_bounds
+from .order import first_true, is_plos
 from .plattice import (
     BOTH_TOTAL,
     UNDEF,
@@ -47,40 +47,33 @@ def _check_extension(lat):
     """Extension is a lattice, reflects the source exactly, and obeys the
     bound-set case law on every pair."""
     ext = lat.extension
-    base = lat.order
-    star_order = ext.star.poset
-    for i in range(lat.n):
-        for j in range(lat.n):
-            if star_order.leq[ext.embed[i], ext.embed[j]] != base.leq[i, j]:
-                return False, f"order not preserved at ({i}, {j})"
+    n = lat.n
+    leq = lat.order.leq
+    star_leq = ext.star.leq
+    pair = first_true(star_leq[:n, :n] != leq)
+    if pair is not None:
+        return False, f"order not preserved at {pair}"
     for name, bound, row in (("bottom", ext.added_bottom, True), ("top", ext.added_top, False)):
-        if bound is None:
-            continue
-        for s in range(ext.star.n):
-            if s == bound:
-                continue
-            ok = star_order.leq[bound, s] if row else star_order.leq[s, bound]
-            if not ok:
-                return False, f"adjoined {name} is not extremal"
-    for a in range(lat.n):
-        for b in range(lat.n):
-            sj = int(ext.star.join[ext.embed[a], ext.embed[b]])
-            sm = int(ext.star.meet[ext.embed[a], ext.embed[b]])
-            if upper_bounds(base, a, b):
-                if lat.join[a, b] == UNDEF or sj != ext.embed[lat.join[a, b]]:
-                    return False, f"join case law broken at ({a}, {b})"
-            elif sj != ext.added_top:
-                return False, f"empty U({a}, {b}) must join to the adjoined top"
-            if lat.join[a, b] == UNDEF and ext.source_index(sj) is not None:
-                return False, f"undefined join reflected into the carrier at ({a}, {b})"
-            if lower_bounds(base, a, b):
-                if lat.meet[a, b] == UNDEF or sm != ext.embed[lat.meet[a, b]]:
-                    return False, f"meet case law broken at ({a}, {b})"
-            elif sm != ext.added_bottom:
-                return False, f"empty L({a}, {b}) must meet to the adjoined bottom"
-            if lat.meet[a, b] == UNDEF and ext.source_index(sm) is not None:
-                return False, f"undefined meet reflected into the carrier at ({a}, {b})"
-    embed_hom = check_hom(ext.embed, lat, from_lattice(ext.star))
+        if bound is not None and not (star_leq[bound] if row else star_leq[:, bound]).all():
+            return False, f"adjoined {name} is not extremal"
+    # The carrier is the prefix of the star; a missing bound compares as UNDEF.
+    sj, sm = ext.star.join[:n, :n], ext.star.meet[:n, :n]
+    top, bottom = (UNDEF if b is None else b for b in (ext.added_top, ext.added_bottom))
+    has_upper = leq @ leq.T  # [a, b]: U(a, b) is nonempty
+    has_lower = leq.T @ leq
+    laws = (
+        (has_upper & (sj != lat.join), "join case law broken at ({}, {})"),
+        (~has_upper & (sj != top), "empty U({}, {}) must join to the adjoined top"),
+        ((lat.join == UNDEF) & (sj < n), "undefined join reflected into the carrier at ({}, {})"),
+        (has_lower & (sm != lat.meet), "meet case law broken at ({}, {})"),
+        (~has_lower & (sm != bottom), "empty L({}, {}) must meet to the adjoined bottom"),
+        ((lat.meet == UNDEF) & (sm < n), "undefined meet reflected into the carrier at ({}, {})"),
+    )
+    cell = first_true(np.stack([mask for mask, _ in laws], axis=2))
+    if cell is not None:
+        a, b, law = cell
+        return False, laws[law][1].format(a, b)
+    embed_hom = check_hom(range(n), lat, from_lattice(ext.star))
     if embed_hom.kind == NOT_HOM:
         return False, "carrier is not a weak subalgebra of the extension"
     return True, ""
@@ -98,24 +91,17 @@ def _check_congruence(lat, e):
         for q, block_q in enumerate(e.blocks):
             cell = int(quot.join[p, q])
             expected = None if cell == UNDEF else cell
-            blocks_seen = set()
             for a in block_p:
                 for b in block_q:
-                    case = quotient_join_case(lat, e, a, b, witness=w)
-                    blocks_seen.add(case.block)
-                    if case.block != expected:
+                    if quotient_join_case(lat, e, a, b, witness=w).block != expected:
                         return False, f"join case disagrees with table at [{a}],[{b}]"
-            if len(blocks_seen) != 1:
-                return False, f"join case depends on representatives at blocks ({p}, {q})"
 
     # Undefined quotient joins come from undefined source joins.
-    base = lat.order
-    qorder = quot.order
-    for a in range(lat.n):
-        for b in range(lat.n):
-            pa, pb = e.block_of[a], e.block_of[b]
-            if not upper_bounds(qorder, pa, pb) and upper_bounds(base, a, b):
-                return False, f"quotient lost an upper bound at ({a}, {b})"
+    leq, qleq = lat.order.leq, quot.order.leq
+    blocks = np.array(e.block_of)
+    lost = first_true((leq @ leq.T) & ~(qleq @ qleq.T)[blocks[:, None], blocks])
+    if lost is not None:
+        return False, f"quotient lost an upper bound at {lost}"
 
     proj = canonical_projection(lat, e, witness=w)
     rep = check_hom(proj.mapping, proj.source, proj.target)

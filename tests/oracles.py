@@ -2,14 +2,17 @@
 
 Everything here recomputes results from first principles (Bell-number
 enumeration, permutation search, definition scans) and deliberately avoids
-the library's own closure and search algorithms. The one exception is
+the library's own closure and search algorithms. There are two exceptions.
 ``all_congruences_closure``, the earlier congruence lister kept as the
-reference for the join-irreducible one: it reuses ``generate_congruence``,
-which the Bell-number oracles check on their own.
+reference for the join-irreducible one, reuses ``generate_congruence``,
+which the Bell-number oracles check on their own. ``quotient_loops``
+recognizes the congruence with ``is_congruence_on_partial``; only the
+class-operation step is its own.
 
 The ``*_loops`` functions are the per-pair and per-triple Python scans that
-the library's array kernels replaced, kept unchanged as references: they
-return or raise exactly what the library versions must.
+the library's array kernels replaced, kept as references: they return or
+raise exactly what the library versions must. ``quotient_loops`` reads the
+carrier as the prefix of the extension, source element i at star index i.
 """
 
 from collections import deque
@@ -18,20 +21,28 @@ from itertools import permutations
 import numpy as np
 
 from partlat import (
+    CLOSED_HOM,
+    HOM,
+    NOT_HOM,
     UNDEF,
     AxiomViolation,
     BadParameter,
+    HomReport,
     IdentityReport,
     Lattice,
+    NotACongruence,
     NotALattice,
     NotPlos,
     PartialLattice,
     Partition,
     PlosReport,
     generate_congruence,
+    is_congruence_on_partial,
     lower_bounds,
     upper_bounds,
+    validate_partial_lattice,
 )
+from partlat.errors import ensure
 
 
 def all_partitions(n):
@@ -314,3 +325,62 @@ def is_modular_loops(lat):
                 if jn[x, mt[y, z]] != mt[jn[x, y], z]:
                     return False
     return True
+
+
+def check_hom_loops(mapping, source, target):
+    """not_hom, hom or closed_hom, with the first offending pair in
+    row-major order, join before meet."""
+    h = tuple(mapping)
+    tables = (("join", source.join, target.join), ("meet", source.meet, target.meet))
+    for a in range(source.n):
+        for b in range(source.n):
+            for op, st, tt in tables:
+                sv = st[a, b]
+                if sv == UNDEF:
+                    continue
+                tv = tt[h[a], h[b]]
+                if tv == UNDEF or tv != h[sv]:
+                    return HomReport(NOT_HOM, (a, b), op)
+    for a in range(source.n):
+        for b in range(source.n):
+            for op, st, tt in tables:
+                if st[a, b] == UNDEF and tt[h[a], h[b]] != UNDEF:
+                    return HomReport(HOM, (a, b), op)
+    return HomReport(CLOSED_HOM)
+
+
+def _class_cell(n, e, theta, star_table, a, b):
+    """Theta-class of a star operation value intersected with the carrier
+    0..n-1, as a block id of ``e``, or None when the intersection is empty."""
+    value = int(star_table[a, b])
+    hits = [s for s in theta.block_containing(value) if s < n]
+    if not hits:
+        return None
+    block = e.block_of[hits[0]]
+    ensure(all(e.block_of[h] == block for h in hits), "class must hit one block")
+    return block
+
+
+def quotient_loops(lat, e, witness=None):
+    """The quotient partial lattice, evaluating the class operation on every
+    representative pair of every pair of blocks."""
+    w = witness if witness is not None else is_congruence_on_partial(lat, e)
+    if not w.is_congruence:
+        raise NotACongruence(w)
+    star = w.extension.star
+    m = len(e.blocks)
+    labels = tuple(f"[{lat.labels[block[0]]}]" for block in e.blocks)
+    jt = np.full((m, m), UNDEF, dtype=np.int64)
+    mt = np.full((m, m), UNDEF, dtype=np.int64)
+    for table, out in ((star.join, jt), (star.meet, mt)):
+        for p in range(m):
+            for q in range(p, m):
+                results = {
+                    _class_cell(lat.n, e, w.theta, table, a, b)
+                    for a in e.blocks[p]
+                    for b in e.blocks[q]
+                }
+                ensure(len(results) == 1, "class operation depends on representatives")
+                value = results.pop()
+                out[p, q] = out[q, p] = UNDEF if value is None else value
+    return validate_partial_lattice(labels, jt, mt)

@@ -84,7 +84,7 @@ class TestGenerateCongruence:
     def test_pentagon_seed_already_congruence(self, fig4):
         ext = two_point_extension(fig4)
         a, c = fig4.index("a"), fig4.index("c")
-        seed = Partition.from_blocks(ext.star.n, [(ext.embed[a], ext.embed[c])])
+        seed = Partition.from_blocks(ext.star.n, [(a, c)])
         theta = generate_congruence(ext.star, seed)
         assert theta == seed
 
@@ -95,11 +95,11 @@ class TestGenerateCongruence:
     def test_fig10_single_pair_against_oracle(self, fig9):
         ext = two_point_extension(fig9)
         star = ext.star
-        a, b = ext.embed[fig9.index("a")], ext.embed[fig9.index("b")]
+        a, b = fig9.index("a"), fig9.index("b")
         theta = generate_congruence(star, Partition.from_blocks(star.n, [(a, b)]))
         assert partition_to_comparable(theta) == least_congruence_bruteforce(star, a, b)
         # merging a and b drags c along via a v b = c
-        assert theta.relates(a, ext.embed[fig9.index("c")])
+        assert theta.relates(a, fig9.index("c"))
 
     def test_compatibility(self, fig9):
         star = two_point_extension(fig9).star
@@ -275,6 +275,14 @@ class TestQuotient:
         with pytest.raises(InvariantError):
             quotient(lat, e, witness=forged)
 
+    def test_forged_coarse_theta_raises_invariant_error(self):
+        # One theta-class covering three blocks of e cannot name a class cell.
+        lat = from_lattice(named_lattice("chain", 3))
+        e = Partition.identity(3)
+        forged = CongruenceWitness(Partition.full(3), e, True, lat.extension)
+        with pytest.raises(InvariantError, match="class must hit one block"):
+            quotient(lat, e, witness=forged)
+
 
 class TestQuotientJoinCase:
     def test_fig4_undefined_top_singleton(self, fig4):
@@ -294,6 +302,17 @@ class TestQuotientJoinCase:
         case = quotient_join_case(fig9, e, fig9.index("a"), fig9.index("b"))
         assert case.kind == DEFINED
         assert case.block == e.block_of[fig9.index("c")]
+
+    def test_negative_element_is_rejected(self, fig9):
+        # indexing would wrap -4 round to element 0
+        e = figs.congruence_of(fig9, "a|b d|c")
+        with pytest.raises(BadParameter):
+            quotient_join_case(fig9, e, -4, 1)
+
+    def test_element_past_the_carrier_is_rejected(self, fig9):
+        e = figs.congruence_of(fig9, "a|b d|c")
+        with pytest.raises(BadParameter):
+            quotient_join_case(fig9, e, 0, fig9.n)
 
     def test_branches_may_differ_but_blocks_agree(self, fig9):
         # (a, b) and (a, d) are representative pairs of the same classes

@@ -4,6 +4,7 @@ import pytest
 from partlat import (
     BOTTOM_LABEL,
     TOP_LABEL,
+    UNDEF,
     AxiomViolation,
     check_hom,
     find_isomorphism,
@@ -51,42 +52,53 @@ class TestTwoPointExtension:
         assert ext.added == ("bottom", "top")
         assert find_isomorphism(ext.star, named_lattice("N5")) is not None
 
+    def test_carrier_is_the_prefix_of_the_star(self, corpus5):
+        for lat in corpus5:
+            n, ext = lat.n, lat.extension
+            star = ext.star
+            assert star.labels[:n] == lat.labels
+            assert ext.added_bottom in (None, n)
+            assert ext.added_top in (None, star.n - 1)
+            for table, star_table in ((lat.join, star.join), (lat.meet, star.meet)):
+                defined = table != UNDEF
+                assert (star_table[:n, :n][defined] == table[defined]).all()
+
     def test_embedding_is_weak_subalgebra(self, fig4, fig9):
         for lat in (fig4, fig9):
             ext = two_point_extension(lat)
-            report = check_hom(ext.embed, lat, from_lattice(ext.star))
+            report = check_hom(range(lat.n), lat, from_lattice(ext.star))
             assert report.kind != NOT_HOM
 
 
 class TestStarOperations:
     def test_fig5_join_of_incomparables_is_top(self, fig4):
         ext = two_point_extension(fig4)
-        a, b = ext.embed[fig4.index("a")], ext.embed[fig4.index("b")]
+        a, b = fig4.index("a"), fig4.index("b")
         assert ext.star.join[a, b] == ext.added_top
 
     def test_fig5_join_inside_carrier(self, fig4):
         ext = two_point_extension(fig4)
-        a, c = ext.embed[fig4.index("a")], ext.embed[fig4.index("c")]
+        a, c = fig4.index("a"), fig4.index("c")
         assert ext.star.join[a, c] == c
 
     def test_fig10_meet(self, fig9):
         ext = two_point_extension(fig9)
-        c, d = ext.embed[fig9.index("c")], ext.embed[fig9.index("d")]
-        assert ext.star.meet[c, d] == ext.embed[fig9.index("b")]
+        c, d = fig9.index("c"), fig9.index("d")
+        assert ext.star.meet[c, d] == fig9.index("b")
 
     def test_case_law_on_all_pairs(self, fig9):
         ext = two_point_extension(fig9)
         p = induced_order(fig9)
         for a in range(fig9.n):
             for b in range(fig9.n):
-                sj = ext.star.join[ext.embed[a], ext.embed[b]]
+                sj = ext.star.join[a, b]
                 if upper_bounds(p, a, b):
-                    assert sj == ext.embed[int(fig9.join[a, b])]
+                    assert sj == int(fig9.join[a, b])
                 else:
                     assert sj == ext.added_top
-                sm = ext.star.meet[ext.embed[a], ext.embed[b]]
+                sm = ext.star.meet[a, b]
                 if lower_bounds(p, a, b):
-                    assert sm == ext.embed[int(fig9.meet[a, b])]
+                    assert sm == int(fig9.meet[a, b])
                 else:
                     assert sm == ext.added_bottom
 

@@ -1,24 +1,29 @@
-"""The sup/inf kernel and the compound-term gather against the loop scans
-they replaced (``tests/oracles.py``), past the enumerated corpus."""
+"""The sup/inf kernel, the compound-term gather, the homomorphism check and
+the quotient gather against the loop scans they replaced
+(``tests/oracles.py``), past the enumerated corpus."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partlat import (
     UNDEF,
     PartialLattice,
+    Partition,
     PartlatError,
     Poset,
     check_absorption,
+    check_hom,
     check_distributivity,
     from_lattice,
     from_plos,
     is_distributive,
     is_modular,
+    is_congruence_on_partial,
     is_plos,
     make_poset,
     named_lattice,
+    quotient,
     validate_lattice,
     validate_partial_lattice,
 )
@@ -26,10 +31,12 @@ from partlat import (
 from oracles import (
     check_absorption_loops,
     check_distributivity_loops,
+    check_hom_loops,
     from_plos_loops,
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
+    quotient_loops,
     validate_lattice_loops,
     validate_partial_lattice_loops,
 )
@@ -155,3 +162,57 @@ def test_largest_named_lattice_goes_through_every_scan():
     assert check_distributivity(plat, "strong") and check_distributivity(plat, "weak")
     assert is_modular(lat) and is_distributive(lat)
 
+
+
+@st.composite
+def plos_structures(draw, orders):
+    """``from_plos`` of a random order from ``orders`` that is plos."""
+    lat = outcome(from_plos, draw(orders))
+    assume(isinstance(lat, PartialLattice))
+    return lat
+
+
+@st.composite
+def hom_cases(draw):
+    """A random, constant or inclusion map between ``from_plos`` of two
+    random sub-orders of ``boolean 4``, or from a carrier into its own L*."""
+    source = draw(plos_structures(boolean4_suborders()))
+    into_star = draw(st.booleans())
+    target = (from_lattice(source.extension.star) if into_star
+              else draw(plos_structures(boolean4_suborders())))
+    kind = draw(st.sampled_from(("random", "constant") + ("inclusion",) * into_star))
+    if kind == "inclusion":
+        return tuple(range(source.n)), source, target
+    if kind == "constant":
+        return (draw(st.integers(0, target.n - 1)),) * source.n, source, target
+    values = st.integers(0, target.n - 1)
+    return tuple(draw(st.lists(values, min_size=source.n, max_size=source.n))), source, target
+
+
+@given(hom_cases())
+@settings(max_examples=300, deadline=None)
+def test_hom_check_matches_loops(case):
+    report = check_hom(*case)
+    assert report == check_hom_loops(*case)
+    assert report.witness is None or all(type(v) is int for v in report.witness)
+
+
+def partitions(n):
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Partition)
+
+
+def test_quotient_gather_matches_loops_on_corpus5(corpus5):
+    for lat in corpus5:
+        for e in lat.congruences:
+            w = is_congruence_on_partial(lat, e)
+            assert quotient(lat, e, witness=w) == quotient_loops(lat, e, witness=w)
+        if lat.n > 1:  # merging 0 and 1 is often no congruence
+            e = Partition.from_blocks(lat.n, [(0, 1)])
+            assert outcome(quotient, lat, e) == outcome(quotient_loops, lat, e)
+
+
+@given(plos_structures(random_posets()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_quotient_gather_matches_loops(lat, data):
+    e = data.draw(st.one_of(st.sampled_from(lat.congruences), partitions(lat.n)))
+    assert outcome(quotient, lat, e) == outcome(quotient_loops, lat, e)

@@ -53,6 +53,23 @@ class TestCheckHom:
         report = check_hom([fig4.index("a")] * fig4.n, fig4, fig4)
         assert report.kind == HOM
 
+    def test_negative_values_are_rejected(self, fig4):
+        # indexing would wrap -3, -2, -1 round to the identity map
+        with pytest.raises(BadParameter):
+            check_hom((-3, -2, -1), fig4, fig4)
+
+    def test_short_mapping_is_rejected(self, fig4):
+        with pytest.raises(BadParameter):
+            check_hom((0, 1), fig4, fig4)
+
+    def test_value_outside_target_is_rejected(self, fig4):
+        with pytest.raises(BadParameter):
+            check_hom((0, 1, fig4.n), fig4, fig4)
+
+    def test_fractional_value_is_rejected(self, fig4):
+        with pytest.raises(BadParameter):
+            check_hom((0.5, 1, 2), fig4, fig4)
+
     def test_value_mismatch_is_not_hom(self, fig4):
         a, b, c = fig4.indices(("a", "b", "c"))
         # swap b and c: a v c = c must map to a v b, which is undefined

@@ -1,9 +1,13 @@
 """Exhaustive generation of small posets and partial lattices up to isomorphism.
 
-Every finite poset admits a linear extension, so candidates are drawn from
-strictly upper-triangular relation masks, filtered for transitivity, and
-deduplicated by the lexicographically least order matrix over all
-relabelings. Sizes are capped at six, where this stays instant.
+Posets are generated by one-point augmentation (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26 (1998); Brinkmann & McKay, "Posets
+on up to 16 points", Order 19 (2002)): removing a maximal element from a
+poset on m points leaves a poset on m - 1 points below which it sat over a
+down-set, so level m is level m - 1 with a new last element added above each
+down-set of each member. Candidates are deduplicated by their canonical form,
+the lexicographically least order matrix over all relabelings, and each
+level is returned sorted by it. Sizes are capped at six.
 """
 
 from itertools import permutations
@@ -15,43 +19,62 @@ from .order import Poset
 from .plattice import from_plos
 
 _LABELS = "abcdef"
-_PERM_CACHE = {}
+_RELABELINGS = {}
 
 
-def _perms(n):
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(permutations(range(n))), dtype=np.intp)
-    return _PERM_CACHE[n]
+def _relabelings(n):
+    """Row k holds, for each cell of the order matrix relabeled by the k-th
+    permutation, the flat index of the cell it is read from."""
+    if n not in _RELABELINGS:
+        perms = np.array(list(permutations(range(n))), dtype=np.intp)
+        _RELABELINGS[n] = (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
+    return _RELABELINGS[n]
 
 
 def canonical_form(leq):
-    """Canonical key and matrix: the lexicographically least relabeling."""
+    """Canonical key and matrix: the lexicographically least relabeling.
+
+    The key is the row-major order matrix packed into bytes. For n <= 8 those
+    are at most eight bytes, which, right-aligned in a big-endian 64-bit word,
+    order numerically exactly as the bytes order lexicographically, so one
+    argmin picks the least relabeling. Raises BadParameter for n > 8.
+    """
     n = len(leq)
-    perms = _perms(n)
-    stacked = leq[perms[:, :, None], perms[:, None, :]]
-    packed = np.packbits(stacked.reshape(len(perms), n * n), axis=1)
-    best = min(range(len(perms)), key=lambda k: packed[k].tobytes())
-    return packed[best].tobytes(), stacked[best]
+    if n > 8:
+        raise BadParameter("canonical_form needs at most 8 elements")
+    stacked = leq.ravel()[_relabelings(n)]
+    packed = np.packbits(stacked, axis=1)
+    words = np.zeros((len(packed), 8), dtype=np.uint8)
+    words[:, 8 - packed.shape[1]:] = packed
+    best = int(np.argmin(words.view(">u8")))
+    return packed[best].tobytes(), stacked[best].reshape(n, n).copy()
+
+
+def _down_sets(leq):
+    """Every down-set of the order ``leq`` as a row of a boolean matrix."""
+    m = len(leq)
+    subsets = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    # S is a down-set when everything below a member of S is in S.
+    return subsets[((subsets @ leq.T) == subsets).all(axis=1)]
 
 
 def all_posets(n):
     """All posets on n elements up to isomorphism, in canonical order."""
     if not 1 <= n <= 6:
         raise BadParameter("n must be between 1 and 6")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    found = {}
-    for mask in range(1 << len(pairs)):
-        leq = np.eye(n, dtype=bool)
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                leq[i, j] = True
-        if ((leq @ leq) & ~leq).any():
-            continue
-        key, canon = canonical_form(leq)
-        if key not in found:
-            found[key] = canon
+    level = [np.ones((1, 1), dtype=bool)]
+    for m in range(2, n + 1):
+        found = {}
+        for leq in level:
+            grown = np.eye(m, dtype=bool)
+            grown[:-1, :-1] = leq
+            for down in _down_sets(leq):
+                grown[:-1, -1] = down  # the new element m - 1 sits above ``down``
+                key, canon = canonical_form(grown)
+                found.setdefault(key, canon)
+        level = [found[key] for key in sorted(found)]
     labels = _LABELS[:n]
-    return [Poset(labels, found[key]) for key in sorted(found)]
+    return [Poset(labels, leq) for leq in level]
 
 
 def enumerate_partial_lattices(n_max):

@@ -7,6 +7,7 @@ bijective closed homomorphism.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,11 @@ class Morphism:
 
     def __call__(self, i):
         return self.mapping[i]
+
+    @cached_property
+    def report(self):
+        """The map classified once, by ``check_hom``."""
+        return check_hom(self.mapping, self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,8 @@ def extend_hom(h):
     by closedness. The restriction of the result back to the source carrier
     is the original map.
     """
-    report = check_hom(h.mapping, h.source, h.target)
-    if report.kind != CLOSED_HOM:
-        raise NotClosed(report)
+    if h.report.kind != CLOSED_HOM:
+        raise NotClosed(h.report)
     x1 = h.source.extension
     x2 = h.target.extension
     # Both carriers are star prefixes, followed by the bottom, then the top.
@@ -126,8 +131,7 @@ def extend_hom(h):
         ensure(x2.added_top is not None, "closedness forces a target top")
         mapping.append(x2.added_top)
     hstar = Morphism(from_lattice(x1.star), from_lattice(x2.star), tuple(mapping))
-    ensure(check_hom(hstar.mapping, hstar.source, hstar.target).kind != NOT_HOM,
-           "extended map must be a homomorphism")
+    ensure(hstar.report.kind != NOT_HOM, "extended map must be a homomorphism")
     return hstar
 
 
@@ -137,7 +141,7 @@ def restrict_hom(hstar, source, target):
     Raises ImageEscapes when some carrier element is sent to an adjoined
     bound of the target extension.
     """
-    if check_hom(hstar.mapping, hstar.source, hstar.target).kind == NOT_HOM:
+    if hstar.report.kind == NOT_HOM:
         raise BadParameter("star map is not a homomorphism")
     # Both carriers are star prefixes, so the restriction is a prefix too.
     mapping = hstar.mapping[:source.n]
@@ -145,8 +149,7 @@ def restrict_hom(hstar, source, target):
     if escaped is not None:
         raise ImageEscapes((escaped[0], mapping[escaped[0]]))
     h = Morphism(source, target, tuple(mapping))
-    ensure(check_hom(h.mapping, h.source, h.target).kind != NOT_HOM,
-           "restricted map must be a homomorphism")
+    ensure(h.report.kind != NOT_HOM, "restricted map must be a homomorphism")
     return h
 
 
@@ -164,9 +167,7 @@ def _verify_iso(fwd):
     if fwd.target.n != n or len(set(fwd.mapping)) != n:
         return None
     bwd = Morphism(fwd.target, fwd.source, tuple(np.argsort(fwd.mapping).tolist()))
-    if check_hom(fwd.mapping, fwd.source, fwd.target).kind != CLOSED_HOM:
-        return None
-    if check_hom(bwd.mapping, bwd.source, bwd.target).kind != CLOSED_HOM:
+    if fwd.report.kind != CLOSED_HOM or bwd.report.kind != CLOSED_HOM:
         return None
     return IsoWitness(fwd, bwd)
 
@@ -207,9 +208,8 @@ def hom_theorem_check(h):
     source extension to form a singleton class of the generated congruence,
     and returns the verified isomorphism pair between image and quotient.
     """
-    report = check_hom(h.mapping, h.source, h.target)
-    if report.kind != CLOSED_HOM:
-        raise NotClosed(report)
+    if h.report.kind != CLOSED_HOM:
+        raise NotClosed(h.report)
     ker = kernel(h)
     w = is_congruence_on_partial(h.source, ker)
     ensure(w.is_congruence, "kernel of a closed homomorphism must be a congruence")

@@ -104,7 +104,7 @@ def _check_congruence(lat, e):
         return False, f"quotient lost an upper bound at {lost}"
 
     proj = canonical_projection(lat, e, witness=w)
-    rep = check_hom(proj.mapping, proj.source, proj.target)
+    rep = proj.report
     if rep.kind == NOT_HOM:
         return False, f"projection is not a homomorphism for {e!r}"
     if kernel(proj) != e:

@@ -13,6 +13,10 @@ The ``*_loops`` functions are the per-pair and per-triple Python scans that
 the library's array kernels replaced, kept as references: they return or
 raise exactly what the library versions must. ``quotient_loops`` reads the
 carrier as the prefix of the extension, source element i at star index i.
+``canonical_form_loops`` and ``all_posets_masks`` are the enumeration the
+library replaced: a Python ``min`` over every relabeling, and a filter over
+every relation mask. ``con_is_closed_under_meets_partitions`` builds every
+``Partition.meet`` of two congruences.
 """
 
 from collections import deque
@@ -36,6 +40,7 @@ from partlat import (
     PartialLattice,
     Partition,
     PlosReport,
+    Poset,
     generate_congruence,
     is_congruence_on_partial,
     lower_bounds,
@@ -384,3 +389,43 @@ def quotient_loops(lat, e, witness=None):
                 value = results.pop()
                 out[p, q] = out[q, p] = UNDEF if value is None else value
     return validate_partial_lattice(labels, jt, mt)
+
+
+def canonical_form_loops(leq):
+    """Canonical key and matrix: a Python ``min`` over the packed bytes of
+    every relabeling."""
+    n = len(leq)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    stacked = leq[perms[:, :, None], perms[:, None, :]]
+    packed = np.packbits(stacked.reshape(len(perms), n * n), axis=1)
+    best = min(range(len(perms)), key=lambda k: packed[k].tobytes())
+    return packed[best].tobytes(), stacked[best]
+
+
+def all_posets_masks(n):
+    """All posets on n elements up to isomorphism, in canonical order: every
+    strictly upper-triangular relation mask (each poset has a linear
+    extension), filtered for transitivity and deduplicated by
+    ``canonical_form_loops``."""
+    if not 1 <= n <= 6:
+        raise BadParameter("n must be between 1 and 6")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = {}
+    for mask in range(1 << len(pairs)):
+        leq = np.eye(n, dtype=bool)
+        for bit, (i, j) in enumerate(pairs):
+            if mask >> bit & 1:
+                leq[i, j] = True
+        if ((leq @ leq) & ~leq).any():
+            continue
+        key, canon = canonical_form_loops(leq)
+        if key not in found:
+            found[key] = canon
+    labels = "abcdef"[:n]
+    return [Poset(labels, found[key]) for key in sorted(found)]
+
+
+def con_is_closed_under_meets_partitions(lat):
+    """Every ``Partition.meet`` of two congruences is again a congruence."""
+    cons = set(lat.congruences)
+    return all(p.meet(q) in cons for p in cons for q in cons)

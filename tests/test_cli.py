@@ -175,6 +175,22 @@ class TestVerify:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "checked 76 partial lattices on up to 5 elements: ok\n"
 
+    def test_sweep_at_the_enumeration_cap(self):
+        src = Path(__file__).parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "partlat", "verify", "--n", "6"],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "checked 298 partial lattices on up to 6 elements: ok\n"
+        for n in ("0", "7"):
+            result = subprocess.run(
+                [sys.executable, "-m", "partlat", "verify", "--n", n],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert result.returncode == 2, n
+
 
 class TestDemo:
     @pytest.mark.parametrize("fig", figs.FIGURES)

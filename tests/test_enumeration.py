@@ -1,4 +1,9 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partlat import (
     BadParameter,
@@ -10,11 +15,44 @@ from partlat import (
 )
 from partlat.enumeration import canonical_form
 
-from oracles import isomorphic_bruteforce
+from oracles import all_posets_masks, canonical_form_loops, isomorphic_bruteforce
 
-# regression constants fixed by the enumeration oracle run
-POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
-PLOS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53}
+# regression constants fixed by the enumeration oracle run (posets: OEIS A000112)
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+PLOS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222}
+# sha256 of (labels, join, meet) over the enumerate_partial_lattices(6) stream,
+# taken from the mask-filter enumeration; it pins members and stream order.
+STREAM6_SHA256 = "c5e0fde333efa6c11f7521e357864ef916dde52fd449781d8020240c089eb9f9"
+
+
+@st.composite
+def reflexive_relations(draw):
+    """A random reflexive relation on up to 7 elements, not necessarily an
+    order."""
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    leq = np.array(cells, dtype=bool).reshape(n, n)
+    np.fill_diagonal(leq, True)
+    return leq
+
+
+# an order on 8 elements, the largest canonical_form accepts: 64 bits, no padding
+EIGHT = np.eye(8, dtype=bool) | np.triu(np.arange(64).reshape(8, 8) % 3 == 0)
+
+
+@given(reflexive_relations())
+@example(EIGHT)
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_matches_loops(leq):
+    key, canon = canonical_form(leq)
+    want_key, want_canon = canonical_form_loops(leq)
+    assert key == want_key
+    assert canon.shape == want_canon.shape and (canon == want_canon).all()
+
+
+def test_canonical_form_rejects_nine_elements():
+    with pytest.raises(BadParameter):
+        canonical_form(np.eye(9, dtype=bool))
 
 
 class TestAllPosets:
@@ -33,6 +71,10 @@ class TestAllPosets:
         for p in all_posets(4):
             key, canon = canonical_form(p.leq)
             assert (canon == p.leq).all()
+
+    @pytest.mark.parametrize("n", sorted(POSET_COUNTS))
+    def test_augmentation_matches_mask_filter(self, n):
+        assert all_posets(n) == all_posets_masks(n)
 
     def test_bad_parameter(self):
         with pytest.raises(BadParameter):
@@ -68,6 +110,14 @@ class TestEnumerate:
             for b in small[i + 1 :]:
                 if a.n == b.n:
                     assert order_isomorphism(induced_order(a), induced_order(b)) is None
+
+    def test_stream_digest(self):
+        digest = hashlib.sha256()
+        for lat in enumerate_partial_lattices(6):
+            digest.update(" ".join(lat.labels).encode() + b"\n")
+            digest.update(np.ascontiguousarray(lat.join, dtype="<i8").tobytes())
+            digest.update(np.ascontiguousarray(lat.meet, dtype="<i8").tobytes())
+        assert digest.hexdigest() == STREAM6_SHA256
 
     def test_deterministic(self):
         first = list(enumerate_partial_lattices(4))

@@ -1,6 +1,6 @@
-"""The sup/inf kernel, the compound-term gather, the homomorphism check and
-the quotient gather against the loop scans they replaced
-(``tests/oracles.py``), past the enumerated corpus."""
+"""The sup/inf kernel, the compound-term gather, the homomorphism check, the
+quotient gather and the meet-closure check against the loop scans they
+replaced (``tests/oracles.py``), past the enumerated corpus."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -15,6 +15,7 @@ from partlat import (
     check_absorption,
     check_hom,
     check_distributivity,
+    con_is_closed_under_meets,
     from_lattice,
     from_plos,
     is_distributive,
@@ -32,6 +33,7 @@ from oracles import (
     check_absorption_loops,
     check_distributivity_loops,
     check_hom_loops,
+    con_is_closed_under_meets_partitions,
     from_plos_loops,
     is_distributive_loops,
     is_modular_loops,
@@ -216,3 +218,17 @@ def test_quotient_gather_matches_loops_on_corpus5(corpus5):
 def test_quotient_gather_matches_loops(lat, data):
     e = data.draw(st.one_of(st.sampled_from(lat.congruences), partitions(lat.n)))
     assert outcome(quotient, lat, e) == outcome(quotient_loops, lat, e)
+
+
+def test_meet_closure_matches_partitions_on_corpus5(corpus5):
+    for lat in corpus5:
+        assert con_is_closed_under_meets(lat) is con_is_closed_under_meets_partitions(lat) is True
+
+
+def test_meet_closure_rejects_a_forged_set():
+    low, high = Partition.from_blocks(3, [(0, 1)]), Partition.from_blocks(3, [(1, 2)])
+    for forged, closed in (((low, high, Partition.full(3)), False),
+                           ((Partition.identity(3), low, high, Partition.full(3)), True)):
+        lat = from_lattice(named_lattice("chain", 3))
+        lat.congruences = forged  # low ^ high is the identity
+        assert con_is_closed_under_meets(lat) is con_is_closed_under_meets_partitions(lat) is closed

@@ -123,6 +123,24 @@ class TestExtendRestrict:
         hstar = extend_hom(proj)
         assert restrict_hom(hstar, fig4, proj.target).mapping == proj.mapping
 
+    def test_each_map_is_classified_once(self, fig4, monkeypatch):
+        from partlat import morphism
+
+        classified = []
+
+        def counting(mapping, source, target):
+            classified.append(tuple(mapping))
+            return check_hom(mapping, source, target)
+
+        monkeypatch.setattr(morphism, "check_hom", counting)
+        proj = canonical_projection(fig4, figs.congruence_of(fig4, "a c|b"))
+        assert proj.report == check_hom(proj.mapping, proj.source, proj.target)
+        hstar = extend_hom(proj)
+        h = restrict_hom(hstar, fig4, proj.target)
+        # the projection, the star map and the restriction, once each
+        assert classified == [proj.mapping, hstar.mapping, h.mapping]
+        assert h.report is h.report
+
     def test_non_closed_inclusion_rejected(self, fig2, fig3):
         h = Morphism(fig2, fig3, inclusion(fig2, fig3))
         with pytest.raises(NotClosed):

@@ -5,7 +5,6 @@ generated congruence on the two-point extension restricts back to E. All
 quotient operations are computed through that extension.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,40 +101,41 @@ class Partition:
         return f"Partition({body})"
 
 
+def _congruence_reader(lat):
+    """Maps a down-set of ``irreducibles.below``, the mask of the p with
+    p_* theta p, to theta: a theta b exactly when every join-irreducible
+    p <= a v b with p !<= a ^ b is in it. The product counts the others in
+    float32, which holds such counts exactly and reaches BLAS."""
+    rows = lat.irreducibles.rows.astype(np.float32)
+    cells = lat.meet * lat.n + lat.join  # flat index of (a ^ b, a v b)
+
+    def read(collapsed):
+        out = rows[~collapsed]
+        split = (1 - out).T @ out > 0  # split[u, v]: some p left out has p <= v, p !<= u
+        return Partition((~split.ravel()[cells]).argmax(axis=1).tolist())
+
+    return read
+
+
 def generate_congruence(lat, *seeds):
     """Least congruence of a total lattice containing every seed partition.
 
-    Fixpoint closure over a worklist: each newly identified pair (a, b)
-    forces (a v c, b v c) and (a ^ c, b ^ c) for every c. At most n - 1
-    merges can happen, so termination is immediate. Two seeds give the join
-    of two congruences.
+    Read off the dependency order on the join-irreducibles (Freese, Ježek &
+    Nation, *Free Lattices*, AMS 1995, ch. 2; R. Freese, "Computing
+    congruences efficiently", Algebra Universalis 59 (2008) 337-343). Each
+    pair (a, b) of consecutive members of a seed block collapses every
+    join-irreducible p <= a v b with p !<= a ^ b. p D q, when p <= q v x
+    and p !<= q_* v x for some x, gives con(p_*, p) <= con(q_*, q), so p is
+    collapsed as soon as it reaches a collapsed q along D. The congruence is
+    read from that down-set. Two seeds give the join of two congruences.
     """
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
-    n = lat.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = deque()
-    for seed in seeds:
-        for block in seed.blocks:
-            pending.extend(zip(block, block[1:]))
-    join, meet = lat.join, lat.meet
-    while pending:
-        a, b = pending.popleft()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        for c in range(n):
-            pending.append((int(join[a, c]), int(join[b, c])))
-            pending.append((int(meet[a, c]), int(meet[b, c])))
-    return Partition([find(i) for i in range(n)])
+    pairs = [pair for seed in seeds for block in seed.blocks for pair in zip(block, block[1:])]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    irr = lat.irreducibles
+    seeded = (irr.rows[:, lat.join[a, b]] & ~irr.rows[:, lat.meet[a, b]]).any(1)
+    return _congruence_reader(lat)(irr.below[:, seeded].any(1))
 
 
 @dataclass(frozen=True)
@@ -182,47 +182,40 @@ def all_congruences(lat):
     """Every congruence of a total lattice, sorted.
 
     Con L of a finite lattice is distributive, and its join-irreducibles are
-    the congruences con(j_*, j) for the join-irreducibles j of L, each with
-    its unique lower cover j_* (Freese, Ježek & Nation, *Free Lattices*,
-    AMS 1995, ch. 2; R. Freese, "Computing congruences efficiently",
-    Algebra Universalis 59 (2008) 337-343). So the congruences are exactly
-    the joins of the down-sets of those principal congruences under
-    refinement, each down-set giving a different congruence.
+    the congruences con(p_*, p) for the join-irreducibles p of L, each with
+    its unique lower cover p_*. p D q, when p <= q v x and p !<= q_* v x for
+    some x, gives con(p_*, p) <= con(q_*, q), and the reflexive-transitive
+    closure of D is exactly that order (Freese, Ježek & Nation, *Free
+    Lattices*, AMS 1995, ch. 2; R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 59 (2008) 337-343). So each down-set
+    of classes of D-equivalent join-irreducibles gives one congruence.
 
-    A down-set D with last member k, in a linear extension of that order,
-    is D \\ {k} together with k, so each nonempty down-set is generated once,
-    by one join, from a smaller one. That costs one ``generate_congruence``
-    call per join-irreducible of L and at most one per congruence.
+    A down-set with last member k, in a linear extension of that order, is
+    the down-set without k together with k, so each one is walked once, and
+    its partition is read straight from the join-irreducibles it collapses.
     """
-    n = lat.n
-    covers = lat.poset.covers
-    pairs = {}
-    for j in range(n):
-        lower = np.flatnonzero(covers[:, j])
-        if len(lower) == 1:
-            pair = (int(lower[0]), j)
-            pairs.setdefault(generate_congruence(lat, Partition.from_blocks(n, [pair])), pair)
-    # A strictly finer congruence has more blocks, so this order extends
-    # refinement: theta_i <= theta_k iff theta_k relates the pair of i.
-    irreducibles = sorted(pairs, key=lambda theta: -len(theta.blocks))
-    below = [
-        sum(1 << i for i, other in enumerate(irreducibles)
-            if i != k and theta.relates(*pairs[other]))
-        for k, theta in enumerate(irreducibles)
+    below = lat.irreducibles.below
+    same = below & below.T
+    firsts = np.flatnonzero(~np.tril(same, -1).any(1))  # first member of each class
+    # A class with a strictly smaller down-set comes first.
+    firsts = firsts[np.argsort(below[:, firsts].sum(0), kind="stable")]
+    classes = same[:, firsts].T
+    under = [
+        sum(1 << i for i, other in enumerate(firsts) if i != k and below[other, first])
+        for k, first in enumerate(firsts)
     ]
-    identity = Partition.identity(n)
-    found = [identity]
-    # (members as a bit mask, index of the last member, join of the members)
-    stack = [(0, -1, identity)]
+    read = _congruence_reader(lat)
+    found = [Partition.identity(lat.n)]
+    # (members as a bit mask, index of the last member, collapsed irreducibles)
+    stack = [(0, -1, np.zeros(len(below), dtype=bool))]
     while stack:
-        members, last, theta = stack.pop()
-        for k in range(last + 1, len(irreducibles)):
-            if below[k] & ~members:
+        members, last, collapsed = stack.pop()
+        for k in range(last + 1, len(firsts)):
+            if under[k] & ~members:
                 continue
-            joined = (generate_congruence(lat, theta, irreducibles[k]) if members
-                      else irreducibles[k])
-            found.append(joined)
-            stack.append((members | 1 << k, k, joined))
+            grown = collapsed | classes[k]
+            found.append(read(grown))
+            stack.append((members | 1 << k, k, grown))
     return tuple(sorted(found))
 
 

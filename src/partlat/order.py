@@ -5,7 +5,7 @@ Order data is a read-only boolean matrix ``leq`` with ``leq[i, j]`` meaning
 ``i <= j``.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -226,6 +226,11 @@ def is_plos(p):
     return plos_report(p, extrema(p)[1])
 
 
+# The join-irreducibles of a lattice (elements with one lower cover), their
+# lower covers, their ``leq`` rows, and below[p, q] iff con(p_*, p) <= con(q_*, q).
+Irreducibles = namedtuple("Irreducibles", "members lower rows below")
+
+
 class Lattice(Carrier):
     """A finite lattice: a poset with total join and meet tables."""
 
@@ -241,6 +246,22 @@ class Lattice(Carrier):
     @property
     def leq(self):
         return self.poset.leq
+
+    @cached_property
+    def irreducibles(self):
+        """The join-irreducibles, with ``below`` the reflexive-transitive
+        closure of D over positions in ``members``. p D q when some x has
+        p <= q v x but p !<= q_* v x. Then con(p_*, p) <= con(q_*, q): if
+        q_* theta q, then p = p ^ (q v x) theta p ^ (q_* v x) <= p_*."""
+        covers = self.poset.covers
+        members = np.flatnonzero(covers.sum(0) == 1)
+        lower = covers[:, members].argmax(0)
+        rows = self.leq[members]
+        below = (rows[:, self.join[members]] & ~rows[:, self.join[lower]]).any(2)
+        below |= np.eye(len(members), dtype=bool)
+        for k in range(len(members)):
+            below |= below[:, k : k + 1] & below[k : k + 1, :]
+        return Irreducibles(*map(_frozen, (members, lower, rows, below)))
 
     def __eq__(self, other):
         return (

@@ -2,12 +2,16 @@
 
 Everything here recomputes results from first principles (Bell-number
 enumeration, permutation search, definition scans) and deliberately avoids
-the library's own closure and search algorithms. There are two exceptions.
-``all_congruences_closure``, the earlier congruence lister kept as the
-reference for the join-irreducible one, reuses ``generate_congruence``,
-which the Bell-number oracles check on their own. ``quotient_loops``
-recognizes the congruence with ``is_congruence_on_partial``; only the
-class-operation step is its own.
+the library's own closure and search algorithms. There is one exception:
+``quotient_loops`` recognizes the congruence with
+``is_congruence_on_partial``; only the class-operation step is its own.
+
+``generate_congruence_worklist`` is the union-find worklist closure that the
+dependency-order ``generate_congruence`` replaced, and the two are compared
+on random seeds. ``all_congruences_closure``, the earlier congruence lister
+kept as the reference for the join-irreducible one, runs on the worklist, so
+no reference runs the code under test. The Bell-number oracles check the
+library versions directly.
 
 The ``*_loops`` functions are the per-pair and per-triple Python scans that
 the library's array kernels replaced, kept as references: they return or
@@ -41,7 +45,6 @@ from partlat import (
     Partition,
     PlosReport,
     Poset,
-    generate_congruence,
     is_congruence_on_partial,
     lower_bounds,
     upper_bounds,
@@ -94,26 +97,63 @@ def all_congruences_bruteforce(lat):
     ]
 
 
+def generate_congruence_worklist(lat, *seeds):
+    """Least congruence of a total lattice containing every seed partition.
+
+    Fixpoint closure over a worklist: each newly identified pair (a, b)
+    forces (a v c, b v c) and (a ^ c, b ^ c) for every c. At most n - 1
+    merges can happen, so termination is immediate. Two seeds give the join
+    of two congruences.
+    """
+    if any(seed.n != lat.n for seed in seeds):
+        raise BadParameter("seed partitions a different carrier")
+    n = lat.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending = deque()
+    for seed in seeds:
+        for block in seed.blocks:
+            pending.extend(zip(block, block[1:]))
+    join, meet = lat.join, lat.meet
+    while pending:
+        a, b = pending.popleft()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[ra] = rb
+        for c in range(n):
+            pending.append((int(join[a, c]), int(join[b, c])))
+            pending.append((int(meet[a, c]), int(meet[b, c])))
+    return Partition([find(i) for i in range(n)])
+
+
 def all_congruences_closure(lat):
     """Every congruence of a total lattice, sorted.
 
-    Principal congruences are generated for each pair, then the set is closed
-    under pairwise join (generation over the blockwise union) until stable.
-    This avoids filtering the Bell-number space of all partitions.
+    Principal congruences are generated for each covering pair, then the set
+    is closed under pairwise join (generation over the blockwise union) until
+    stable. Covering pairs suffice: classes are convex, so a chain of covers
+    inside a class links any related a < b, and a is related to a ^ b. This
+    avoids filtering the Bell-number space of all partitions.
     """
     n = lat.n
     found = {Partition.identity(n)}
     work = deque()
-    for a in range(n):
-        for b in range(a + 1, n):
-            principal = generate_congruence(lat, Partition.from_blocks(n, [(a, b)]))
-            if principal not in found:
-                found.add(principal)
-                work.append(principal)
+    for a, b in zip(*np.nonzero(lat.poset.covers)):
+        principal = generate_congruence_worklist(lat, Partition.from_blocks(n, [(a, b)]))
+        if principal not in found:
+            found.add(principal)
+            work.append(principal)
     while work:
         theta = work.popleft()
         for other in list(found):
-            joined = generate_congruence(lat, theta, other)
+            joined = generate_congruence_worklist(lat, theta, other)
             if joined not in found:
                 found.add(joined)
                 work.append(joined)

@@ -27,6 +27,7 @@ from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
 from oracles import (
     all_congruences_bruteforce,
     all_congruences_closure,
+    generate_congruence_worklist,
     least_congruence_bruteforce,
     partition_to_comparable,
 )
@@ -112,6 +113,25 @@ class TestGenerateCongruence:
                         assert theta.relates(int(star.meet[x, c]), int(star.meet[y, c]))
 
 
+class TestDependencyOrder:
+    @staticmethod
+    def assert_matches_worklist(lat):
+        irr = lat.irreducibles
+        pairs = list(zip(irr.lower.tolist(), irr.members.tolist()))
+        thetas = [generate_congruence_worklist(lat, Partition.from_blocks(lat.n, [q]))
+                  for q in pairs]
+        # below[p, q] iff con(p_*, p) <= con(q_*, q), that is iff con(q_*, q) relates p_*, p
+        assert irr.below.tolist() == [[theta.relates(*p) for theta in thetas] for p in pairs]
+
+    def test_corpus6_extensions(self):
+        for lat in enumerate_partial_lattices(6):
+            self.assert_matches_worklist(lat.extension.star)
+
+    @pytest.mark.parametrize("kind, size", [("N5", None), ("M", 3), ("boolean", 3)])
+    def test_named(self, kind, size):
+        self.assert_matches_worklist(named_lattice(kind, size))
+
+
 class TestIsCongruence:
     def test_fig9_bd_partition(self, fig9):
         e = figs.congruence_of(fig9, "a|b d|c")
@@ -168,7 +188,7 @@ class TestAllCongruences:
 
     @pytest.mark.parametrize("kind, size", [
         ("chain", 1), ("chain", 6), ("boolean", 3), ("boolean", 4),
-        ("M", 2), ("M", 4), ("M", 12), ("N5", None),
+        ("M", 2), ("M", 4), ("M", 12), ("M", 60), ("N5", None),
     ])
     def test_matches_closure_on_named(self, kind, size):
         lat = named_lattice(kind, size)
@@ -179,6 +199,8 @@ class TestAllCongruences:
         *(("boolean", k, 2 ** k) for k in range(1, 6)),
         *(("M", n, 2) for n in (3, 4, 8, 12)),
         ("N5", None, 5),
+        # at the MAX_NAMED_ELEMENTS cap or on the way there
+        ("boolean", 6, 64), ("boolean", 7, 128), ("chain", 12, 2048), ("M", 126, 2),
     ])
     def test_exact_counts(self, kind, size, count):
         lat = named_lattice(kind, size)

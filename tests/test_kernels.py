@@ -1,6 +1,7 @@
 """The sup/inf kernel, the compound-term gather, the homomorphism check, the
-quotient gather and the meet-closure check against the loop scans they
-replaced (``tests/oracles.py``), past the enumerated corpus."""
+quotient gather, the meet-closure check and congruence generation against
+the loop scans they replaced (``tests/oracles.py``), past the enumerated
+corpus."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from partlat import (
     con_is_closed_under_meets,
     from_lattice,
     from_plos,
+    generate_congruence,
     is_distributive,
     is_modular,
     is_congruence_on_partial,
@@ -35,6 +37,7 @@ from oracles import (
     check_hom_loops,
     con_is_closed_under_meets_partitions,
     from_plos_loops,
+    generate_congruence_worklist,
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
@@ -218,6 +221,32 @@ def test_quotient_gather_matches_loops_on_corpus5(corpus5):
 def test_quotient_gather_matches_loops(lat, data):
     e = data.draw(st.one_of(st.sampled_from(lat.congruences), partitions(lat.n)))
     assert outcome(quotient, lat, e) == outcome(quotient_loops, lat, e)
+
+
+@st.composite
+def seeded_extensions(draw):
+    """The extension L* of a random plos on up to 9 elements with one to three
+    seed partitions, each one random pair or a random partition of L*."""
+    star = draw(plos_structures(random_posets())).extension.star
+    pair = st.sets(st.integers(0, star.n - 1), min_size=1, max_size=2).map(
+        lambda ab: Partition.from_blocks(star.n, [tuple(ab)]))
+    seeds = draw(st.lists(st.one_of(pair, partitions(star.n)), min_size=1, max_size=3))
+    return star, seeds
+
+
+BOOLEAN7 = named_lattice("boolean", 7)
+M126 = named_lattice("M", 126)
+
+
+@given(seeded_extensions())
+@example((BOOLEAN7, [Partition.from_blocks(128, [(1, 2)])]))
+@example((BOOLEAN7, [Partition.from_blocks(128, [(3, 7)]), Partition.from_blocks(128, [(0, 64)])]))
+@example((M126, [Partition.from_blocks(128, [(1, 2)])]))
+@example((M126, [Partition.from_blocks(128, [(0, 1)]), Partition.identity(128)]))
+@settings(max_examples=200, deadline=None)
+def test_generate_congruence_matches_worklist(case):
+    lat, seeds = case
+    assert generate_congruence(lat, *seeds) == generate_congruence_worklist(lat, *seeds)
 
 
 def test_meet_closure_matches_partitions_on_corpus5(corpus5):

@@ -71,11 +71,14 @@ from .congruence import (
     all_congruences,
     all_partial_congruences,
     con_is_closed_under_meets,
+    congruence_witnesses,
     generate_congruence,
     is_congruence_on_partial,
+    is_generated_witness,
     lattice_quotient,
     quotient,
     quotient_join_case,
+    quotient_join_cases,
 )
 from .morphism import (
     CLOSED_HOM,

@@ -131,11 +131,19 @@ def generate_congruence(lat, *seeds):
     """
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
+    return _congruence_reader(lat)(_seeded_irreducibles(lat, seeds))
+
+
+def _seeded_irreducibles(lat, seeds):
+    """Mask over ``irreducibles.members`` of the join-irreducibles that the
+    least congruence containing every seed collapses: those below some
+    p <= a v b with p !<= a ^ b along D, for consecutive members a, b of a
+    seed block. A seed may partition a prefix of the carrier."""
     pairs = [pair for seed in seeds for block in seed.blocks for pair in zip(block, block[1:])]
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     irr = lat.irreducibles
     seeded = (irr.rows[:, lat.join[a, b]] & ~irr.rows[:, lat.meet[a, b]]).any(1)
-    return _congruence_reader(lat)(irr.below[:, seeded].any(1))
+    return irr.below[:, seeded].any(1)
 
 
 @dataclass(frozen=True)
@@ -219,11 +227,50 @@ def all_congruences(lat):
     return tuple(sorted(found))
 
 
-def all_partial_congruences(lat):
-    """Restrictions to the carrier of all congruences of the extension."""
+def congruence_witnesses(lat):
+    """One witness per congruence of the partial lattice, sorted by restriction.
+
+    Every congruence theta of the extension restricts to a congruence e, and
+    theta contains the congruence that e generates with the adjoined bounds
+    as singletons, which restricts to e as well. So of all theta restricting
+    to e, the generated one has the most blocks, and it is kept.
+    """
+    ext = lat.extension
     carrier = range(lat.n)
-    cons = all_congruences(lat.extension.star)
-    return tuple(sorted({theta.restrict(carrier) for theta in cons}))
+    kept = {}
+    for theta in all_congruences(ext.star):
+        e = theta.restrict(carrier)
+        if e not in kept or len(theta.blocks) > len(kept[e].blocks):
+            kept[e] = theta
+    return tuple(CongruenceWitness(kept[e], e, True, ext) for e in sorted(kept))
+
+
+def is_generated_witness(w):
+    """Whether the witness theta is the congruence its restriction e
+    generates on the extension: theta is compatible with both star tables,
+    restricts to e, and collapses exactly the join-irreducibles that e seeds
+    and their D-down-closure. A congruence is fixed by the join-irreducibles
+    it collapses, so these three pin theta down."""
+    ext = w.extension
+    star = ext.star
+    theta = np.array(w.theta.block_of)
+    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
+    for table in (star.join, star.meet):
+        cls = theta[table]
+        if (cls != cls[least[:, None], least]).any():
+            return False
+    if w.theta.restrict(range(ext.source.n)) != w.restriction:
+        return False
+    irr = star.irreducibles
+    collapsed = theta[irr.members] == theta[irr.lower]
+    # The carrier is the prefix of the star, so e seeds star pairs as it is.
+    return bool((collapsed == _seeded_irreducibles(star, (w.restriction,))).all())
+
+
+def all_partial_congruences(lat):
+    """Restrictions to the carrier of all congruences of the extension, read
+    off the kept ``congruence_witnesses``."""
+    return tuple(w.restriction for w in lat.congruence_witnesses)
 
 
 def con_is_closed_under_meets(lat):
@@ -299,8 +346,28 @@ def quotient(lat, e, witness=None):
     return validate_partial_lattice(labels, *tables)
 
 
+def quotient_join_cases(lat, e, witness=None):
+    """The class join of [a] and [b] for every carrier pair, as a block of e.
+
+    Where the join is defined the cell holds [a v b]. Elsewhere it holds
+    the block of the least carrier element identified with the adjoined
+    top, or UNDEF when the top forms a singleton class.
+    """
+    w = _require_congruence(lat, e, witness)
+    block_of = np.array(e.block_of)
+    undefined = lat.join == UNDEF
+    top_block = UNDEF
+    if undefined.any():
+        ext = w.extension
+        ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
+        alpha = w.theta.block_containing(ext.added_top)[0]
+        if alpha < lat.n:
+            top_block = block_of[alpha]
+    return np.where(undefined, top_block, block_of[lat.join])
+
+
 def quotient_join_case(lat, e, a, b, witness=None):
-    """Classify the class join of [a] and [b].
+    """Classify the class join of [a] and [b], read from ``quotient_join_cases``.
 
     Defined with value [a v b] when the join exists; otherwise undefined when
     the adjoined top forms a singleton class, or the class of the least
@@ -310,14 +377,12 @@ def quotient_join_case(lat, e, a, b, witness=None):
     if not (lat.is_index(a) and lat.is_index(b)):
         raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
     w = _require_congruence(lat, e, witness)
+    block = int(quotient_join_cases(lat, e, witness=w)[a, b])
     if lat.join[a, b] != UNDEF:
-        return JoinCase(DEFINED, int(e.block_of[int(lat.join[a, b])]))
-    ext = w.extension
-    ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
-    alpha = w.theta.block_containing(ext.added_top)[0]
-    if alpha >= lat.n:
+        return JoinCase(DEFINED, block)
+    if block == UNDEF:
         return JoinCase(UNDEFINED_TOP_SINGLETON)
-    return JoinCase(ALPHA, int(e.block_of[alpha]), alpha)
+    return JoinCase(ALPHA, block, w.theta.block_containing(w.extension.added_top)[0])
 
 
 def lattice_quotient(lat, theta):

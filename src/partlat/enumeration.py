@@ -7,15 +7,17 @@ poset on m points leaves a poset on m - 1 points below which it sat over a
 down-set, so level m is level m - 1 with a new last element added above each
 down-set of each member. Candidates are deduplicated by their canonical form,
 the lexicographically least order matrix over all relabelings, and each
-level is returned sorted by it. Sizes are capped at six.
+level is returned sorted by it. One enumeration grows each level once and
+keeps it frozen. Sizes are capped at six.
 """
 
+from functools import cache
 from itertools import permutations
 
 import numpy as np
 
 from .errors import BadParameter, NotPlos
-from .order import Poset
+from .order import Poset, _frozen
 from .plattice import from_plos
 
 _LABELS = "abcdef"
@@ -58,23 +60,30 @@ def _down_sets(leq):
     return subsets[((subsets @ leq.T) == subsets).all(axis=1)]
 
 
+@cache
+def _level(m):
+    """The order matrices of all posets on m elements, frozen and sorted by
+    canonical key; level m - 1 is read from this cache, which each
+    enumeration starts empty."""
+    if m == 1:
+        return (_frozen(np.ones((1, 1), dtype=bool)),)
+    found = {}
+    for leq in _level(m - 1):
+        grown = np.eye(m, dtype=bool)
+        grown[:-1, :-1] = leq
+        for down in _down_sets(leq):
+            grown[:-1, -1] = down  # the new element m - 1 sits above ``down``
+            key, canon = canonical_form(grown)
+            found.setdefault(key, canon)
+    return tuple(_frozen(found[key]) for key in sorted(found))
+
+
 def all_posets(n):
     """All posets on n elements up to isomorphism, in canonical order."""
     if not 1 <= n <= 6:
         raise BadParameter("n must be between 1 and 6")
-    level = [np.ones((1, 1), dtype=bool)]
-    for m in range(2, n + 1):
-        found = {}
-        for leq in level:
-            grown = np.eye(m, dtype=bool)
-            grown[:-1, :-1] = leq
-            for down in _down_sets(leq):
-                grown[:-1, -1] = down  # the new element m - 1 sits above ``down``
-                key, canon = canonical_form(grown)
-                found.setdefault(key, canon)
-        level = [found[key] for key in sorted(found)]
     labels = _LABELS[:n]
-    return [Poset(labels, leq) for leq in level]
+    return [Poset(labels, leq) for leq in _level(n)]
 
 
 def enumerate_partial_lattices(n_max):
@@ -86,6 +95,7 @@ def enumerate_partial_lattices(n_max):
     """
     if not 1 <= n_max <= 6:
         raise BadParameter("n_max must be between 1 and 6")
+    _level.cache_clear()  # levels are shared within one enumeration only
     for n in range(1, n_max + 1):
         for p in all_posets(n):
             try:

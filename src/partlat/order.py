@@ -179,7 +179,7 @@ class PlosReport:
 
 
 def extrema(p):
-    """Sup and inf of every pair of ``p``, one carrier row at a time.
+    """Sup and inf of every pair of ``p``, broadcast over blocks of pairs.
 
     Returns ``(tables, missing)``, each 2 x n x n: ``tables`` holds the sup
     and the inf table, UNDEF where there is none, and ``missing`` the pairs
@@ -187,21 +187,27 @@ def extrema(p):
 
     x is least in U(a, b) exactly when U(a, b) is the up-set of x, and since
     that up-set lies inside U(a, b) whenever x does, exactly when both sets
-    have the same size; dually for L(a, b). Both sides are scanned together
-    and every temporary is 2 x n x n.
+    have the same size; dually for L(a, b). Both sides are scanned together.
+    The bound sets of a block of rows a are one 2 x rows x n x n boolean
+    array, and the size test is folded into it in place, so at most two such
+    arrays are alive at once. A block holds at most 2^21 / n^2 rows, so each
+    array stays within 4 MB (2 n^2 bytes past n = 1448), and every carrier
+    up to n = 128 is one block.
     """
     n = p.n
     rel = np.stack((p.leq, p.leq.T))  # rel[0][a, x]: a <= x; rel[1][a, x]: x <= a
-    sizes = rel.sum(2)[:, None, :]  # sizes of the up-set and the down-set of x
-    tables = np.full((2, n, n), UNDEF, dtype=np.int64)
-    missing = np.zeros((2, n, n), dtype=bool)
-    for a in range(n):
-        bounds = rel[:, a, None, :] & rel  # bounds[side, b, x]: x bounds a and b
-        count = bounds.sum(2)
-        hit = bounds & (count[:, :, None] == sizes)
-        found = hit.any(2)
-        tables[:, a] = np.where(found, hit.argmax(2), UNDEF)
-        missing[:, a] = (count > 0) & ~found
+    sizes = rel.sum(2)[:, None, None, :]  # sizes of the up-set and the down-set of x
+    tables = np.empty((2, n, n), dtype=np.int64)
+    missing = np.empty((2, n, n), dtype=bool)
+    step = max(1, 2**21 // max(1, n * n))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        bounds = rel[:, rows, None, :] & rel[:, None, :, :]  # [side, a, b, x]: x bounds a and b
+        count = bounds.sum(3)
+        bounds &= count[..., None] == sizes  # now: x is the extremum of the bound set
+        found = bounds.any(3)
+        tables[:, rows] = np.where(found, bounds.argmax(3), UNDEF)
+        missing[:, rows] = (count > 0) & ~found
     return tables, missing
 
 

@@ -36,9 +36,9 @@ class PartialLattice(Carrier):
     """Partial algebra (L, v, ^) with strongly idempotent, commutative,
     associative operations tied together by the duality conditions.
 
-    The induced order, the two-point extension and the congruence set depend
-    only on the tables, so each is built once, on first access, by its
-    module-level builder.
+    The induced order, the two-point extension, the congruence witnesses and
+    the congruence set depend only on the tables, so each is built once, on
+    first access, by its module-level builder.
     """
 
     def __init__(self, labels, join, meet):
@@ -57,6 +57,13 @@ class PartialLattice(Carrier):
         from . import extension
 
         return extension.two_point_extension(self)
+
+    @cached_property
+    def congruence_witnesses(self):
+        """One witness per congruence, as kept by ``congruence_witnesses``."""
+        from . import congruence
+
+        return congruence.congruence_witnesses(self)
 
     @cached_property
     def congruences(self):

@@ -12,8 +12,8 @@ import numpy as np
 from . import fmt
 from .congruence import (
     con_is_closed_under_meets,
-    is_congruence_on_partial,
-    quotient_join_case,
+    is_generated_witness,
+    quotient_join_cases,
 )
 from .enumeration import enumerate_partial_lattices
 from .morphism import (
@@ -79,26 +79,22 @@ def _check_extension(lat):
     return True, ""
 
 
-def _check_congruence(lat, e):
-    """Quotient machinery for a single congruence."""
-    w = is_congruence_on_partial(lat, e)
-    if not w.is_congruence:
+def _check_congruence(lat, e, w):
+    """Quotient machinery for a single congruence, from its kept witness
+    (None when no congruence of the extension restricts to e)."""
+    if w is None or not is_generated_witness(w):
         return False, f"enumerated congruence not recognized: {e!r}"
     quot = w.quot
 
-    # Case analysis agrees with the quotient tables across all representatives.
-    for p, block_p in enumerate(e.blocks):
-        for q, block_q in enumerate(e.blocks):
-            cell = int(quot.join[p, q])
-            expected = None if cell == UNDEF else cell
-            for a in block_p:
-                for b in block_q:
-                    if quotient_join_case(lat, e, a, b, witness=w).block != expected:
-                        return False, f"join case disagrees with table at [{a}],[{b}]"
+    # Case analysis agrees with the quotient table on every carrier pair.
+    blocks = np.array(e.block_of)
+    pair = first_true(quotient_join_cases(lat, e, witness=w)
+                      != quot.join[blocks[:, None], blocks])
+    if pair is not None:
+        return False, "join case disagrees with table at [{}],[{}]".format(*pair)
 
     # Undefined quotient joins come from undefined source joins.
     leq, qleq = lat.order.leq, quot.order.leq
-    blocks = np.array(e.block_of)
     lost = first_true((leq @ leq.T) & ~(qleq @ qleq.T)[blocks[:, None], blocks])
     if lost is not None:
         return False, f"quotient lost an upper bound at {lost}"
@@ -160,8 +156,11 @@ def structure_checks(lat):
     run("extension", lambda: _check_extension(lat))
 
     def congruence_sweep():
+        # Both halves of the law run over ``lat.congruences``; the kept
+        # witnesses are looked up by restriction.
+        kept = {w.restriction: w for w in lat.congruence_witnesses}
         for e in lat.congruences:
-            ok, detail = _check_congruence(lat, e)
+            ok, detail = _check_congruence(lat, e, kept.get(e))
             if not ok:
                 return False, detail
         if not con_is_closed_under_meets(lat):

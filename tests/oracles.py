@@ -20,7 +20,10 @@ carrier as the prefix of the extension, source element i at star index i.
 ``canonical_form_loops`` and ``all_posets_masks`` are the enumeration the
 library replaced: a Python ``min`` over every relabeling, and a filter over
 every relation mask. ``con_is_closed_under_meets_partitions`` builds every
-``Partition.meet`` of two congruences.
+``Partition.meet`` of two congruences. ``extrema_rows`` is the sup/inf
+kernel one carrier row at a time, before it became one broadcast, and
+``quotient_join_case_branches`` classifies one pair by the branches the
+join-case table replaced.
 """
 
 from collections import deque
@@ -37,6 +40,7 @@ from partlat import (
     BadParameter,
     HomReport,
     IdentityReport,
+    JoinCase,
     Lattice,
     NotACongruence,
     NotALattice,
@@ -50,6 +54,7 @@ from partlat import (
     upper_bounds,
     validate_partial_lattice,
 )
+from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
 from partlat.errors import ensure
 
 
@@ -469,3 +474,40 @@ def con_is_closed_under_meets_partitions(lat):
     """Every ``Partition.meet`` of two congruences is again a congruence."""
     cons = set(lat.congruences)
     return all(p.meet(q) in cons for p in cons for q in cons)
+
+
+def extrema_rows(p):
+    """Sup and inf of every pair of ``p``, one carrier row at a time, as
+    ``(tables, missing)``: every temporary is 2 x n x n."""
+    n = p.n
+    rel = np.stack((p.leq, p.leq.T))  # rel[0][a, x]: a <= x; rel[1][a, x]: x <= a
+    sizes = rel.sum(2)[:, None, :]  # sizes of the up-set and the down-set of x
+    tables = np.full((2, n, n), UNDEF, dtype=np.int64)
+    missing = np.zeros((2, n, n), dtype=bool)
+    for a in range(n):
+        bounds = rel[:, a, None, :] & rel  # bounds[side, b, x]: x bounds a and b
+        count = bounds.sum(2)
+        hit = bounds & (count[:, :, None] == sizes)
+        found = hit.any(2)
+        tables[:, a] = np.where(found, hit.argmax(2), UNDEF)
+        missing[:, a] = (count > 0) & ~found
+    return tables, missing
+
+
+def quotient_join_case_branches(lat, e, a, b, witness=None):
+    """The class join of [a] and [b]: [a v b] when the join is defined, else
+    the class of the least carrier element identified with the adjoined top,
+    or undefined when the top forms a singleton class."""
+    if not (lat.is_index(a) and lat.is_index(b)):
+        raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
+    w = witness if witness is not None else is_congruence_on_partial(lat, e)
+    if not w.is_congruence:
+        raise NotACongruence(w)
+    if lat.join[a, b] != UNDEF:
+        return JoinCase(DEFINED, int(e.block_of[int(lat.join[a, b])]))
+    ext = w.extension
+    ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
+    alpha = w.theta.block_containing(ext.added_top)[0]
+    if alpha >= lat.n:
+        return JoinCase(UNDEFINED_TOP_SINGLETON)
+    return JoinCase(ALPHA, int(e.block_of[alpha]), alpha)

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from partlat import (
     induced_order,
     lp_roundtrip,
 )
+from partlat import enumeration
 from partlat.enumeration import canonical_form
 
 from oracles import all_posets_masks, canonical_form_loops, isomorphic_bruteforce
@@ -118,6 +120,29 @@ class TestEnumerate:
             digest.update(np.ascontiguousarray(lat.join, dtype="<i8").tobytes())
             digest.update(np.ascontiguousarray(lat.meet, dtype="<i8").tobytes())
         assert digest.hexdigest() == STREAM6_SHA256
+
+    def test_each_level_is_grown_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name, args[0] if name == "all_posets" else None] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("all_posets", "canonical_form"):
+            monkeypatch.setattr(enumeration, name, counting(name, getattr(enumeration, name)))
+        all_posets(6)  # levels grown before an enumeration are not reused by it
+        calls.clear()
+        first = list(enumerate_partial_lattices(6))
+        once = {**{("all_posets", n): 1 for n in range(1, 7)}, ("canonical_form", None): 938}
+        assert calls == once
+        calls.clear()
+        assert list(enumerate_partial_lattices(6)) == first
+        assert calls == once  # each enumeration grows its levels afresh
+        fresh = all_posets(6)
+        assert fresh[0] is not all_posets(6)[0]
+        assert all(not leq.flags.writeable for leq in enumeration._level(6))
 
     def test_deterministic(self):
         first = list(enumerate_partial_lattices(4))

@@ -1,7 +1,9 @@
 """The sup/inf kernel, the compound-term gather, the homomorphism check, the
-quotient gather, the meet-closure check and congruence generation against
-the loop scans they replaced (``tests/oracles.py``), past the enumerated
-corpus."""
+quotient gather, the join-case table, the meet-closure check, congruence
+generation and the kept congruence witnesses against the loop scans they
+replaced (``tests/oracles.py``), past the enumerated corpus."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from partlat import (
     UNDEF,
+    BadParameter,
+    NotACongruence,
     PartialLattice,
     Partition,
     PartlatError,
@@ -17,6 +21,7 @@ from partlat import (
     check_hom,
     check_distributivity,
     con_is_closed_under_meets,
+    enumerate_partial_lattices,
     from_lattice,
     from_plos,
     generate_congruence,
@@ -27,26 +32,34 @@ from partlat import (
     make_poset,
     named_lattice,
     quotient,
+    quotient_join_case,
+    quotient_join_cases,
     validate_lattice,
     validate_partial_lattice,
 )
+from partlat.order import extrema
 
 from oracles import (
     check_absorption_loops,
     check_distributivity_loops,
     check_hom_loops,
     con_is_closed_under_meets_partitions,
+    extrema_rows,
     from_plos_loops,
     generate_congruence_worklist,
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
+    quotient_join_case_branches,
     quotient_loops,
     validate_lattice_loops,
     validate_partial_lattice_loops,
 )
 
 BOOLEAN4 = named_lattice("boolean", 4)
+_MASKS = np.arange(256)
+# The subsets of an 8-set under inclusion, past the size cap of named lattices.
+SUBSETS8 = Poset([str(i) for i in _MASKS], (_MASKS[:, None] & _MASKS) == _MASKS[:, None])
 
 
 def outcome(fn, *args):
@@ -126,6 +139,33 @@ def test_bound_kernel_matches_loops(p):
         for mode in ("weak", "strong"):
             assert check_absorption(lat, mode) == check_absorption_loops(lat, mode)
             assert check_distributivity(lat, mode) == check_distributivity_loops(lat, mode)
+
+
+@given(random_posets())
+@example(named_lattice("boolean", 6).poset)
+@example(named_lattice("M", 60).poset)
+@example(BOWTIE)
+@example(SUBSETS8)  # 256 elements: eight blocks of rows
+@settings(max_examples=300, deadline=None)
+def test_extrema_broadcast_matches_rows(p):
+    tables, missing = extrema(p)
+    want_tables, want_missing = extrema_rows(p)
+    assert tables.dtype == want_tables.dtype
+    assert np.array_equal(tables, want_tables) and np.array_equal(missing, want_missing)
+
+
+def test_extrema_memory_is_bounded_by_blocks():
+    n = 300  # 23 rows per block, 300 blocks short of one 54 MB broadcast
+    p = Poset([f"x{i}" for i in range(n)], np.eye(n, dtype=bool))
+    tracemalloc.start()
+    try:
+        tables, missing = extrema(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # two 4 MB temporaries plus the 1.6 MB of output
+    want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
+    assert np.array_equal(tables, np.stack((want, want))) and not missing.any()
 
 
 @given(st.one_of(boolean4_suborders(), random_posets()))
@@ -261,3 +301,41 @@ def test_meet_closure_rejects_a_forged_set():
         lat = from_lattice(named_lattice("chain", 3))
         lat.congruences = forged  # low ^ high is the identity
         assert con_is_closed_under_meets(lat) is con_is_closed_under_meets_partitions(lat) is closed
+
+
+def test_kept_witnesses_are_the_generated_congruences_on_corpus6():
+    total = 0
+    for lat in enumerate_partial_lattices(6):
+        witnesses = lat.congruence_witnesses
+        assert lat.congruences == tuple(w.restriction for w in witnesses)
+        assert list(lat.congruences) == sorted(set(lat.congruences))
+        for w in witnesses:
+            generated = is_congruence_on_partial(lat, w.restriction)
+            assert generated.is_congruence and w.is_congruence
+            assert (w.theta, w.restriction) == (generated.theta, generated.restriction)
+            assert w.extension is lat.extension
+        total += len(witnesses)
+    assert total == 1944
+
+
+def test_join_case_table_matches_branches(corpus5, fig4, fig9):
+    for lat in [*corpus5, fig4, fig9]:
+        for w in lat.congruence_witnesses:
+            e = w.restriction
+            table = quotient_join_cases(lat, e, witness=w)
+            assert table.shape == (lat.n, lat.n)
+            for a in range(lat.n):
+                for b in range(lat.n):
+                    case = quotient_join_case_branches(lat, e, a, b, witness=w)
+                    assert quotient_join_case(lat, e, a, b, witness=w) == case
+                    assert table[a, b] == (UNDEF if case.block is None else case.block)
+            assert np.array_equal(quotient_join_cases(lat, e), table)  # witness rebuilt
+
+
+def test_join_case_table_rejects_what_the_branches_reject(fig9):
+    merged = Partition.from_blocks(fig9.n, [(0, 1)])
+    assert not is_congruence_on_partial(fig9, merged)
+    for fn in (quotient_join_case, quotient_join_case_branches):
+        assert outcome(fn, fig9, merged, 0, 1)[0] is NotACongruence
+        assert outcome(fn, fig9, Partition.identity(fig9.n), 0, fig9.n)[0] is BadParameter
+    assert outcome(quotient_join_cases, fig9, merged)[0] is NotACongruence

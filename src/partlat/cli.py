@@ -5,6 +5,7 @@ usage or parse errors. Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import functools
 import re
 import sys
 
@@ -26,10 +27,18 @@ _NAMED = re.compile(r"^(?:N5|(M|chain|boolean)(\d+))$")
 
 
 def _read(path):
+    """The text of ``path``, or of stdin for ``-``; a file must be UTF-8."""
     if path == "-":
         return sys.stdin.read()
+    if "\0" in path:  # open() raises ValueError; no file has such a name
+        raise FileNotFoundError(f"no such file: {path!r}")
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            head = exc.object[:exc.start].decode("utf-8")
+            line = head.count("\n") + 1
+            raise ParseError(line, len(head) - head.rfind("\n"), "UTF-8 text") from None
 
 
 def _load(path):
@@ -169,7 +178,13 @@ def cmd_demo(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first ``cli()`` call and shared after.
+
+    It holds no state between calls: argparse makes a fresh namespace per
+    parse and its help formatter, which reads ``COLUMNS``, when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="partlat",
         description="Finite partial lattices: validation, extensions, "

@@ -57,8 +57,8 @@ class Morphism:
 
     @cached_property
     def report(self):
-        """The map classified once, by ``check_hom``."""
-        return check_hom(self.mapping, self.source, self.target)
+        """The map classified once; ``__post_init__`` already checked it."""
+        return _classify(self.mapping, self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,12 @@ def check_hom(mapping, source, target):
     """
     h = tuple(mapping)
     _require_map(h, source, target)
-    h = np.array(h, dtype=np.int64)
+    return _classify(h, source, target)
+
+
+def _classify(mapping, source, target):
+    """``check_hom`` on a map already known to land in the target carrier."""
+    h = np.array(mapping, dtype=np.int64)
     broken, extra = [], []
     for st, tt in ((source.join, target.join), (source.meet, target.meet)):
         image = tt[h[:, None], h]  # [a, b]: h(a) . h(b)

@@ -1,10 +1,15 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from partlat import cli as cli_module
 from partlat import figures as figs
 from partlat.cli import cli
 
@@ -60,6 +65,16 @@ class TestValidate:
 
     def test_directory_argument_exits_2(self, tmp_path, capsys):
         assert cli(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.p"
+        path.write_bytes(b"poset\nelements a\xc3\xa9 b\xff\n")
+        assert cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2, col 14: expected UTF-8 text\n"
+
+    def test_nul_in_file_name_exits_2(self, capsys):
+        assert cli(["validate", "fig\0.p"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -156,6 +171,12 @@ class TestIso:
         assert cli(["iso", "x" * 5000, "chain1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bom16.p"
+        path.write_bytes(b"\xff\xfe")
+        assert cli(["iso", str(path), "chain1"]) == 2
+        assert capsys.readouterr().err == "error: line 1, col 1: expected UTF-8 text\n"
+
 
 class TestVerify:
     def test_small_corpus(self, capsys):
@@ -219,3 +240,111 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "axioms hold" in proc.stdout
+
+
+def run(argv, stdin_text):
+    """One in-process ``cli()`` call on a fresh stdin: (exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("validate", "order", "extend", "onepoint", "congruences", "quotient", "iso",
+            "demo")
+# Stray words after a command: flags that may or may not belong to it, and
+# arguments in the wrong place.
+WORDS = ("--dot", "--help", "-h", "--classes", "-", "fig1", "N5")
+NAMED = st.sampled_from(("N5", "M3", "chain2", "chain0", "-"))
+# verify always comes with --n: its default, 4, and anything above 3 would
+# start a real sweep, so larger n is only reached through the parser's rejection.
+VERIFY = st.sampled_from(("1", "2", "3", "0", "7", "-1", "x")).map(
+    lambda n: ["verify", "--n", n])
+
+
+@st.composite
+def command_argv(draw, command):
+    """``command`` with its arguments and maybe ``--dot``, then up to two
+    stray words."""
+    if command == "verify":
+        head = draw(VERIFY)
+    elif command == "iso":
+        head = ["iso", draw(NAMED), draw(NAMED)]
+    elif command == "demo":
+        head = ["demo", draw(st.sampled_from(("fig1", "fig4", "fig99")))]
+    elif command == "quotient":
+        head = ["quotient", "-", "--classes", "a c|b"]
+    else:
+        head = [command, "-"]
+    if command in ("order", "extend", "quotient", "demo") and draw(st.booleans()):
+        head.append("--dot")
+    extra = draw(st.lists(st.one_of(st.sampled_from(WORDS).map(lambda w: [w]), VERIFY),
+                          max_size=2))
+    return head + sum(extra, [])
+
+
+COMMAND = st.sampled_from(COMMANDS + ("verify",))
+ARGV = COMMAND.flatmap(command_argv)
+# Repeats of one command make state left by one call most likely to show.
+SEQUENCE = st.one_of(
+    st.lists(ARGV, min_size=1, max_size=4),
+    COMMAND.flatmap(lambda c: st.lists(command_argv(c), min_size=2, max_size=4)),
+)
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        cli_module._build_parser.cache_clear()
+        for _ in range(10):
+            assert run(["demo", "fig1"], "")[0] == 0
+        info = cli_module._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", "import partlat, partlat.cli as c; "
+                                   "print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEQUENCE)
+    def test_shared_parser_keeps_no_state(self, sequence):
+        shared = [run(argv, figs.FIG4_TEXT) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli_module._build_parser.cache_clear()
+            fresh.append(run(argv, figs.FIG4_TEXT))
+        assert shared == fresh
+
+
+# Free tokens: no "/", so a file argument names nothing outside the empty
+# working directory, and no verify, which only ARGV reaches.
+TOKEN = st.text(max_size=12).filter(
+    lambda s: "/" not in s and s != "verify" and not s.startswith("--n"))
+NAME_REF = st.from_regex(r"(N5|M|chain|boolean)[0-9]{0,3}", fullmatch=True)
+FUZZ_ARGV = st.one_of(
+    ARGV,
+    st.lists(st.one_of(st.sampled_from(COMMANDS + WORDS), NAMED, TOKEN), max_size=6),
+    TOKEN.map(lambda classes: ["quotient", "-", "--classes", classes]),
+    st.lists(st.one_of(NAME_REF, NAMED, TOKEN), min_size=2, max_size=2).map(
+        lambda refs: ["iso", *refs]),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(FUZZ_ARGV, st.text(max_size=200))
+    def test_every_outcome_is_an_exit_code(self, tmp_path, monkeypatch, argv, stdin_text):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv, stdin_text)[0] in (0, 1, 2)

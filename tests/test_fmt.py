@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlat import (
+    Lattice,
     ParseError,
+    PartialLattice,
+    PartlatError,
+    Poset,
     SemanticError,
     build,
     emit_dot,
@@ -175,3 +181,26 @@ class TestParsePartition:
     def test_roundtrip_with_render(self, fig9):
         p = parse_partition("a|b d|c", fig9.labels)
         assert p.render(fig9.labels) == "a|b d|c"
+
+
+NAME = st.sampled_from(("a", "b", "c", "d", "⊥*", "a-b"))
+LINE = st.one_of(
+    st.sampled_from(("poset", "plattice", "# note", "")),
+    st.lists(NAME, max_size=5).map(lambda names: " ".join(["elements", *names])),
+    st.tuples(NAME, NAME).map(lambda p: f"rel {p[0]}<{p[1]}"),
+    st.tuples(st.sampled_from(("join", "meet")), NAME, NAME, NAME).map(
+        lambda c: f"{c[0]} {c[1]} {c[2]} = {c[3]}"),
+    st.text(max_size=20),
+)
+# Mostly near-documents: headers, elements, relations and cells in any order.
+TEXT = st.one_of(st.text(max_size=200), st.lists(LINE, max_size=8).map("\n".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT)
+def test_build_of_parse_is_a_structure_or_partlat_error(text):
+    try:
+        structure = build(parse(text))
+    except PartlatError:
+        return
+    assert isinstance(structure, (Poset, PartialLattice, Lattice))

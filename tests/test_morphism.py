@@ -127,19 +127,38 @@ class TestExtendRestrict:
         from partlat import morphism
 
         classified = []
+        classify = morphism._classify
 
         def counting(mapping, source, target):
             classified.append(tuple(mapping))
-            return check_hom(mapping, source, target)
+            return classify(mapping, source, target)
 
-        monkeypatch.setattr(morphism, "check_hom", counting)
+        monkeypatch.setattr(morphism, "_classify", counting)
         proj = canonical_projection(fig4, figs.congruence_of(fig4, "a c|b"))
-        assert proj.report == check_hom(proj.mapping, proj.source, proj.target)
+        report = proj.report
         hstar = extend_hom(proj)
         h = restrict_hom(hstar, fig4, proj.target)
         # the projection, the star map and the restriction, once each
         assert classified == [proj.mapping, hstar.mapping, h.mapping]
         assert h.report is h.report
+        assert report == check_hom(proj.mapping, proj.source, proj.target)
+
+    def test_report_does_not_check_the_map_again(self, fig4, monkeypatch):
+        from partlat import morphism
+
+        checked = []
+        require = morphism._require_map
+
+        def counting(mapping, source, target):
+            checked.append(tuple(mapping))
+            return require(mapping, source, target)
+
+        monkeypatch.setattr(morphism, "_require_map", counting)
+        h = Morphism(fig4, fig4, tuple(range(fig4.n)))
+        assert h.report.kind == CLOSED_HOM
+        assert checked == [h.mapping]  # by __post_init__ only
+        assert check_hom(h.mapping, fig4, fig4) == h.report
+        assert checked == [h.mapping, h.mapping]  # check_hom still checks
 
     def test_non_closed_inclusion_rejected(self, fig2, fig3):
         h = Morphism(fig2, fig3, inclusion(fig2, fig3))

@@ -37,8 +37,7 @@ def _read(path):
             return fh.read()
         except UnicodeDecodeError as exc:
             head = exc.object[:exc.start].decode("utf-8")
-            line = head.count("\n") + 1
-            raise ParseError(line, len(head) - head.rfind("\n"), "UTF-8 text") from None
+            raise ParseError(*fmt.text_end(head), "UTF-8 text") from None
 
 
 def _load(path):

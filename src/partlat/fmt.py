@@ -7,9 +7,13 @@ The grammar, exactly:
     rel a<c                    join a b = c
                                meet a b = a
 
-Names match ``[A-Za-z0-9_]+``. Poset relations are strict and closed
+Names match ``[A-Za-z0-9_]+``. Tokens may be separated by any whitespace
+(``str.isspace``), and ``<`` and ``=`` need none around them. Lines break
+where ``str.splitlines`` breaks them. ``#`` starts a comment. An error's
+column points at the first unexpected token, or just past the end of the
+line when a token is missing. Poset relations are strict and closed
 transitively on build. Partial lattice cells imply their diagonal and
-commutative mirror; unlisted cells are undefined. ``#`` starts a comment.
+commutative mirror; unlisted cells are undefined.
 """
 
 import re
@@ -22,7 +26,33 @@ from .errors import ParseError, SemanticError
 from .order import Lattice, Poset, make_poset
 from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
 
-_NAME = re.compile(r"[A-Za-z0-9_]+")
+_NAME = "[A-Za-z0-9_]+"
+
+
+def _tokens(*tokens):
+    """Anchored pattern for a line of tokens, each optional after the one before.
+
+    The match always succeeds and never backtracks: ``lastindex`` counts the
+    tokens read, and ``end()`` is where the first missing token or the
+    trailing junk starts, past any whitespace.
+    """
+    body = ""
+    for token in reversed(tokens):
+        body = rf"(?:({token})\s*{body})?"
+    return re.compile(r"\s*" + body)
+
+
+_WORD = _tokens(_NAME)
+_LABEL = "element name"
+# Per document kind: the pattern of a body line, its keywords, what is
+# expected after k tokens were read, and the groups holding labels.
+_BODY = {
+    "poset": (_tokens(_NAME, _NAME, "<", _NAME), ("rel",),
+              ("'rel'", _LABEL, "'<'", _LABEL, "end of line"), (2, 4)),
+    "plattice": (_tokens(_NAME, _NAME, _NAME, "=", _NAME), ("join", "meet"),
+                 ("'join' or 'meet'", _LABEL, _LABEL, "'='", _LABEL, "end of line"), (2, 3, 5)),
+}
+_HEADER = "'poset' or 'plattice' header"
 
 
 @dataclass(frozen=True)
@@ -35,107 +65,74 @@ class Document:
     cells: tuple = ()
 
 
-class _Line:
-    def __init__(self, lineno, text):
-        self.lineno = lineno
-        self.text = text
-        self.pos = 0
+def text_end(text):
+    """Line and column just past the end of ``text``, broken as by ``str.splitlines``."""
+    lines = (text + "x").splitlines()
+    return len(lines), len(lines[-1])
 
-    def done(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.pos >= len(self.text)
 
-    def fail(self, expected):
-        raise ParseError(self.lineno, self.pos + 1, expected)
-
-    def name(self, expected="name"):
-        if self.done():
-            self.fail(expected)
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            self.fail(expected)
-        self.pos = m.end()
-        return m.group(), m.start() + 1
-
-    def literal(self, ch):
-        if self.done() or self.text[self.pos] != ch:
-            self.fail(f"'{ch}'")
-        self.pos += 1
-
-    def end(self):
-        if not self.done():
-            self.fail("end of line")
+def _fail(lineno, m, keywords, expected):
+    """Raise at the first unexpected token of a line that ``m`` matched."""
+    read = m.lastindex or 0
+    if read and m[1] not in keywords:
+        raise ParseError(lineno, m.start(1) + 1, expected[0])
+    raise ParseError(lineno, m.end() + 1, expected[read])
 
 
 def parse(text):
     """Parse the text format into a Document, with positioned errors."""
     lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
+        content = raw.partition("#")[0]
         if content.strip():
-            lines.append(_Line(i, content))
-    after = text.count("\n") + 1
+            lines.append((i, content))
     if not lines:
-        raise ParseError(after, 1, "'poset' or 'plattice' header")
-    head = lines[0]
-    word, col = head.name("'poset' or 'plattice' header")
-    if word not in ("poset", "plattice"):
-        raise ParseError(head.lineno, col, "'poset' or 'plattice' header")
-    head.end()
-    kind = word
+        raise ParseError(text_end(text)[0], 1, _HEADER)
+    lineno, line = lines[0]
+    m = _WORD.match(line)
+    if m.lastindex != 1 or m.end() < len(line) or m[1] not in ("poset", "plattice"):
+        _fail(lineno, m, ("poset", "plattice"), (_HEADER, "end of line"))
+    kind = m[1]
     if len(lines) < 2:
-        raise ParseError(after, 1, "'elements' line")
-    elems = lines[1]
-    word, col = elems.name("'elements'")
-    if word != "elements":
-        raise ParseError(elems.lineno, col, "'elements'")
-    labels = []
-    seen = {}
-    if elems.done():
-        elems.fail("element name")
-    while not elems.done():
-        lbl, col = elems.name("element name")
+        raise ParseError(text_end(text)[0], 1, "'elements' line")
+    lineno, line = lines[1]
+    m = _WORD.match(line)
+    if m[1] != "elements":
+        _fail(lineno, m, ("elements",), ("'elements'",))
+    seen = {}  # label -> index, in order
+    while not seen or m.end() < len(line):
+        m = _WORD.match(line, m.end())
+        lbl = m[1]
+        if lbl is None:
+            raise ParseError(lineno, m.end() + 1, _LABEL)
         if lbl in seen:
-            raise SemanticError(elems.lineno, col, f"duplicate label {lbl!r}")
-        seen[lbl] = len(labels)
-        labels.append(lbl)
+            raise SemanticError(lineno, m.start(1) + 1, f"duplicate label {lbl!r}")
+        seen[lbl] = len(seen)
     rels = []
     cells = []
     cell_keys = set()
-    for line in lines[2:]:
+    pattern, keywords, expected, names = _BODY[kind]
+    full = len(expected) - 1
+    for lineno, line in lines[2:]:
+        m = pattern.match(line)
+        if m.lastindex != full or m.end() < len(line) or m[1] not in keywords:
+            _fail(lineno, m, keywords, expected)
+        for g in names:
+            if m[g] not in seen:
+                raise SemanticError(lineno, m.start(g) + 1, f"unknown label {m[g]!r}")
         if kind == "poset":
-            word, col = line.name("'rel'")
-            if word != "rel":
-                raise ParseError(line.lineno, col, "'rel'")
-            x, cx = line.name("element name")
-            line.literal("<")
-            y, cy = line.name("element name")
-            line.end()
-            for lbl, c in ((x, cx), (y, cy)):
-                if lbl not in seen:
-                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
-            rels.append((x, y))
-        else:
-            word, col = line.name("'join' or 'meet'")
-            if word not in ("join", "meet"):
-                raise ParseError(line.lineno, col, "'join' or 'meet'")
-            x, cx = line.name("element name")
-            y, cy = line.name("element name")
-            line.literal("=")
-            z, cz = line.name("element name")
-            line.end()
-            for lbl, c in ((x, cx), (y, cy), (z, cz)):
-                if lbl not in seen:
-                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
-            key = (word, min(seen[x], seen[y]), max(seen[x], seen[y]))
-            if key in cell_keys:
-                raise SemanticError(line.lineno, cx, f"duplicate cell {word} {x} {y}")
-            cell_keys.add(key)
-            if x == y and z != x:
-                raise SemanticError(line.lineno, cz, "diagonal cell must repeat its element")
-            cells.append((word, x, y, z))
-    return Document(kind, tuple(labels), tuple(rels), tuple(cells))
+            rels.append((m[2], m[4]))
+            continue
+        word, x, y, _, z = m.groups()
+        i, j = seen[x], seen[y]
+        key = (word, i, j) if i < j else (word, j, i)
+        if key in cell_keys:
+            raise SemanticError(lineno, m.start(2) + 1, f"duplicate cell {word} {x} {y}")
+        cell_keys.add(key)
+        if x == y and z != x:
+            raise SemanticError(lineno, m.start(5) + 1, "diagonal cell must repeat its element")
+        cells.append((word, x, y, z))
+    return Document(kind, tuple(seen), tuple(rels), tuple(cells))
 
 
 def build(doc):
@@ -222,22 +219,24 @@ def parse_partition(text, labels):
     """Partition written as blocks of labels: 'a c|b d'.
 
     Blocks are separated by '|', members by spaces; unlisted labels become
-    singletons.
+    singletons. An error gives the column of the bad label or empty block.
     """
     idx = {lbl: i for i, lbl in enumerate(labels)}
     blocks = []
     seen = set()
+    col = 1  # where the current block starts in ``text``
     for chunk in text.split("|"):
-        members = chunk.split()
-        if not members:
-            raise SemanticError(1, 1, "empty block in partition")
         block = []
-        for name in members:
+        for m in re.finditer(r"\S+", chunk):
+            name, at = m[0], col + m.start()
             if name not in idx:
-                raise SemanticError(1, 1, f"unknown label {name!r} in partition")
+                raise SemanticError(1, at, f"unknown label {name!r} in partition")
             if name in seen:
-                raise SemanticError(1, 1, f"label {name!r} appears twice in partition")
+                raise SemanticError(1, at, f"label {name!r} appears twice in partition")
             seen.add(name)
             block.append(idx[name])
+        if not block:
+            raise SemanticError(1, col, "empty block in partition")
         blocks.append(tuple(block))
+        col += len(chunk) + 1
     return Partition.from_blocks(len(labels), blocks)

@@ -19,8 +19,8 @@ from .enumeration import enumerate_partial_lattices
 from .morphism import (
     CLOSED_HOM,
     NOT_HOM,
+    _classify,
     canonical_projection,
-    check_hom,
     extend_hom,
     kernel,
     quotient_extension_iso,
@@ -73,7 +73,7 @@ def _check_extension(lat):
     if cell is not None:
         a, b, law = cell
         return False, laws[law][1].format(a, b)
-    embed_hom = check_hom(range(n), lat, from_lattice(ext.star))
+    embed_hom = _classify(range(n), lat, from_lattice(ext.star))  # a map the library built
     if embed_hom.kind == NOT_HOM:
         return False, "carrier is not a weak subalgebra of the extension"
     return True, ""

@@ -23,9 +23,11 @@ every relation mask. ``con_is_closed_under_meets_partitions`` builds every
 ``Partition.meet`` of two congruences. ``extrema_rows`` is the sup/inf
 kernel one carrier row at a time, before it became one broadcast, and
 ``quotient_join_case_branches`` classifies one pair by the branches the
-join-case table replaced.
+join-case table replaced. ``parse_scanner`` is the text parser that walked
+each line one character at a time, before one anchored match read it.
 """
 
+import re
 from collections import deque
 from itertools import permutations
 
@@ -55,7 +57,8 @@ from partlat import (
     validate_partial_lattice,
 )
 from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
-from partlat.errors import ensure
+from partlat.errors import ParseError, SemanticError, ensure
+from partlat.fmt import Document, text_end
 
 
 def all_partitions(n):
@@ -511,3 +514,109 @@ def quotient_join_case_branches(lat, e, a, b, witness=None):
     if alpha >= lat.n:
         return JoinCase(UNDEFINED_TOP_SINGLETON)
     return JoinCase(ALPHA, int(e.block_of[alpha]), alpha)
+
+
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+class _Line:
+    def __init__(self, lineno, text):
+        self.lineno = lineno
+        self.text = text
+        self.pos = 0
+
+    def done(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.pos >= len(self.text)
+
+    def fail(self, expected):
+        raise ParseError(self.lineno, self.pos + 1, expected)
+
+    def name(self, expected="name"):
+        if self.done():
+            self.fail(expected)
+        m = _NAME.match(self.text, self.pos)
+        if not m:
+            self.fail(expected)
+        self.pos = m.end()
+        return m.group(), m.start() + 1
+
+    def literal(self, ch):
+        if self.done() or self.text[self.pos] != ch:
+            self.fail(f"'{ch}'")
+        self.pos += 1
+
+    def end(self):
+        if not self.done():
+            self.fail("end of line")
+
+
+def parse_scanner(text):
+    """Parse the text format into a Document, with positioned errors."""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        if content.strip():
+            lines.append(_Line(i, content))
+    after = text_end(text)[0]
+    if not lines:
+        raise ParseError(after, 1, "'poset' or 'plattice' header")
+    head = lines[0]
+    word, col = head.name("'poset' or 'plattice' header")
+    if word not in ("poset", "plattice"):
+        raise ParseError(head.lineno, col, "'poset' or 'plattice' header")
+    head.end()
+    kind = word
+    if len(lines) < 2:
+        raise ParseError(after, 1, "'elements' line")
+    elems = lines[1]
+    word, col = elems.name("'elements'")
+    if word != "elements":
+        raise ParseError(elems.lineno, col, "'elements'")
+    labels = []
+    seen = {}
+    if elems.done():
+        elems.fail("element name")
+    while not elems.done():
+        lbl, col = elems.name("element name")
+        if lbl in seen:
+            raise SemanticError(elems.lineno, col, f"duplicate label {lbl!r}")
+        seen[lbl] = len(labels)
+        labels.append(lbl)
+    rels = []
+    cells = []
+    cell_keys = set()
+    for line in lines[2:]:
+        if kind == "poset":
+            word, col = line.name("'rel'")
+            if word != "rel":
+                raise ParseError(line.lineno, col, "'rel'")
+            x, cx = line.name("element name")
+            line.literal("<")
+            y, cy = line.name("element name")
+            line.end()
+            for lbl, c in ((x, cx), (y, cy)):
+                if lbl not in seen:
+                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
+            rels.append((x, y))
+        else:
+            word, col = line.name("'join' or 'meet'")
+            if word not in ("join", "meet"):
+                raise ParseError(line.lineno, col, "'join' or 'meet'")
+            x, cx = line.name("element name")
+            y, cy = line.name("element name")
+            line.literal("=")
+            z, cz = line.name("element name")
+            line.end()
+            for lbl, c in ((x, cx), (y, cy), (z, cz)):
+                if lbl not in seen:
+                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
+            key = (word, min(seen[x], seen[y]), max(seen[x], seen[y]))
+            if key in cell_keys:
+                raise SemanticError(line.lineno, cx, f"duplicate cell {word} {x} {y}")
+            cell_keys.add(key)
+            if x == y and z != x:
+                raise SemanticError(line.lineno, cz, "diagonal cell must repeat its element")
+            cells.append((word, x, y, z))
+    return Document(kind, tuple(labels), tuple(rels), tuple(cells))

@@ -73,6 +73,13 @@ class TestValidate:
         assert cli(["validate", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 2, col 14: expected UTF-8 text\n"
 
+    def test_non_utf8_byte_is_located_across_any_line_break(self, tmp_path, capsys):
+        # Lines break as the parser breaks them: "\r\n", "\r" and "\x0b" too.
+        path = tmp_path / "crlf.p"
+        path.write_bytes(b"poset\r\nelements a\rb\x0bc \xff\n")
+        assert cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 4, col 3: expected UTF-8 text\n"
+
     def test_nul_in_file_name_exits_2(self, capsys):
         assert cli(["validate", "fig\0.p"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -138,6 +145,7 @@ class TestCongruencesQuotient:
 
     def test_quotient_bad_classes_exit_2(self, fig9_file, capsys):
         assert cli(["quotient", fig9_file, "--classes", "a|q"]) == 2
+        assert capsys.readouterr().err == "error: line 1, col 3: unknown label 'q' in partition\n"
 
 
 class TestIso:

@@ -1,3 +1,7 @@
+import time
+from itertools import islice, product
+from string import ascii_letters, digits
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,9 @@ from partlat import (
 )
 from partlat import figures as figs
 from partlat.congruence import Partition
+from partlat.fmt import text_end
+from partlat.order import named_lattice
+from oracles import parse_scanner
 
 
 def dot_stats(text):
@@ -86,7 +93,7 @@ class TestParse:
         with pytest.raises(SemanticError) as err:
             parse(text)
         assert "duplicate cell" in str(err.value)
-        assert err.value.line == 4
+        assert (err.value.line, err.value.col) == (4, 6)
 
     def test_junk_after_line(self):
         with pytest.raises(ParseError) as err:
@@ -181,6 +188,129 @@ class TestParsePartition:
     def test_roundtrip_with_render(self, fig9):
         p = parse_partition("a|b d|c", fig9.labels)
         assert p.render(fig9.labels) == "a|b d|c"
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("a|q", 3, "unknown label 'q' in partition"),
+        ("a c| b\t a", 9, "label 'a' appears twice in partition"),
+        ("a||b", 3, "empty block in partition"),
+        ("a| \t|b", 3, "empty block in partition"),
+        ("a c|", 5, "empty block in partition"),
+        ("", 1, "empty block in partition"),
+    ])
+    def test_error_columns(self, text, col, message):
+        with pytest.raises(SemanticError) as err:
+            parse_partition(text, ("a", "b", "c"))
+        assert (err.value.line, err.value.col) == (1, col)
+        assert str(err.value) == f"line 1, col {col}: {message}"
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("br", ["\n", "\r", "\r\n", "\x0b", "\u2028"])
+    def test_missing_lines_are_numbered_by_any_line_break(self, br):
+        with pytest.raises(ParseError) as err:
+            parse("poset" + br)
+        assert (err.value.line, err.value.col, err.value.expected) == (2, 1, "'elements' line")
+        with pytest.raises(ParseError) as err:
+            parse(f"# one{br}{br}# three{br}")
+        assert (err.value.line, err.value.col) == (4, 1)
+        assert text_end(f"ab{br}cde") == (2, 4)
+
+    @given(st.text(alphabet="ab\n", max_size=30))
+    def test_newline_only_text_is_numbered_as_before(self, text):
+        assert text_end(text) == (text.count("\n") + 1, len(text) - text.rfind("\n"))
+
+
+def outcome(parser, text):
+    """What a parser makes of ``text``: the Document, or where and why it failed."""
+    try:
+        return parser(text)
+    except (ParseError, SemanticError) as exc:
+        return type(exc), exc.line, exc.col, str(exc)
+
+
+SPACE = st.sampled_from(("", " ", "\t", "\x0c", "\x1c", "\x1f", "\xa0"))  # "\x0c", "\x1c" break lines
+BREAK = st.sampled_from(("\n", "\n", "\r", "\r\n", "\x0b", "\u2028"))
+LABEL = st.sampled_from(("a", "b", "c1", "q"))
+TOKEN = st.sampled_from(("a", "b", "c1", "_", "poset", "plattice", "elements", "rel", "join",
+                         "meet", "<", "=", "#", "$"))
+TOKENS = st.lists(st.tuples(TOKEN, st.one_of(SPACE, BREAK)), max_size=30).map(
+    lambda pairs: "".join(token + space for token, space in pairs))
+SEPARATOR = st.one_of(st.just(" "), SPACE)
+OPERAND = st.sampled_from(("a", "b", "a", "b", "c1", "q"))  # often a repeated cell
+REL = st.tuples(st.just("rel"), OPERAND, st.just("<"), OPERAND)
+CELL = st.tuples(st.sampled_from(("join", "meet")), OPERAND, OPERAND, st.just("="), OPERAND)
+
+
+@st.composite
+def scanner_text(draw):
+    """Documents of a drawn kind, some lines replaced by arbitrary tokens,
+    joined by any whitespace and line break, maybe with junk after."""
+    kind = draw(st.sampled_from(("poset", "plattice")))
+    labels = (*draw(st.permutations(("a", "b", "c1"))), *draw(st.lists(LABEL, max_size=1)))
+    lines = [(kind,), ("elements", *labels)]
+    lines += draw(st.lists(REL if kind == "poset" else CELL, max_size=5))
+    text = ""
+    for tokens in lines:
+        if draw(st.integers(0, 9)) == 0:
+            tokens = draw(st.lists(TOKEN, max_size=6))
+        text += draw(SPACE) + "".join(tok + draw(SEPARATOR) for tok in tokens) + draw(BREAK)
+    return text + draw(st.one_of(st.just(""), TOKENS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scanner_text())
+def test_parse_matches_scanner_on_arbitrary_text(text):
+    assert outcome(parse, text) == outcome(parse_scanner, text)
+
+
+@pytest.mark.parametrize("name", sorted(figs.SOURCE_TEXTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_matches_scanner_on_mutated_sources(name, data):
+    text = figs.SOURCE_TEXTS[name]
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at] + text[at + data.draw(st.integers(1, 4)):]
+        else:
+            text = text[:at] + data.draw(TOKENS) + text[at:]
+    assert outcome(parse, text) == outcome(parse_scanner, text)
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("boolean", 4), ("boolean", 5), ("boolean", 6), ("chain", 8), ("M", 12), ("N5", None),
+])
+def test_parse_equals_scanner_on_named_documents(kind, size):
+    lat = named_lattice(kind, size)
+    for structure in (lat, lat.poset):
+        text = format_document(to_document(structure))
+        assert parse(text) == parse_scanner(text)
+
+
+ALNUM = ascii_letters + digits + "_"
+MANY = " ".join("".join(t) for t in islice(product(ALNUM, repeat=3), 50_000))
+LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize("text", [
+    f"poset\nelements {MANY}\nrel aaa<aab\n",
+    f"poset\nelements {MANY} aab\n",  # duplicate at the far end
+    f"poset\nelements {MANY} $\n",
+    f"plattice\nelements a b\njoin a b = {LONG}\n",  # unknown label
+    f"plattice\nelements a b {LONG}\njoin a b = {LONG}\n",
+    f"plattice\nelements a b {LONG}\njoin a b = {LONG}$\n",
+    f"plattice\nelements a b {LONG}\njoin a b {LONG}\n",
+    f"poset\nelements a {LONG}\nrel a<{LONG} <\n",
+], ids=["elements", "duplicate", "junk", "unknown", "cell", "cell-junk", "no-equals", "rel-junk"])
+def test_long_lines_match_scanner_in_linear_time(text):
+    assert max(map(len, text.splitlines())) >= 200_000
+    start = time.perf_counter()
+    got = outcome(parse, text)
+    elapsed = time.perf_counter() - start
+    assert got == outcome(parse_scanner, text)
+    # Linear reading takes milliseconds; a pattern that backtracks over a
+    # 200,000-character name takes minutes.
+    assert elapsed < 2.0
 
 
 NAME = st.sampled_from(("a", "b", "c", "d", "⊥*", "a-b"))

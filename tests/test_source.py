@@ -29,3 +29,21 @@ def test_traced_entry_points_exist():
     missing = [f"{module}.{fn}" for module, fns in traced.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"partlat.{module}"), fn, None))]
     assert traced and missing == []
+
+
+def test_every_oracle_is_used():
+    # A reference that no test reaches checks nothing. An oracle counts as
+    # used when a test module or another oracle names it.
+    tests = Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in oracles.body if isinstance(node, ast.FunctionDef)}
+
+    def names(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    used = set().union(*(names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in tests.glob("test_*.py")))
+    for name, node in defined.items():
+        used |= names(node) - {name}
+    assert sorted(defined.keys() - used) == []

@@ -74,7 +74,6 @@ from .congruence import (
     congruence_witnesses,
     generate_congruence,
     is_congruence_on_partial,
-    is_generated_witness,
     lattice_quotient,
     quotient,
     quotient_join_case,

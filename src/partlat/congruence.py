@@ -245,28 +245,6 @@ def congruence_witnesses(lat):
     return tuple(CongruenceWitness(kept[e], e, True, ext) for e in sorted(kept))
 
 
-def is_generated_witness(w):
-    """Whether the witness theta is the congruence its restriction e
-    generates on the extension: theta is compatible with both star tables,
-    restricts to e, and collapses exactly the join-irreducibles that e seeds
-    and their D-down-closure. A congruence is fixed by the join-irreducibles
-    it collapses, so these three pin theta down."""
-    ext = w.extension
-    star = ext.star
-    theta = np.array(w.theta.block_of)
-    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
-    for table in (star.join, star.meet):
-        cls = theta[table]
-        if (cls != cls[least[:, None], least]).any():
-            return False
-    if w.theta.restrict(range(ext.source.n)) != w.restriction:
-        return False
-    irr = star.irreducibles
-    collapsed = theta[irr.members] == theta[irr.lower]
-    # The carrier is the prefix of the star, so e seeds star pairs as it is.
-    return bool((collapsed == _seeded_irreducibles(star, (w.restriction,))).all())
-
-
 def all_partial_congruences(lat):
     """Restrictions to the carrier of all congruences of the extension, read
     off the kept ``congruence_witnesses``."""
@@ -354,16 +332,25 @@ def quotient_join_cases(lat, e, witness=None):
     top, or UNDEF when the top forms a singleton class.
     """
     w = _require_congruence(lat, e, witness)
-    block_of = np.array(e.block_of)
-    undefined = lat.join == UNDEF
-    top_block = UNDEF
-    if undefined.any():
+    alpha = lat.n
+    if (lat.join == UNDEF).any():
         ext = w.extension
         ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
         alpha = w.theta.block_containing(ext.added_top)[0]
-        if alpha < lat.n:
-            top_block = block_of[alpha]
-    return np.where(undefined, top_block, block_of[lat.join])
+    return join_case_stack(lat, np.array([e.block_of]), np.array([alpha]))[0]
+
+
+def join_case_stack(lat, block_of, alpha):
+    """``quotient_join_cases`` for k congruences at once, as a k x n x n array.
+
+    ``block_of`` holds their block arrays, k x n, and ``alpha`` for each
+    the least member of the adjoined top's class under the congruence it
+    generates on the extension, or n when there is no top.
+    """
+    n = lat.n
+    top_block = np.where(alpha < n, block_of[np.arange(len(alpha)), np.minimum(alpha, n - 1)],
+                         UNDEF)
+    return np.where(lat.join == UNDEF, top_block[:, None, None], block_of[:, lat.join])
 
 
 def quotient_join_case(lat, e, a, b, witness=None):

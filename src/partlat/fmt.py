@@ -11,7 +11,8 @@ Names match ``[A-Za-z0-9_]+``. Tokens may be separated by any whitespace
 (``str.isspace``), and ``<`` and ``=`` need none around them. Lines break
 where ``str.splitlines`` breaks them. ``#`` starts a comment. An error's
 column points at the first unexpected token, or just past the end of the
-line when a token is missing. Poset relations are strict and closed
+line when a token is missing; it quotes a label of more than 64 characters
+by its first 64 and its length. Poset relations are strict and closed
 transitively on build. Partial lattice cells imply their diagonal and
 commutative mirror; unlisted cells are undefined.
 """
@@ -53,6 +54,16 @@ _BODY = {
                  ("'join' or 'meet'", _LABEL, _LABEL, "'='", _LABEL, "end of line"), (2, 3, 5)),
 }
 _HEADER = "'poset' or 'plattice' header"
+# Longest label an error message quotes whole.
+QUOTED_LABEL = 64
+
+
+def shown(label):
+    """``label`` as error messages show it: whole up to QUOTED_LABEL
+    characters, else cut there with its length appended."""
+    if len(label) <= QUOTED_LABEL:
+        return label
+    return f"{label[:QUOTED_LABEL]}... ({len(label)} characters)"
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,7 @@ def parse(text):
         if lbl is None:
             raise ParseError(lineno, m.end() + 1, _LABEL)
         if lbl in seen:
-            raise SemanticError(lineno, m.start(1) + 1, f"duplicate label {lbl!r}")
+            raise SemanticError(lineno, m.start(1) + 1, f"duplicate label {shown(lbl)!r}")
         seen[lbl] = len(seen)
     rels = []
     cells = []
@@ -119,7 +130,7 @@ def parse(text):
             _fail(lineno, m, keywords, expected)
         for g in names:
             if m[g] not in seen:
-                raise SemanticError(lineno, m.start(g) + 1, f"unknown label {m[g]!r}")
+                raise SemanticError(lineno, m.start(g) + 1, f"unknown label {shown(m[g])!r}")
         if kind == "poset":
             rels.append((m[2], m[4]))
             continue
@@ -127,7 +138,8 @@ def parse(text):
         i, j = seen[x], seen[y]
         key = (word, i, j) if i < j else (word, j, i)
         if key in cell_keys:
-            raise SemanticError(lineno, m.start(2) + 1, f"duplicate cell {word} {x} {y}")
+            raise SemanticError(lineno, m.start(2) + 1,
+                                f"duplicate cell {word} {shown(x)} {shown(y)}")
         cell_keys.add(key)
         if x == y and z != x:
             raise SemanticError(lineno, m.start(5) + 1, "diagonal cell must repeat its element")
@@ -230,9 +242,9 @@ def parse_partition(text, labels):
         for m in re.finditer(r"\S+", chunk):
             name, at = m[0], col + m.start()
             if name not in idx:
-                raise SemanticError(1, at, f"unknown label {name!r} in partition")
+                raise SemanticError(1, at, f"unknown label {shown(name)!r} in partition")
             if name in seen:
-                raise SemanticError(1, at, f"label {name!r} appears twice in partition")
+                raise SemanticError(1, at, f"label {shown(name)!r} appears twice in partition")
             seen.add(name)
             block.append(idx[name])
         if not block:

@@ -263,9 +263,17 @@ class Lattice(Carrier):
         members = np.flatnonzero(covers.sum(0) == 1)
         lower = covers[:, members].argmax(0)
         rows = self.leq[members]
-        below = (rows[:, self.join[members]] & ~rows[:, self.join[lower]]).any(2)
-        below |= np.eye(len(members), dtype=bool)
-        for k in range(len(members)):
+        j = len(members)
+        below = np.eye(j, dtype=bool)
+        # [p, q, x] is p <= q v x and p !<= q_* v x, over a block of q at a
+        # time: each such array stays within 4 MB, and every carrier up to
+        # 128 elements is one block.
+        step = max(1, 2**22 // max(1, j * self.n))
+        for start in range(0, j, step):
+            qs = slice(start, start + step)
+            below[:, qs] |= (rows[:, self.join[members[qs]]]
+                             & ~rows[:, self.join[lower[qs]]]).any(2)
+        for k in range(j):
             below |= below[:, k : k + 1] & below[k : k + 1, :]
         return Irreducibles(*map(_frozen, (members, lower, rows, below)))
 

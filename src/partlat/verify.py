@@ -3,29 +3,24 @@
 Runs every universally quantified claim over the enumerated corpus of small
 partial lattices. Failures carry the offending structure serialized in the
 input format so they can be replayed from the command line.
+
+The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
+to L*/theta(E), is checked for all congruences of a structure at once: the
+kept witnesses are stacked, and each check is one gather or broadcast over
+the stack. The per-congruence functions of ``congruence`` and ``morphism``
+stay the reference for it.
 """
 
 import traceback
+from itertools import takewhile
 
 import numpy as np
 
 from . import fmt
-from .congruence import (
-    con_is_closed_under_meets,
-    is_generated_witness,
-    quotient_join_cases,
-)
+from .congruence import _require_congruence, con_is_closed_under_meets, join_case_stack
 from .enumeration import enumerate_partial_lattices
-from .morphism import (
-    CLOSED_HOM,
-    NOT_HOM,
-    _classify,
-    canonical_projection,
-    extend_hom,
-    kernel,
-    quotient_extension_iso,
-    restrict_hom,
-)
+from .errors import InvariantError
+from .morphism import NOT_HOM, _classify
 from .order import first_true, is_plos
 from .plattice import (
     BOTH_TOTAL,
@@ -79,45 +74,186 @@ def _check_extension(lat):
     return True, ""
 
 
-def _check_congruence(lat, e, w):
-    """Quotient machinery for a single congruence, from its kept witness
-    (None when no congruence of the extension restricts to e)."""
-    if w is None or not is_generated_witness(w):
-        return False, f"enumerated congruence not recognized: {e!r}"
-    quot = w.quot
+def _stack(tables, size):
+    """Square tables of at most ``size`` rows, zero-padded into one array."""
+    out = np.zeros((len(tables), size, size), dtype=tables[0].dtype)
+    for padded, table in zip(out, tables):
+        padded[: len(table), : len(table)] = table
+    return out
 
-    # Case analysis agrees with the quotient table on every carrier pair.
-    blocks = np.array(e.block_of)
-    pair = first_true(quotient_join_cases(lat, e, witness=w)
-                      != quot.join[blocks[:, None], blocks])
-    if pair is not None:
-        return False, "join case disagrees with table at [{}],[{}]".format(*pair)
 
-    # Undefined quotient joins come from undefined source joins.
-    leq, qleq = lat.order.leq, quot.order.leq
-    lost = first_true((leq @ leq.T) & ~(qleq @ qleq.T)[blocks[:, None], blocks])
-    if lost is not None:
-        return False, f"quotient lost an upper bound at {lost}"
+def _until_raise(build, items):
+    """``build`` of each item in turn, up to the first that raises, and that
+    exception (None when none does)."""
+    built = []
+    for item in items:
+        try:
+            built.append(build(item))
+        except Exception as exc:  # reported once the congruences before it pass
+            return built, exc
+    return built, None
 
-    proj = canonical_projection(lat, e, witness=w)
-    rep = proj.report
-    if rep.kind == NOT_HOM:
-        return False, f"projection is not a homomorphism for {e!r}"
-    if kernel(proj) != e:
-        return False, f"projection kernel differs from {e!r}"
-    ext = w.extension
-    bounds_singleton = all(
-        len(w.theta.block_containing(bound)) == 1
-        for bound in (ext.added_bottom, ext.added_top)
-        if bound is not None
+
+def _first_failure(laws, congruences):
+    """(row, detail) of the first failing law of the first congruence that
+    fails one, or None. A law is a mask over [congruence, ...] and a detail:
+    a template filled with the first failing pair and the congruence ``e``,
+    or an InvariantError to raise."""
+    cell = first_true(np.stack([mask.reshape(len(mask), -1).any(1) for mask, _ in laws], axis=1))
+    if cell is None:
+        return None
+    i, law = cell
+    mask, detail = laws[law]
+    if isinstance(detail, str):
+        detail = detail.format(*(first_true(mask[i]) if mask.ndim > 1 else ()), e=congruences[i])
+    return i, detail
+
+
+def _generated(lat, block_of, theta, least):
+    """Which stacked witnesses hold the congruence their restriction e
+    generates on the extension: theta is compatible with both star tables,
+    restricts to e, and collapses exactly the join-irreducibles that e seeds
+    and their D-down-closure. A congruence is fixed by the join-irreducibles
+    it collapses, so these three pin theta down. Every pair e relates seeds,
+    not only consecutive members of a block: both give the same closure."""
+    star = lat.extension.star
+    n, k = lat.n, len(theta)
+    r = np.arange(k)[:, None, None]
+    same = block_of[:, :, None] == block_of[:, None, :]
+    ok = (same == (theta[:, :n, None] == theta[:, None, :n])).all((1, 2))
+    for table in (star.join, star.meet):
+        ok &= (theta[r, table] == theta[r, table[least[:, :, None], least[:, None, :]]]).all((1, 2))
+    irr = star.irreducibles
+    j = len(irr.members)
+    # [p, a, b]: p <= a v b and p !<= a ^ b, so relating a and b collapses p.
+    seeds = irr.rows[:, star.join[:n, :n]] & ~irr.rows[:, star.meet[:n, :n]]
+    seeded = (same.reshape(k, n * n).astype(np.float32)
+              @ seeds.reshape(j, n * n).T.astype(np.float32)) > 0
+    closed = seeded.astype(np.float32) @ irr.below.T.astype(np.float32) > 0
+    return ok & (closed == (theta[:, irr.members] == theta[:, irr.lower])).all(1)
+
+
+def _quotient_laws(lat, quots, block_of, theta, least):
+    """The laws on L/E: join cases, upper bounds, and the projection, which
+    is a homomorphism, closed exactly when the adjoined bounds are singleton
+    classes. The projection is e's block map, so its kernel is e."""
+    ext = lat.extension
+    n, k = lat.n, len(quots)
+    size = max(q.n for q in quots)
+    qjoin, qmeet, qleq = (_stack(tables, size) for tables in zip(
+        *((q.join, q.meet, q.order.leq) for q in quots)))
+    classes = np.arange(k)[:, None, None], block_of[:, :, None], block_of[:, None, :]
+    alpha = least[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
+    leq = lat.order.leq
+    broken = extra = False
+    for table, qtable in ((lat.join, qjoin), (lat.meet, qmeet)):
+        image = qtable[classes]  # [i, a, b]: [a] . [b] in L/E_i
+        defined = table != UNDEF
+        broken = broken | (defined & (image != block_of[:, table]))
+        extra = extra | (~defined & (image != UNDEF))
+    hom = ~broken.any((1, 2))
+    closed = hom & ~extra.any((1, 2))
+    bounds = [b for b in (ext.added_bottom, ext.added_top) if b is not None]
+    singleton = ((theta[:, :, None] == theta[:, None, bounds]).sum(1) == 1).all(1)
+    return (
+        (join_case_stack(lat, block_of, alpha) != qjoin[classes],
+         "join case disagrees with table at [{}],[{}]"),
+        ((leq @ leq.T) & ~(qleq @ qleq.transpose(0, 2, 1))[classes],
+         "quotient lost an upper bound at ({}, {})"),
+        (~hom, "projection is not a homomorphism for {e!r}"),
+        (closed != singleton, "projection closedness mismatches bound classes for {e!r}"),
+    ), closed
+
+
+def _extension_laws(lat, congruences, xs, block_of, theta, closed):
+    """The laws on (L/E)*: a closed projection extends to a homomorphism
+    L* -> (L/E)*, which restricts back to it by construction; and (L/E)* is
+    isomorphic to L*/theta by the map sending block j to the class of its
+    least member and each adjoined bound to the class of L*'s."""
+    ext = lat.extension
+    star = ext.star
+    n, k = lat.n, len(xs)
+    r = np.arange(k)[:, None, None]
+    size = max(x.star.n for x in xs)
+    xjoin, xmeet = (_stack(tables, size)
+                    for tables in zip(*((x.star.join, x.star.meet) for x in xs)))
+    # Both maps as arrays, UNDEF where the bound they need is missing.
+    lifted = np.zeros((k, star.n), dtype=np.int64)
+    lifted[:, :n] = block_of
+    into = np.zeros((k, size), dtype=np.int64)
+    for i, (e, x) in enumerate(zip(congruences, xs)):
+        into[i, : len(e.blocks)] = [block[0] for block in e.blocks]
+        for source, target in ((ext.added_bottom, x.added_bottom), (ext.added_top, x.added_top)):
+            if source is not None:
+                lifted[i, source] = UNDEF if target is None else target
+            if target is not None:
+                into[i, target] = UNDEF if source is None else source
+    valid = np.arange(size) < np.array([x.star.n for x in xs])[:, None]
+    pairs = valid[:, :, None] & valid[:, None, :]
+    cls = theta[r[:, 0], into]  # the theta-class each element of (L/E)* is sent to
+    lifted_hom = ~(lifted == UNDEF).any(1)
+    iso = (theta.max(1) + 1 == valid.sum(1)) & ~((into == UNDEF) & valid).any(1)
+    iso &= ~((cls[:, :, None] == cls[:, None, :]) & pairs & ~np.eye(size, dtype=bool)).any((1, 2))
+    for table, xtable in ((star.join, xjoin), (star.meet, xmeet)):
+        lifted_hom &= (xtable[r, lifted[:, :, None], lifted[:, None, :]]
+                       == lifted[:, table]).all((1, 2))
+        iso &= ~((cls[r, xtable] != theta[r, table[into[:, :, None], into[:, None, :]]])
+                 & pairs).any((1, 2))
+    return (
+        (closed & ~lifted_hom, InvariantError("extended map must be a homomorphism")),
+        (~iso, InvariantError("quotient extension exchange failed to verify")),
     )
-    if (rep.kind == CLOSED_HOM) != bounds_singleton:
-        return False, f"projection closedness mismatches bound classes for {e!r}"
-    if rep.kind == CLOSED_HOM:
-        hstar = extend_hom(proj)
-        if restrict_hom(hstar, lat, quot).mapping != proj.mapping:
-            return False, f"extension does not restrict back for {e!r}"
-    quotient_extension_iso(lat, e, witness=w)
+
+
+def congruence_law(lat):
+    """The quotient machinery over every congruence of ``lat`` in one stacked
+    pass, then the closure of the congruence set under meets.
+
+    The kept witnesses are stacked in ``lat.congruences`` order, and each
+    check is one gather or broadcast over all of them. L/E and (L/E)* are
+    still built for each congruence, by ``quotient`` and
+    ``two_point_extension``, so the exchange law compares two independent
+    routes. The failure reported, or the error raised, is the one that
+    checking the congruences one at a time, each check in turn, meets first.
+    Each ``w.quot`` is taken to have one element per block of e, as
+    ``quotient`` builds it.
+    """
+    kept = {w.restriction: w for w in lat.congruence_witnesses}
+    witnesses = list(takewhile(lambda w: w is not None, map(kept.get, lat.congruences)))
+    if witnesses:
+        block_of = np.array([w.restriction.block_of for w in witnesses])
+        theta = np.array([w.theta.block_of for w in witnesses])
+        least = (theta[:, :, None] == theta[:, None, :]).argmax(2)  # least member of x's class
+        unrecognized = first_true(~_generated(lat, block_of, theta, least))
+        if unrecognized is not None:
+            witnesses = witnesses[: unrecognized[0]]
+    quots, raised = _until_raise(lambda w: _require_congruence(lat, w.restriction, w).quot,
+                                 witnesses)
+    found = lifted_found = lifted_raised = None
+    if quots:
+        k = len(quots)
+        congruences = lat.congruences[:k]
+        laws, closed = _quotient_laws(lat, quots, block_of[:k], theta[:k], least[:k])
+        found = _first_failure(laws, congruences)
+        # Only the congruences before the first failing one reach (L/E)*.
+        reach = k if found is None else found[0]
+        xs, lifted_raised = _until_raise(lambda q: q.extension, quots[:reach])
+        if xs:
+            b = len(xs)
+            lifted_found = _first_failure(
+                _extension_laws(lat, congruences, xs, block_of[:b], theta[:b], closed[:b]),
+                congruences)
+    for failure, error in ((lifted_found, lifted_raised), (found, raised)):
+        if failure is not None:
+            if isinstance(failure[1], Exception):
+                raise failure[1]
+            return False, failure[1]
+        if error is not None:
+            raise error
+    if len(quots) < len(lat.congruences):
+        return False, f"enumerated congruence not recognized: {lat.congruences[len(quots)]!r}"
+    if not con_is_closed_under_meets(lat):
+        return False, "congruence set not closed under refinement"
     return True, ""
 
 
@@ -155,19 +291,7 @@ def structure_checks(lat):
                                     "induced order fails a bound property"))
     run("extension", lambda: _check_extension(lat))
 
-    def congruence_sweep():
-        # Both halves of the law run over ``lat.congruences``; the kept
-        # witnesses are looked up by restriction.
-        kept = {w.restriction: w for w in lat.congruence_witnesses}
-        for e in lat.congruences:
-            ok, detail = _check_congruence(lat, e, kept.get(e))
-            if not ok:
-                return False, detail
-        if not con_is_closed_under_meets(lat):
-            return False, "congruence set not closed under refinement"
-        return True, ""
-
-    run("congruences", congruence_sweep)
+    run("congruences", lambda: congruence_law(lat))
     return results
 
 

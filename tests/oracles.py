@@ -25,6 +25,14 @@ kernel one carrier row at a time, before it became one broadcast, and
 ``quotient_join_case_branches`` classifies one pair by the branches the
 join-case table replaced. ``parse_scanner`` is the text parser that walked
 each line one character at a time, before one anchored match read it.
+
+``irreducibles_below_gather`` is the dependency order of the
+join-irreducibles read from one gather over all pairs, before that gather
+went over blocks. ``congruence_law_per_witness`` is the congruence law for one congruence, as
+the sweep checked it before one stacked pass checked them all: it
+recognizes the witness with ``is_generated_witness`` and goes through the
+per-congruence ``canonical_projection``, ``extend_hom``, ``restrict_hom``
+and ``quotient_extension_iso``.
 """
 
 import re
@@ -51,14 +59,21 @@ from partlat import (
     Partition,
     PlosReport,
     Poset,
+    canonical_projection,
+    extend_hom,
     is_congruence_on_partial,
+    kernel,
     lower_bounds,
+    quotient_extension_iso,
+    quotient_join_cases,
+    restrict_hom,
     upper_bounds,
     validate_partial_lattice,
 )
-from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
+from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON, _seeded_irreducibles
 from partlat.errors import ParseError, SemanticError, ensure
-from partlat.fmt import Document, text_end
+from partlat.fmt import Document, shown, text_end
+from partlat.order import first_true
 
 
 def all_partitions(n):
@@ -439,6 +454,84 @@ def quotient_loops(lat, e, witness=None):
     return validate_partial_lattice(labels, jt, mt)
 
 
+def is_generated_witness(w):
+    """Whether the witness theta is the congruence its restriction e
+    generates on the extension: theta is compatible with both star tables,
+    restricts to e, and collapses exactly the join-irreducibles that e seeds
+    and their D-down-closure. A congruence is fixed by the join-irreducibles
+    it collapses, so these three pin theta down."""
+    ext = w.extension
+    star = ext.star
+    theta = np.array(w.theta.block_of)
+    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
+    for table in (star.join, star.meet):
+        cls = theta[table]
+        if (cls != cls[least[:, None], least]).any():
+            return False
+    if w.theta.restrict(range(ext.source.n)) != w.restriction:
+        return False
+    irr = star.irreducibles
+    collapsed = theta[irr.members] == theta[irr.lower]
+    # The carrier is the prefix of the star, so e seeds star pairs as it is.
+    return bool((collapsed == _seeded_irreducibles(star, (w.restriction,))).all())
+
+
+def congruence_law_per_witness(lat, e, w):
+    """Quotient machinery for a single congruence, from its kept witness
+    (None when no congruence of the extension restricts to e)."""
+    if w is None or not is_generated_witness(w):
+        return False, f"enumerated congruence not recognized: {e!r}"
+    quot = w.quot
+
+    # Case analysis agrees with the quotient table on every carrier pair.
+    blocks = np.array(e.block_of)
+    pair = first_true(quotient_join_cases(lat, e, witness=w)
+                      != quot.join[blocks[:, None], blocks])
+    if pair is not None:
+        return False, "join case disagrees with table at [{}],[{}]".format(*pair)
+
+    # Undefined quotient joins come from undefined source joins.
+    leq, qleq = lat.order.leq, quot.order.leq
+    lost = first_true((leq @ leq.T) & ~(qleq @ qleq.T)[blocks[:, None], blocks])
+    if lost is not None:
+        return False, f"quotient lost an upper bound at {lost}"
+
+    proj = canonical_projection(lat, e, witness=w)
+    rep = proj.report
+    if rep.kind == NOT_HOM:
+        return False, f"projection is not a homomorphism for {e!r}"
+    if kernel(proj) != e:
+        return False, f"projection kernel differs from {e!r}"
+    ext = w.extension
+    bounds_singleton = all(
+        len(w.theta.block_containing(bound)) == 1
+        for bound in (ext.added_bottom, ext.added_top)
+        if bound is not None
+    )
+    if (rep.kind == CLOSED_HOM) != bounds_singleton:
+        return False, f"projection closedness mismatches bound classes for {e!r}"
+    if rep.kind == CLOSED_HOM:
+        hstar = extend_hom(proj)
+        if restrict_hom(hstar, lat, quot).mapping != proj.mapping:
+            return False, f"extension does not restrict back for {e!r}"
+    quotient_extension_iso(lat, e, witness=w)
+    return True, ""
+
+
+def irreducibles_below_gather(lat):
+    """``Lattice.irreducibles.below`` from one |J| x |J| x n gather, before
+    the gather went over blocks of q."""
+    covers = lat.poset.covers
+    members = np.flatnonzero(covers.sum(0) == 1)
+    lower = covers[:, members].argmax(0)
+    rows = lat.leq[members]
+    below = (rows[:, lat.join[members]] & ~rows[:, lat.join[lower]]).any(2)
+    below |= np.eye(len(members), dtype=bool)
+    for k in range(len(members)):
+        below |= below[:, k : k + 1] & below[k : k + 1, :]
+    return below
+
+
 def canonical_form_loops(leq):
     """Canonical key and matrix: a Python ``min`` over the packed bytes of
     every relabeling."""
@@ -581,7 +674,7 @@ def parse_scanner(text):
     while not elems.done():
         lbl, col = elems.name("element name")
         if lbl in seen:
-            raise SemanticError(elems.lineno, col, f"duplicate label {lbl!r}")
+            raise SemanticError(elems.lineno, col, f"duplicate label {shown(lbl)!r}")
         seen[lbl] = len(labels)
         labels.append(lbl)
     rels = []
@@ -598,7 +691,7 @@ def parse_scanner(text):
             line.end()
             for lbl, c in ((x, cx), (y, cy)):
                 if lbl not in seen:
-                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
+                    raise SemanticError(line.lineno, c, f"unknown label {shown(lbl)!r}")
             rels.append((x, y))
         else:
             word, col = line.name("'join' or 'meet'")
@@ -611,10 +704,11 @@ def parse_scanner(text):
             line.end()
             for lbl, c in ((x, cx), (y, cy), (z, cz)):
                 if lbl not in seen:
-                    raise SemanticError(line.lineno, c, f"unknown label {lbl!r}")
+                    raise SemanticError(line.lineno, c, f"unknown label {shown(lbl)!r}")
             key = (word, min(seen[x], seen[y]), max(seen[x], seen[y]))
             if key in cell_keys:
-                raise SemanticError(line.lineno, cx, f"duplicate cell {word} {x} {y}")
+                raise SemanticError(line.lineno, cx,
+                                    f"duplicate cell {word} {shown(x)} {shown(y)}")
             cell_keys.add(key)
             if x == y and z != x:
                 raise SemanticError(line.lineno, cz, "diagonal cell must repeat its element")

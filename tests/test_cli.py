@@ -60,6 +60,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 3" in err and "col" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("elements a b\njoin a b = {x}", "line 3, col 12: unknown label"),
+        ("elements a b\njoin a {x} = a", "line 3, col 8: unknown label"),
+        ("elements {x} b\nmeet {x} b = {x}\nmeet b {x} = {x}",
+         "line 4, col 6: duplicate cell meet b"),
+        ("elements a {x} {x}", "line 2, col 200013: duplicate label"),
+    ])
+    def test_long_label_is_clipped_in_errors(self, tmp_path, text, where, capsys):
+        path = tmp_path / "long.pl"
+        path.write_text("plattice\n" + text.format(x="x" * 200_000) + "\n")
+        assert cli(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert err.startswith(f"error: {where}")
+        assert f"{'x' * 64}... (200000 characters)" in err
+
     def test_missing_file_exits_2(self, capsys):
         assert cli(["validate", "/nonexistent/x.pl"]) == 2
 
@@ -146,6 +162,12 @@ class TestCongruencesQuotient:
     def test_quotient_bad_classes_exit_2(self, fig9_file, capsys):
         assert cli(["quotient", fig9_file, "--classes", "a|q"]) == 2
         assert capsys.readouterr().err == "error: line 1, col 3: unknown label 'q' in partition\n"
+
+    def test_quotient_long_class_label_is_clipped(self, fig9_file, capsys):
+        assert cli(["quotient", fig9_file, "--classes", "a|" + "q" * 200_000]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: line 1, col 3: unknown label "
+                       f"'{'q' * 64}... (200000 characters)' in partition\n")
 
 
 class TestIso:

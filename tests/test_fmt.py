@@ -52,6 +52,15 @@ class TestParse:
         assert "unknown label 'q'" in str(err.value)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("size, quoted", [
+        (64, "q" * 64),
+        (65, "q" * 64 + "... (65 characters)"),
+    ])
+    def test_unknown_label_is_quoted_whole_up_to_64_characters(self, size, quoted):
+        with pytest.raises(SemanticError) as err:
+            parse(f"plattice\nelements a b\njoin a b = {'q' * size}\n")
+        assert str(err.value) == f"line 3, col 12: unknown label {quoted!r}"
+
     def test_comments_and_blanks_ignored(self):
         doc = parse("# header comment\nposet\n\nelements a b # trailing\nrel a<b\n")
         assert doc.labels == ("a", "b")
@@ -184,6 +193,16 @@ class TestParsePartition:
     def test_repeated_label(self):
         with pytest.raises(SemanticError):
             parse_partition("a|a b", ("a", "b"))
+
+    def test_long_labels_are_clipped(self):
+        long = "b" * 100
+        clipped = "b" * 64 + "... (100 characters)"
+        with pytest.raises(SemanticError) as err:
+            parse_partition(f"a {long}|{long}", ("a", long))
+        assert str(err.value) == f"line 1, col 104: label {clipped!r} appears twice in partition"
+        with pytest.raises(SemanticError) as err:
+            parse_partition(f"a|{long}", ("a", "b"))
+        assert str(err.value) == f"line 1, col 3: unknown label {clipped!r} in partition"
 
     def test_roundtrip_with_render(self, fig9):
         p = parse_partition("a|b d|c", fig9.labels)

@@ -6,6 +6,7 @@ replaced (``tests/oracles.py``), past the enumerated corpus."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,9 @@ from partlat import (
     is_congruence_on_partial,
     is_plos,
     make_poset,
+    build,
     named_lattice,
+    parse,
     quotient,
     quotient_join_case,
     quotient_join_cases,
@@ -47,6 +50,7 @@ from oracles import (
     extrema_rows,
     from_plos_loops,
     generate_congruence_worklist,
+    irreducibles_below_gather,
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
@@ -166,6 +170,50 @@ def test_extrema_memory_is_bounded_by_blocks():
     assert peak < 16 * 2**20  # two 4 MB temporaries plus the 1.6 MB of output
     want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
     assert np.array_equal(tables, np.stack((want, want))) and not missing.any()
+
+
+def parsed_lattice(kind, n):
+    """A chain of n elements, M with n - 2 atoms, or n glued copies of N5,
+    parsed from its document."""
+    if kind == "chain":
+        labels = [f"c{i}" for i in range(n)]
+        rels = [f"c{i}<c{i + 1}" for i in range(n - 1)]
+    elif kind == "M":
+        labels = ["z", *(f"a{i}" for i in range(n - 2)), "u"]
+        rels = [f"{lo}<{hi}" for a in labels[1:-1] for lo, hi in (("z", a), (a, "u"))]
+    else:  # b_i < x_i < z_i < b_i+1 and b_i < y_i < b_i+1: z_i D x_i and z_i D y_i
+        labels = ["b0", *(f"{v}{i + (v == 'b')}" for i in range(n) for v in "xzyb")]
+        rels = [f"{lo}{i}<{hi}{j}" for i in range(n)
+                for lo, hi, j in (("b", "x", i), ("x", "z", i), ("z", "b", i + 1),
+                                  ("b", "y", i), ("y", "b", i + 1))]
+    text = "poset\nelements " + " ".join(labels) + "\n" + "".join(f"rel {r}\n" for r in rels)
+    return validate_lattice(build(parse(text)))
+
+
+@pytest.mark.parametrize("lat", [
+    *(named_lattice("chain", k) for k in (1, 2, 8, 128)),
+    *(named_lattice("boolean", k) for k in range(1, 8)),
+    *(named_lattice("M", k) for k in (2, 3, 12, 126)),
+    named_lattice("N5"),
+    parsed_lattice("chain", 170),  # two blocks of q
+    parsed_lattice("M", 170),
+    parsed_lattice("N5", 50),  # two blocks, and D is not symmetric
+], ids=lambda lat: f"{lat.n}-{int(lat.leq.sum())}")
+def test_irreducibles_below_matches_one_gather(lat):
+    assert np.array_equal(lat.irreducibles.below, irreducibles_below_gather(lat))
+
+
+def test_irreducibles_memory_is_bounded_by_blocks():
+    lat = parsed_lattice("chain", 300)  # 7 blocks short of one 27 MB gather
+    lat.poset.covers
+    tracemalloc.start()
+    try:
+        below = lat.irreducibles.below
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # three 4 MB temporaries at once
+    assert np.array_equal(below, np.eye(299, dtype=bool))  # Con of a chain is Boolean
 
 
 @given(st.one_of(boolean4_suborders(), random_posets()))

@@ -47,3 +47,21 @@ def test_every_oracle_is_used():
     for name, node in defined.items():
         used |= names(node) - {name}
     assert sorted(defined.keys() - used) == []
+
+
+def test_sweep_uses_no_per_congruence_route():
+    # The sweep checks every congruence of a structure in one stacked pass;
+    # these per-congruence functions are its reference, not its route, so
+    # verify.py neither imports nor names them.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    per_congruence = {"quotient_extension_iso", "lattice_quotient", "extend_hom",
+                      "restrict_hom", "canonical_projection"}
+    assert named & per_congruence == set()

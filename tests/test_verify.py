@@ -1,21 +1,34 @@
+import dataclasses
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import congruence_law_per_witness
 
 from partlat import (
     UNDEF,
     CongruenceWitness,
+    Lattice,
+    PartialLattice,
     Partition,
     antichain,
+    build,
+    con_is_closed_under_meets,
     congruence,
     enumerate_partial_lattices,
     from_lattice,
+    morphism,
     named_lattice,
+    parse,
+    quotient,
     verify,
     verify_corpus,
 )
-from partlat.verify import structure_checks
+from partlat.errors import InvariantError
+from partlat.verify import congruence_law, structure_checks
 
 
 def test_raising_law_keeps_its_traceback(monkeypatch, fig4):
@@ -86,31 +99,197 @@ def test_assigned_congruences_reach_both_halves_of_the_sweep(forged, detail):
     assert results["congruences"] == (False, detail)
 
 
-def test_sweep_generates_no_congruence(monkeypatch):
+def count_calls(monkeypatch, home, *names):
+    """Counts the calls of each named function of ``home``, made through any
+    ``partlat`` namespace that holds it."""
     calls = Counter()
-    for name in ("generate_congruence", "is_congruence_on_partial"):
-        original = getattr(congruence, name)
+    for name in names:
+        original = getattr(home, name)
 
-        def counted(*args, name=name, original=original):
+        def counted(*args, name=name, original=original, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("partlat") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_generates_no_congruence(monkeypatch):
+    calls = count_calls(monkeypatch, congruence, "generate_congruence", "is_congruence_on_partial")
     checked, failures = verify_corpus(4)
     assert (checked, failures) == (23, [])
     assert calls == {}
 
 
-def test_join_case_disagreement_is_reported(monkeypatch, fig9):
-    real = verify.quotient_join_cases
+def test_sweep_builds_one_quotient_per_congruence(monkeypatch):
+    # The exchange law and the projection are read off stacked tables: the
+    # per-congruence functions are the reference, not the sweep's route.
+    calls = count_calls(monkeypatch, congruence, "quotient", "lattice_quotient")
+    calls.update(count_calls(monkeypatch, morphism, "quotient_extension_iso", "extend_hom",
+                             "restrict_hom", "canonical_projection"))
+    checked, failures = verify_corpus(4)
+    assert (checked, failures) == (23, [])
+    congruences = sum(len(lat.congruences) for lat in enumerate_partial_lattices(4))
+    assert calls == {"quotient": congruences}
 
-    def off_by_one(lat, e, witness=None):
-        table = real(lat, e, witness=witness).copy()
-        table[0, 1] = table[1, 0] = UNDEF if table[0, 1] != UNDEF else 0
+
+def test_join_case_disagreement_is_reported(monkeypatch, fig9):
+    real = verify.join_case_stack
+
+    def off_by_one(lat, block_of, alpha):
+        table = real(lat, block_of, alpha)
+        table[:, 0, 1] = table[:, 1, 0] = np.where(table[:, 0, 1] != UNDEF, UNDEF, 0)
         return table
 
-    monkeypatch.setattr(verify, "quotient_join_cases", off_by_one)
+    monkeypatch.setattr(verify, "join_case_stack", off_by_one)
     results = {name: (ok, detail) for name, ok, detail in structure_checks(fig9)}
     assert results["congruences"] == (False, "join case disagrees with table at [0],[1]")
+
+
+def per_witness_law(lat):
+    """The congruence law checked one congruence at a time, then the meets."""
+    kept = {w.restriction: w for w in lat.congruence_witnesses}
+    for e in lat.congruences:
+        ok, detail = congruence_law_per_witness(lat, e, kept.get(e))
+        if not ok:
+            return False, detail
+    if not con_is_closed_under_meets(lat):
+        return False, "congruence set not closed under refinement"
+    return True, ""
+
+
+def law_outcome(law, lat):
+    """The law's (ok, detail), or the type and message of what it raised."""
+    try:
+        return law(lat)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def with_quotient(w, quot):
+    """A copy of witness ``w`` whose quotient is ``quot``."""
+    w = dataclasses.replace(w)
+    w.__dict__["quot"] = quot
+    return w
+
+
+def with_dual_extension(quot):
+    """``quot`` with the join and meet of its (L/E)* swapped."""
+    star = quot.extension.star
+    quot.__dict__["extension"] = dataclasses.replace(
+        quot.extension, star=Lattice(star.poset, star.meet, star.join))
+    return quot
+
+
+def forge_quotients(lat, forgeries):
+    """``lat`` with the quotient of each congruence at a listed position
+    forged: "swap" swaps the join and meet of L/E, "dual" those of (L/E)*."""
+    witnesses = list(lat.congruence_witnesses)
+    for i, kind in forgeries.items():
+        quot = quotient(lat, witnesses[i].restriction)
+        quot = (PartialLattice(quot.labels, quot.meet, quot.join) if kind == "swap"
+                else with_dual_extension(quot))
+        witnesses[i] = with_quotient(witnesses[i], quot)
+    lat.congruence_witnesses = tuple(witnesses)
+    return lat
+
+
+@pytest.mark.parametrize("forgeries, failure", [
+    ({1: "dual", 2: "swap"}, (InvariantError, "quotient extension exchange failed to verify")),
+    ({1: "swap", 2: "dual"}, (False, "join case disagrees with table at [0],[3]")),
+])
+def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries, failure):
+    # The checks on L/E and on (L/E)* run as two stacked stages; the first
+    # congruence that fails either is still the one reported.
+    lat = forge_quotients(PartialLattice(fig9.labels, fig9.join, fig9.meet), forgeries)
+    assert law_outcome(congruence_law, lat) == law_outcome(per_witness_law, lat) == failure
+
+
+@pytest.mark.parametrize("lat, index, theta", [
+    # One class too many: the map into L*/theta is injective and keeps both
+    # operations, but misses a class.
+    (antichain(2), 0, [0, 1, 1, 1]),
+    # As many classes as (L/E)* has elements, but two of them share one.
+    (build(parse("plattice\nelements a b c\njoin b c = c\nmeet b c = b\n")), 1, [0, 0, 1, 2, 3]),
+])
+def test_exchange_law_needs_a_bijection(lat, index, theta):
+    # theta is no congruence here, so the exchange check is called alone.
+    w = lat.congruence_witnesses[index]
+    laws = verify._extension_laws(lat, [w.restriction], [w.quot.extension],
+                                  np.array([w.restriction.block_of]), np.array([theta]),
+                                  np.array([False]))
+    assert [bool(mask[0]) for mask, _ in laws] == [False, True]
+
+
+FORGERIES = ("merge", "permute", "swap", "not_congruence", "quotient", "meet", "dual",
+             "drop_witness", "drop", "extra", "subset")
+
+
+@st.composite
+def forged(draw, corpus):
+    """A fresh copy of a corpus structure with up to three forgeries applied
+    to its kept witnesses or to its list of congruences. A forged quotient
+    is a corpus structure with as many elements as e has blocks, or the true
+    quotient with one meet cell toggled, unvalidated, so that the checks past
+    the join cases and an (L/E)* that cannot be built are reached too, or the
+    true quotient with the join and meet of its (L/E)* swapped."""
+    source = draw(st.sampled_from(corpus))
+    lat = PartialLattice(source.labels, source.join, source.meet)
+    witnesses, congruences = list(lat.congruence_witnesses), list(lat.congruences)
+    m = lat.extension.star.n
+    for kind in draw(st.lists(st.sampled_from(FORGERIES), max_size=3)):
+        if kind in ("drop", "extra", "subset"):
+            at = draw(st.integers(0, len(congruences)))
+            if kind == "drop":
+                del congruences[at:at + 1]
+            elif kind == "extra":
+                block_of = draw(st.lists(st.integers(0, lat.n - 1), min_size=lat.n, max_size=lat.n))
+                congruences.insert(at, Partition(block_of))
+            else:
+                keep = draw(st.lists(st.booleans(), min_size=len(congruences),
+                                     max_size=len(congruences)))
+                congruences = [e for e, kept in zip(congruences, keep) if kept]
+            continue
+        if not witnesses:
+            continue
+        i = draw(st.integers(0, len(witnesses) - 1))
+        w = witnesses[i]
+        theta = w.theta.block_of
+        if kind == "merge":
+            a, b = draw(st.lists(st.sampled_from(theta), min_size=2, max_size=2, unique=True)
+                        if len(w.theta.blocks) > 1 else st.just((0, 0)))
+            w = dataclasses.replace(w, theta=Partition([a if x == b else x for x in theta]))
+        elif kind == "permute":
+            perm = draw(st.permutations(range(m)))
+            w = dataclasses.replace(w, theta=Partition([theta[x] for x in perm]))
+        elif kind == "swap":
+            w = dataclasses.replace(w, theta=draw(st.sampled_from(witnesses)).theta)
+        elif kind == "not_congruence":
+            w = dataclasses.replace(w, is_congruence=False)
+        elif kind == "quotient":
+            size = len(w.restriction.blocks)
+            w = with_quotient(w, draw(st.sampled_from([q for q in corpus if q.n == size])))
+        elif kind == "meet":
+            quot = quotient(lat, w.restriction)
+            x, y = draw(st.integers(0, quot.n - 1)), draw(st.integers(0, quot.n - 1))
+            meet = quot.meet.copy()
+            meet[x, y] = meet[y, x] = (draw(st.integers(0, quot.n - 1)) if meet[x, y] == UNDEF
+                                       else UNDEF)
+            w = with_quotient(w, PartialLattice(quot.labels, quot.join, meet))
+        elif kind == "dual":
+            w = with_quotient(w, with_dual_extension(quotient(lat, w.restriction)))
+        if kind == "drop_witness":
+            del witnesses[i]
+        else:
+            witnesses[i] = w
+    lat.congruence_witnesses, lat.congruences = tuple(witnesses), tuple(congruences)
+    return lat
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stacked_law_matches_per_witness_loop(corpus5, data):
+    lat = data.draw(forged(corpus5))
+    assert law_outcome(congruence_law, lat) == law_outcome(per_witness_law, lat)

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, NotACongruence, ensure
+from .errors import BadParameter, InvariantError, NotACongruence, ensure
 from .order import Poset, validate_lattice
 from .plattice import UNDEF, validate_partial_lattice
 
@@ -258,7 +258,9 @@ def con_is_closed_under_meets(lat):
     member of its class. The common refinement of p and q sends x to the
     least element that both relate to x, so it is found for all q at once.
     """
-    block_of = np.array([theta.block_of for theta in lat.congruences])
+    # (0, n) when there is none, so that an empty set is vacuously closed.
+    block_of = np.array([theta.block_of for theta in lat.congruences],
+                        dtype=np.int64).reshape(-1, lat.n)
     same = block_of[:, :, None] == block_of[:, None, :]  # [c, x, y]: c relates x and y
     known = {row.tobytes() for row in same.argmax(axis=2)}
     for p, relates in enumerate(same):
@@ -295,33 +297,55 @@ def quotient(lat, e, witness=None):
 
     A class join is the generated-congruence class of a star join
     intersected with the carrier when that intersection is nonempty,
-    undefined otherwise; meets dually. The class operation is gathered for
-    every carrier pair, so well-definedness is checked rather than assumed,
-    and the result passes the axiom validator.
+    undefined otherwise; meets dually. The tables are ``quotient_stack`` of
+    ``e`` alone, so well-definedness is checked rather than assumed, and the
+    result passes the axiom validator.
     """
     w = _require_congruence(lat, e, witness)
-    star = w.extension.star
-    n = lat.n
-    block_of = np.array(e.block_of)
     theta = np.array(w.theta.block_of)
-    # The carrier is the prefix of the star, so a theta-class meets it exactly
-    # when its least member lies in it; cls[k] is that member's block of e.
-    least = np.array([block[0] for block in w.theta.blocks])
-    in_carrier = least < n
-    cls = np.full(len(least), UNDEF, dtype=np.int64)
-    cls[in_carrier] = block_of[least[in_carrier]]
-    # Each class meets the carrier inside one block: theta on 0..n-1 refines e.
-    ensure((cls[theta[:n]] == block_of).all(), "class must hit one block")
-    reps = np.array([block[0] for block in e.blocks])
-    labels = tuple(f"[{lat.labels[r]}]" for r in reps)
-    tables = []
-    for table in (star.join, star.meet):
-        cell = cls[theta[table[:n, :n]]]
-        out = cell[reps[:, None], reps]
-        ensure((cell == out[block_of[:, None], block_of]).all(),
-               "class operation depends on representatives")
-        tables.append(out)
-    return validate_partial_lattice(labels, *tables)
+    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
+    join, meet, reps, errors = quotient_stack(lat, np.array([e.block_of]), least[None])
+    if errors[0] is not None:
+        raise errors[0]
+    labels = tuple(f"[{lat.labels[r]}]" for r in reps[0])
+    return validate_partial_lattice(labels, join[0], meet[0])
+
+
+def quotient_stack(lat, block_of, least):
+    """The class tables of ``quotient`` for k congruences at once.
+
+    ``block_of`` holds the block arrays of the congruences, k x n, and
+    ``least`` the least member of the class of each star element under the
+    congruence each generates on the extension, k x |L*|. Returns the class
+    join and meet tables, k x s x s for the largest block count s and UNDEF
+    past each row's blocks; the least member of each block, k x s and UNDEF
+    past them; and for each row the InvariantError that ``quotient`` raises,
+    or None. Every carrier pair is gathered, not only the representatives.
+    """
+    star = lat.extension.star
+    n, k = lat.n, len(block_of)
+    r = np.arange(k)[:, None, None, None]
+    # The carrier is the prefix of the star, so a class meets it exactly when
+    # its least member lies in it; cls[i, x] is that member's block of e_i.
+    blocks = np.full((k, star.n), UNDEF)
+    blocks[:, :n] = block_of
+    cls = blocks[r[:, 0, 0], least]
+    hit = (cls[:, :n] == block_of).all(1)
+    # [i, op, a, b]: the block of e_i that a . b's class meets, with an extra
+    # last row and column of UNDEF, which the UNDEF of a missing block reads.
+    cell = np.full((k, 2, n + 1, n + 1), UNDEF)
+    for side, table in enumerate((star.join, star.meet)):
+        cell[:, side, :n, :n] = cls[r[:, 0], table[:n, :n]]
+    members = block_of[:, None, :] == np.arange(block_of.max() + 1)[:, None]
+    reps = np.where(members.any(2), members.argmax(2), UNDEF)
+    op = np.arange(2)[:, None, None]
+    out = cell[r, op, reps[:, None, :, None], reps[:, None, None, :]]
+    depends = (cell[:, :, :n, :n]
+               != out[r, op, block_of[:, None, :, None], block_of[:, None, None, :]]).any((1, 2, 3))
+    errors = [InvariantError("class must hit one block") if not ok else
+              InvariantError("class operation depends on representatives") if bad else None
+              for ok, bad in zip(hit, depends)]
+    return out[:, 0], out[:, 1], reps, errors
 
 
 def quotient_join_cases(lat, e, witness=None):

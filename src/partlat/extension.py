@@ -1,19 +1,13 @@
 """Two-point and one-point extensions of partial lattices."""
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .order import (BOTTOM_LABEL, TOP_LABEL, Lattice, Poset, _frozen, sink_table,
-                    validate_lattice)
-from .plattice import (
-    BOTH_PARTIAL,
-    BOTH_TOTAL,
-    JOIN_PARTIAL,
-    MEET_PARTIAL,
-    PartialLattice,
-    is_total,
-)
+from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Lattice, Poset, _frozen, lattice_stack,
+                    sink_table)
+from .plattice import BOTH_TOTAL, PartialLattice, is_total
 
 ONE_POINT_LABEL = "c*"
 
@@ -49,31 +43,55 @@ def two_point_extension(lat):
 
     A bottom is adjoined exactly when the meet table has gaps and a top
     exactly when the join table does; the star operations are sup and inf in
-    the extended order.
+    the extended order. This is ``extension_stack`` of ``lat`` alone.
     """
-    totality = is_total(lat)
-    add_bottom = totality in (MEET_PARTIAL, BOTH_PARTIAL)
-    add_top = totality in (JOIN_PARTIAL, BOTH_PARTIAL)
-    base = lat.order
-    n = lat.n
-    m = n + add_bottom + add_top
-    labels = list(lat.labels)
-    bottom = top = None
-    if add_bottom:
-        bottom = n
-        labels.append(BOTTOM_LABEL)
-    if add_top:
-        top = n + 1 if add_bottom else n
-        labels.append(TOP_LABEL)
-    leq = np.zeros((m, m), dtype=bool)
-    leq[:n, :n] = base.leq
-    np.fill_diagonal(leq, True)
-    if bottom is not None:
-        leq[bottom, :] = True
-    if top is not None:
-        leq[:, top] = True
-    star = validate_lattice(Poset(labels, leq))
-    return Extension(lat, star, bottom, top)
+    x = extension_stack(lat.join[None], lat.meet[None], np.array([lat.n]))
+    if x.errors[0] is not None:
+        raise x.errors[0]
+    bottom, top = (None if bound == UNDEF else int(bound) for bound in (x.bottom[0], x.top[0]))
+    labels = (lat.labels + (BOTTOM_LABEL,) * (bottom is not None)
+              + (TOP_LABEL,) * (top is not None))
+    return Extension(lat, Lattice(Poset(labels, x.leq[0]), x.join[0], x.meet[0]), bottom, top)
+
+
+# Two-point extensions of a stack of partial lattices, padded to one size:
+# their orders, sup and inf tables, sizes, the adjoined bottom and top of
+# each (UNDEF where none is adjoined), and for each the NotALattice that
+# its order raises, or None.
+ExtensionStack = namedtuple("ExtensionStack", "leq join meet sizes bottom top errors")
+
+
+def extension_stack(join, meet, sizes):
+    """``two_point_extension`` of k partial lattices at once.
+
+    Row i of the k x s x s ``join`` and ``meet`` holds a partial lattice on
+    0..sizes[i]-1, and UNDEF in the cells past it. Its extension adjoins a
+    bottom exactly when its meet has a gap, and a top exactly when its join
+    has one, placed as ``two_point_extension`` places them: the carrier,
+    then the bottom, then the top. Each row is padded to the largest
+    extension with elements related only to themselves, so the sup and inf
+    of every other pair are those of the row's own extension.
+    """
+    k, s = join.shape[:2]
+    # A table has a gap when fewer than sizes^2 of its cells are defined.
+    has_bottom, has_top = ((np.concatenate((meet, join)) != UNDEF).reshape(2, k, -1).sum(2)
+                           < sizes * sizes)
+    star_sizes = sizes + has_bottom + has_top
+    m = max(s, int(star_sizes.max()))
+    leq = np.zeros((k, m, m), dtype=bool)
+    leq[:, :s, :s] = join == np.arange(s)  # the induced order: x v y = y
+    leq.reshape(k, -1)[:, :: m + 1] = True
+    bottom, top = np.full(k, UNDEF), np.full(k, UNDEF)
+    rows = zip(sizes.tolist(), star_sizes.tolist(), has_bottom.tolist(), has_top.tolist())
+    for i, (n, star, low, high) in enumerate(rows):
+        if low:
+            bottom[i] = n
+            leq[i, n, :star] = True
+        if high:
+            top[i] = star - 1
+            leq[i, :star, star - 1] = True
+    (star_join, star_meet), errors = lattice_stack(leq, star_sizes)
+    return ExtensionStack(leq, star_join, star_meet, star_sizes, bottom, top, errors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,20 @@ def first_true(mask):
     return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
 
 
+def first_true_rows(mask):
+    """{row: index tuple of its first True cell in row-major order} for each
+    row of ``mask`` along its leading axis that has one: one ``first_true``
+    per such row, and one more."""
+    found, start = {}, 0
+    while start < len(mask):
+        cell = first_true(mask[start:])
+        if cell is None:
+            break
+        found[start + cell[0]] = cell[1:]
+        start += cell[0] + 1
+    return found
+
+
 def _check_labels(labels):
     if not labels:
         raise BadParameter("carrier must be nonempty")
@@ -179,35 +193,50 @@ class PlosReport:
 
 
 def extrema(p):
-    """Sup and inf of every pair of ``p``, broadcast over blocks of pairs.
+    """Sup and inf of every pair of ``p``: ``extrema_stack`` of its order
+    alone. Returns ``(tables, missing)``, each 2 x n x n."""
+    tables, missing = extrema_stack(p.leq[None])
+    return tables[:, 0], missing[:, 0]
 
-    Returns ``(tables, missing)``, each 2 x n x n: ``tables`` holds the sup
-    and the inf table, UNDEF where there is none, and ``missing`` the pairs
-    whose nonempty upper or lower bound set has no extremum.
+
+def extrema_stack(leq):
+    """Sup and inf of every pair of each order of a k x n x n stack,
+    broadcast over blocks of (order, rows a).
+
+    Returns ``(tables, missing)``, each 2 x k x n x n: ``tables`` holds the
+    sup and the inf table, UNDEF where there is none, and ``missing`` the
+    pairs whose nonempty upper or lower bound set has no extremum.
 
     x is least in U(a, b) exactly when U(a, b) is the up-set of x, and since
     that up-set lies inside U(a, b) whenever x does, exactly when both sets
     have the same size; dually for L(a, b). Both sides are scanned together.
-    The bound sets of a block of rows a are one 2 x rows x n x n boolean
+    The bound sets of a block are one 2 x orders x rows x n x n boolean
     array, and the size test is folded into it in place, so at most two such
-    arrays are alive at once. A block holds at most 2^21 / n^2 rows, so each
-    array stays within 4 MB (2 n^2 bytes past n = 1448), and every carrier
-    up to n = 128 is one block.
+    arrays are alive at once. A block holds at most 2^21 / n^2 pairs of an
+    order and a row a: whole orders while n^3 fits, else rows of one order.
+    So each array stays within 4 MB (2 n^2 bytes past n = 1448), and every
+    order up to n = 128 is one block.
     """
-    n = p.n
-    rel = np.stack((p.leq, p.leq.T))  # rel[0][a, x]: a <= x; rel[1][a, x]: x <= a
-    sizes = rel.sum(2)[:, None, None, :]  # sizes of the up-set and the down-set of x
-    tables = np.empty((2, n, n), dtype=np.int64)
-    missing = np.empty((2, n, n), dtype=bool)
+    k, n = leq.shape[:2]
+    # rel[0, i, a, x]: a <= x in order i; rel[1, i, a, x]: x <= a
+    rel = np.empty((2, k, n, n), dtype=bool)
+    rel[0], rel[1] = leq, leq.transpose(0, 2, 1)
+    sizes = rel.sum(3)[:, :, None, None, :]  # sizes of the up-set and the down-set of x
+    tables = np.empty((2, k, n, n), dtype=np.int64)
+    missing = np.empty((2, k, n, n), dtype=bool)
     step = max(1, 2**21 // max(1, n * n))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        bounds = rel[:, rows, None, :] & rel[:, None, :, :]  # [side, a, b, x]: x bounds a and b
-        count = bounds.sum(3)
-        bounds &= count[..., None] == sizes  # now: x is the extremum of the bound set
-        found = bounds.any(3)
-        tables[:, rows] = np.where(found, bounds.argmax(3), UNDEF)
-        missing[:, rows] = (count > 0) & ~found
+    per_block = max(1, step // max(1, n))
+    for first in range(0, k, per_block):
+        orders = slice(first, first + per_block)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            # [side, i, a, b, x]: x bounds a and b
+            bounds = rel[:, orders, rows, None, :] & rel[:, orders, None, :, :]
+            count = bounds.sum(4)
+            bounds &= count[..., None] == sizes[:, orders]  # now: x is the extremum
+            found = bounds.any(4)
+            tables[:, orders, rows] = np.where(found, bounds.argmax(4), UNDEF)
+            missing[:, orders, rows] = (count > 0) & ~found
     return tables, missing
 
 
@@ -291,11 +320,23 @@ class Lattice(Carrier):
 
 def validate_lattice(p):
     """Totalize sup and inf over ``p``, failing at the first pair without both."""
-    tables, _ = extrema(p)
-    pair = first_true(np.triu((tables == UNDEF).any(0)))
-    if pair is not None:
-        raise NotALattice(pair)
-    return Lattice(p, *tables)
+    tables, errors = lattice_stack(p.leq[None], np.array([p.n]))
+    if errors[0] is not None:
+        raise errors[0]
+    return Lattice(p, *tables[:, 0])
+
+
+def lattice_stack(leq, sizes):
+    """``validate_lattice`` over a k x n x n stack of orders, the order of
+    row i on 0..sizes[i]-1 and its other elements related to nothing else.
+
+    Returns the sup and inf tables, 2 x k x n x n, and for each row the
+    NotALattice that ``validate_lattice`` raises on its order, or None.
+    """
+    tables, _ = extrema_stack(leq)
+    # Each row's gaps are symmetric, so the first lies on or above the diagonal.
+    gaps = [first_true(gap[:n, :n]) for gap, n in zip((tables == UNDEF).any(0), sizes.tolist())]
+    return tables, [None if pair is None else NotALattice(pair) for pair in gaps]
 
 
 # Largest carrier a named lattice may have, so ``boolean 7`` is the largest
@@ -349,21 +390,35 @@ def sink_table(t):
 
 
 def first_mismatch(n, lhs, rhs, strong=True):
-    """First (x, y, z) in row-major order where two compound terms differ.
+    """First (x, y, z) in row-major order where two compound terms differ:
+    ``first_mismatches`` of one row. ``lhs(x)`` and ``rhs(x)`` give n x n
+    values over (y, z) as sink indices."""
+    return first_mismatches(1, n, lhs, rhs, strong)[0]
 
-    ``lhs(x)`` and ``rhs(x)`` give a term's n x n values over (y, z) as sink
-    indices. Weak mode compares only where both are defined; strong mode
-    also counts a difference in definedness.
+
+def first_mismatches(k, n, lhs, rhs, strong=True):
+    """For each of k rows, the first (x, y, z) in row-major order where two
+    compound terms differ, or None.
+
+    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z) as sink
+    indices, k x n x n (n x n when k is 1), one x at a time, so each
+    temporary is O(k n^2). Weak mode compares only where both are defined;
+    strong mode also counts a difference in definedness. The scan stops
+    once every row has one.
     """
+    found = [None] * k
     for x in range(n):
+        if None not in found:
+            break
         left, right = lhs(x), rhs(x)
         differ = left != right
         if not strong:
             differ &= (left < n) & (right < n)
-        yz = first_true(differ)
-        if yz is not None:
-            return (x, *yz)
-    return None
+        if first_true(differ) is None:  # no row differs at this x
+            continue
+        for i, cell in first_true_rows(differ.reshape(k, -1, differ.shape[-1])).items():
+            found[i] = found[i] or (x, *cell)
+    return found
 
 
 def distributive_mismatch(jn, mt, strong=True):

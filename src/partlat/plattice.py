@@ -20,8 +20,9 @@ from .order import (
     _frozen,
     distributive_mismatch,
     extrema,
-    first_mismatch,
+    first_mismatches,
     first_true,
+    first_true_rows,
     plos_report,
     sink_table,
 )
@@ -99,9 +100,8 @@ def _as_table(n, table):
 def validate_partial_lattice(labels, join, meet):
     """Check the partial lattice axioms and return the validated structure.
 
-    Checks run cheapest first: strong idempotency, strong commutativity, the
-    duality conditions, then strong associativity. The first violated axiom
-    is reported with a witness tuple.
+    The tables are checked by ``axiom_violations`` as a stack of one, and
+    its violation, if any, is raised.
     """
     labels = tuple(labels)
     _check_labels(labels)
@@ -111,27 +111,63 @@ def validate_partial_lattice(labels, join, meet):
     for t, name in ((jt, "join"), (mt, "meet")):
         if t.shape != (n, n):
             raise BadParameter(f"{name} table shape does not match carrier")
-        cell = first_true((t < UNDEF) | (t >= n))
-        if cell is not None:
-            raise BadParameter(f"{name}[{cell[0]},{cell[1]}] is not an element index")
-    idx = np.arange(n)
-    cell = first_true((jt.diagonal() != idx) | (mt.diagonal() != idx))
-    if cell is not None:
-        raise AxiomViolation("idempotency", cell, labels[cell[0]])
-    pair = first_true(np.triu((jt != jt.T) | (mt != mt.T), 1))
-    if pair is not None:
-        raise AxiomViolation("commutativity", pair)
-    join_dual = (jt == idx[:, None]) & (mt != idx)
-    pair = first_true(join_dual | ((mt == idx[:, None]) & (jt != idx)))
-    if pair is not None:
-        raise AxiomViolation("duality", pair, "join gives i but meet is not j"
-                             if join_dual[pair] else "meet gives i but join is not j")
-    for t, name in ((jt, "join"), (mt, "meet")):
-        s = sink_table(t)  # (x . y) . z against x . (y . z)
-        triple = first_mismatch(n, lambda x: s[s[x, :n], :n], lambda x: s[x][s[:n, :n]])
-        if triple is not None:
-            raise AxiomViolation("associativity", triple, name)
+    error = axiom_violations(lambda i, x: labels[x], jt[None], mt[None], np.array([n]))[0]
+    if error is not None:
+        raise error
     return PartialLattice(labels, jt, mt)
+
+
+def axiom_violations(label, join, meet, sizes):
+    """The partial lattice axioms over a stack: for each row i of the
+    k x s x s ``join`` and ``meet``, whose carrier is 0..sizes[i]-1 and
+    whose cells past it hold UNDEF, the first violation as an exception, or
+    None.
+
+    Checks run cheapest first: every cell an element index, strong
+    idempotency, strong commutativity, the duality conditions, then strong
+    associativity of the join and of the meet. The first violated axiom is
+    reported with a witness tuple; ``label(i, x)`` names x in row i.
+    Associativity scans one x at a time, and only the rows still passing.
+    """
+    k, s = join.shape[:2]
+    idx = np.arange(s)
+    errors = [None] * k
+
+    def record(mask, error):
+        for i, cell in first_true_rows(mask).items():
+            errors[i] = errors[i] or error(i, cell)
+
+    for t, name in ((join, "join"), (meet, "meet")):
+        record((t < UNDEF) | (t >= sizes[:, None, None]), lambda i, cell: BadParameter(
+            f"{name}[{cell[0]},{cell[1]}] is not an element index"))
+    diagonals = (join.diagonal(0, 1, 2) != idx) | (meet.diagonal(0, 1, 2) != idx)
+    record((idx < sizes[:, None]) & diagonals,
+           lambda i, cell: AxiomViolation("idempotency", cell, label(i, cell[0])))
+    # The mask is symmetric and false on the diagonal, so its first cell lies
+    # above the diagonal.
+    record((join != join.transpose(0, 2, 1)) | (meet != meet.transpose(0, 2, 1)),
+           lambda i, pair: AxiomViolation("commutativity", pair))
+    join_dual = (join == idx[:, None]) & (meet != idx)
+    record(join_dual | ((meet == idx[:, None]) & (join != idx)), lambda i, pair: AxiomViolation(
+        "duality", pair, "join gives i but meet is not j" if join_dual[i][pair]
+        else "meet gives i but join is not j"))
+    for t, name in ((join, "join"), (meet, "meet")):
+        rows = [i for i in range(k) if errors[i] is None]
+        # (x . y) . z against x . (y . z). Each table gains a last row and
+        # column of UNDEF, which index -1 reads, so a term through an
+        # undefined cell stays UNDEF. The tables are read as one flat table
+        # in which row y of table r is row r * (s + 1) + y; there UNDEF reads
+        # the extra row or column of the table before, which is UNDEF too.
+        ext = np.full((len(rows), s + 1, s + 1), UNDEF)
+        ext[:, :s, :s] = t.take(rows, axis=0)
+        flat = ext.reshape(-1, s + 1)
+        at = ext + np.arange(0, len(flat), s + 1)[:, None, None]
+        triples = first_mismatches(len(rows), s, lambda x: flat.take(at[:, x], axis=0),
+                                   lambda x: ext[:, x].ravel().take(at))
+        for i, triple in zip(rows, triples):
+            if triple is not None:
+                errors[i] = AxiomViolation("associativity", triple, name)
+    return errors
 
 
 def induced_order(lat):

@@ -6,9 +6,10 @@ input format so they can be replayed from the command line.
 
 The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
 to L*/theta(E), is checked for all congruences of a structure at once: the
-kept witnesses are stacked, and each check is one gather or broadcast over
-the stack. The per-congruence functions of ``congruence`` and ``morphism``
-stay the reference for it.
+kept witnesses are stacked, L/E and (L/E)* of all of them are built as
+padded stacks of tables, and each check is one gather or broadcast over
+the stack. The per-congruence functions of ``congruence``, ``extension``
+and ``morphism`` stay the reference for it.
 """
 
 import traceback
@@ -17,14 +18,16 @@ from itertools import takewhile
 import numpy as np
 
 from . import fmt
-from .congruence import _require_congruence, con_is_closed_under_meets, join_case_stack
+from .congruence import con_is_closed_under_meets, join_case_stack, quotient_stack
 from .enumeration import enumerate_partial_lattices
-from .errors import InvariantError
+from .errors import InvariantError, NotACongruence
+from .extension import ExtensionStack, extension_stack
 from .morphism import NOT_HOM, _classify
 from .order import first_true, is_plos
 from .plattice import (
     BOTH_TOTAL,
     UNDEF,
+    axiom_violations,
     check_absorption,
     from_lattice,
     is_total,
@@ -74,24 +77,14 @@ def _check_extension(lat):
     return True, ""
 
 
-def _stack(tables, size):
-    """Square tables of at most ``size`` rows, zero-padded into one array."""
-    out = np.zeros((len(tables), size, size), dtype=tables[0].dtype)
-    for padded, table in zip(out, tables):
-        padded[: len(table), : len(table)] = table
-    return out
-
-
-def _until_raise(build, items):
-    """``build`` of each item in turn, up to the first that raises, and that
-    exception (None when none does)."""
-    built = []
-    for item in items:
-        try:
-            built.append(build(item))
-        except Exception as exc:  # reported once the congruences before it pass
-            return built, exc
-    return built, None
+def _until_error(*errors):
+    """The number of rows before the first one with an error in any of the
+    per-row ``errors`` lists, and that row's first error (None if none)."""
+    for i, row in enumerate(zip(*errors)):
+        error = next((e for e in row if e is not None), None)
+        if error is not None:
+            return i, error
+    return len(errors[0]), None
 
 
 def _first_failure(laws, congruences):
@@ -133,18 +126,23 @@ def _generated(lat, block_of, theta, least):
     return ok & (closed == (theta[:, irr.members] == theta[:, irr.lower])).all(1)
 
 
-def _quotient_laws(lat, quots, block_of, theta, least):
-    """The laws on L/E: join cases, upper bounds, and the projection, which
-    is a homomorphism, closed exactly when the adjoined bounds are singleton
-    classes. The projection is e's block map, so its kernel is e."""
+def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
+    """The laws on the stacked L/E tables: join cases, upper bounds, and the
+    projection, which is a homomorphism, closed exactly when the adjoined
+    bounds are singleton classes. The projection is e's block map, so its
+    kernel is e.
+
+    The order of L/E is read from its meet table, the join cases from its
+    join table. On a partial lattice both give one order (duality), and
+    the join cases fix [a] v [c] = [c] for every a <= c of L, so an upper
+    bound of L stays one in L/E: the upper-bound law fails only on tables
+    that are not a partial lattice."""
     ext = lat.extension
-    n, k = lat.n, len(quots)
-    size = max(q.n for q in quots)
-    qjoin, qmeet, qleq = (_stack(tables, size) for tables in zip(
-        *((q.join, q.meet, q.order.leq) for q in quots)))
+    n, k = lat.n, len(qjoin)
     classes = np.arange(k)[:, None, None], block_of[:, :, None], block_of[:, None, :]
     alpha = least[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
     leq = lat.order.leq
+    qleq = qmeet == np.arange(qmeet.shape[1])[:, None]  # x ^ y = x
     broken = extra = False
     for table, qtable in ((lat.join, qjoin), (lat.meet, qmeet)):
         image = qtable[classes]  # [i, a, b]: [a] . [b] in L/E_i
@@ -165,36 +163,34 @@ def _quotient_laws(lat, quots, block_of, theta, least):
     ), closed
 
 
-def _extension_laws(lat, congruences, xs, block_of, theta, closed):
-    """The laws on (L/E)*: a closed projection extends to a homomorphism
-    L* -> (L/E)*, which restricts back to it by construction; and (L/E)* is
-    isomorphic to L*/theta by the map sending block j to the class of its
-    least member and each adjoined bound to the class of L*'s."""
+def _extension_laws(lat, x, reps, block_of, theta, closed):
+    """The laws on the stacked (L/E)* of ``x``, an ExtensionStack: a closed
+    projection extends to a homomorphism L* -> (L/E)*, which restricts back
+    to it by construction; and (L/E)* is isomorphic to L*/theta by the map
+    sending block j to the class of its least member ``reps[:, j]`` and each
+    adjoined bound to the class of L*'s."""
     ext = lat.extension
     star = ext.star
-    n, k = lat.n, len(xs)
+    n, k = lat.n, len(block_of)
     r = np.arange(k)[:, None, None]
-    size = max(x.star.n for x in xs)
-    xjoin, xmeet = (_stack(tables, size)
-                    for tables in zip(*((x.star.join, x.star.meet) for x in xs)))
+    size = x.join.shape[1]
+    pos = np.arange(size)
     # Both maps as arrays, UNDEF where the bound they need is missing.
     lifted = np.zeros((k, star.n), dtype=np.int64)
     lifted[:, :n] = block_of
-    into = np.zeros((k, size), dtype=np.int64)
-    for i, (e, x) in enumerate(zip(congruences, xs)):
-        into[i, : len(e.blocks)] = [block[0] for block in e.blocks]
-        for source, target in ((ext.added_bottom, x.added_bottom), (ext.added_top, x.added_top)):
-            if source is not None:
-                lifted[i, source] = UNDEF if target is None else target
-            if target is not None:
-                into[i, target] = UNDEF if source is None else source
-    valid = np.arange(size) < np.array([x.star.n for x in xs])[:, None]
+    into = np.full((k, size), UNDEF)
+    into[:, : reps.shape[1]] = reps
+    for source, target in ((ext.added_bottom, x.bottom), (ext.added_top, x.top)):
+        if source is not None:
+            lifted[:, source] = target
+        into = np.where(pos == target[:, None], UNDEF if source is None else source, into)
+    valid = pos < x.sizes[:, None]
     pairs = valid[:, :, None] & valid[:, None, :]
     cls = theta[r[:, 0], into]  # the theta-class each element of (L/E)* is sent to
     lifted_hom = ~(lifted == UNDEF).any(1)
-    iso = (theta.max(1) + 1 == valid.sum(1)) & ~((into == UNDEF) & valid).any(1)
+    iso = (theta.max(1) + 1 == x.sizes) & ~((into == UNDEF) & valid).any(1)
     iso &= ~((cls[:, :, None] == cls[:, None, :]) & pairs & ~np.eye(size, dtype=bool)).any((1, 2))
-    for table, xtable in ((star.join, xjoin), (star.meet, xmeet)):
+    for table, xtable in ((star.join, x.join), (star.meet, x.meet)):
         lifted_hom &= (xtable[r, lifted[:, :, None], lifted[:, None, :]]
                        == lifted[:, table]).all((1, 2))
         iso &= ~((cls[r, xtable] != theta[r, table[into[:, :, None], into[:, None, :]]])
@@ -209,14 +205,15 @@ def congruence_law(lat):
     """The quotient machinery over every congruence of ``lat`` in one stacked
     pass, then the closure of the congruence set under meets.
 
-    The kept witnesses are stacked in ``lat.congruences`` order, and each
-    check is one gather or broadcast over all of them. L/E and (L/E)* are
-    still built for each congruence, by ``quotient`` and
-    ``two_point_extension``, so the exchange law compares two independent
-    routes. The failure reported, or the error raised, is the one that
-    checking the congruences one at a time, each check in turn, meets first.
-    Each ``w.quot`` is taken to have one element per block of e, as
-    ``quotient`` builds it.
+    The kept witnesses are stacked in ``lat.congruences`` order. L/E of all
+    of them is one stack of class tables (``quotient_stack``), checked
+    against the axioms as one stack (``axiom_violations``), and their (L/E)*
+    one stack of orders and tables (``extension_stack``); each law is one
+    gather or broadcast over the stack. The exchange law compares (L/E)*,
+    built from the L/E tables alone, with the theta-classes of L*. The
+    failure reported, or the error raised, is the one that checking the
+    congruences one at a time, each check in turn, meets first: an error
+    building row i is raised only once the rows before it pass.
     """
     kept = {w.restriction: w for w in lat.congruence_witnesses}
     witnesses = list(takewhile(lambda w: w is not None, map(kept.get, lat.congruences)))
@@ -227,22 +224,28 @@ def congruence_law(lat):
         unrecognized = first_true(~_generated(lat, block_of, theta, least))
         if unrecognized is not None:
             witnesses = witnesses[: unrecognized[0]]
-    quots, raised = _until_raise(lambda w: _require_congruence(lat, w.restriction, w).quot,
-                                 witnesses)
-    found = lifted_found = lifted_raised = None
-    if quots:
-        k = len(quots)
+    found = lifted_found = raised = lifted_raised = None
+    k = len(witnesses)
+    if witnesses:
+        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of[:k], least[:k])
+        sizes = (reps != UNDEF).sum(1)
+        axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", qjoin, qmeet, sizes)
+        k, raised = _until_error([None if w.is_congruence else NotACongruence(w)
+                                  for w in witnesses], errors, axioms)
+    if k:
         congruences = lat.congruences[:k]
-        laws, closed = _quotient_laws(lat, quots, block_of[:k], theta[:k], least[:k])
+        laws, closed = _quotient_laws(lat, qjoin[:k], qmeet[:k], block_of[:k], theta[:k],
+                                      least[:k])
         found = _first_failure(laws, congruences)
         # Only the congruences before the first failing one reach (L/E)*.
         reach = k if found is None else found[0]
-        xs, lifted_raised = _until_raise(lambda q: q.extension, quots[:reach])
-        if xs:
-            b = len(xs)
-            lifted_found = _first_failure(
-                _extension_laws(lat, congruences, xs, block_of[:b], theta[:b], closed[:b]),
-                congruences)
+        if reach:
+            x = extension_stack(qjoin[:reach], qmeet[:reach], sizes[:reach])
+            b, lifted_raised = _until_error(x.errors)
+            if b:
+                lifted_found = _first_failure(_extension_laws(
+                    lat, ExtensionStack(*(field[:b] for field in x)), reps[:b], block_of[:b],
+                    theta[:b], closed[:b]), congruences)
     for failure, error in ((lifted_found, lifted_raised), (found, raised)):
         if failure is not None:
             if isinstance(failure[1], Exception):
@@ -250,8 +253,8 @@ def congruence_law(lat):
             return False, failure[1]
         if error is not None:
             raise error
-    if len(quots) < len(lat.congruences):
-        return False, f"enumerated congruence not recognized: {lat.congruences[len(quots)]!r}"
+    if k < len(lat.congruences):
+        return False, f"enumerated congruence not recognized: {lat.congruences[k]!r}"
     if not con_is_closed_under_meets(lat):
         return False, "congruence set not closed under refinement"
     return True, ""

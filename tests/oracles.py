@@ -26,6 +26,10 @@ kernel one carrier row at a time, before it became one broadcast, and
 join-case table replaced. ``parse_scanner`` is the text parser that walked
 each line one character at a time, before one anchored match read it.
 
+``two_point_extension_loops`` builds the star order of the extension one
+pair at a time and reads its lattice with ``validate_lattice_loops``, before
+the extensions of many partial lattices became one padded stack.
+
 ``irreducibles_below_gather`` is the dependency order of the
 join-irreducibles read from one gather over all pairs, before that gather
 went over blocks. ``congruence_law_per_witness`` is the congruence law for one congruence, as
@@ -271,6 +275,29 @@ def validate_lattice_loops(p):
             join[a, b] = join[b, a] = sup
             meet[a, b] = meet[b, a] = inf
     return Lattice(p, join, meet)
+
+
+def two_point_extension_loops(lat):
+    """The two-point extension from its definition, as ``(star, bottom,
+    top)``: the induced order, a bottom below every element when some meet
+    is undefined and a top above every element when some join is, each at
+    the index ``two_point_extension`` gives it, and the lattice on that
+    order by ``validate_lattice_loops``."""
+    n = lat.n
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    bottom = n if any(lat.meet[cell] == UNDEF for cell in cells) else None
+    top = n + (bottom is not None) if any(lat.join[cell] == UNDEF for cell in cells) else None
+    labels = lat.labels + ("⊥*",) * (bottom is not None) + ("⊤*",) * (top is not None)
+    m = len(labels)
+    leq = np.eye(m, dtype=bool)
+    for a, b in cells:
+        leq[a, b] |= lat.join[a, b] == b
+    for x in range(m):
+        if bottom is not None:
+            leq[bottom, x] = True
+        if top is not None:
+            leq[x, top] = True
+    return validate_lattice_loops(Poset(labels, leq)), bottom, top
 
 
 def from_plos_loops(p):

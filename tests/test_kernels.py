@@ -40,7 +40,7 @@ from partlat import (
     validate_lattice,
     validate_partial_lattice,
 )
-from partlat.order import extrema
+from partlat.order import extrema, extrema_stack
 
 from oracles import (
     check_absorption_loops,
@@ -170,6 +170,39 @@ def test_extrema_memory_is_bounded_by_blocks():
     assert peak < 16 * 2**20  # two 4 MB temporaries plus the 1.6 MB of output
     want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
     assert np.array_equal(tables, np.stack((want, want))) and not missing.any()
+
+
+@pytest.mark.parametrize("k, n", [(20, 100), (2, 300)])
+def test_extrema_stack_memory_is_bounded_by_blocks(k, n):
+    # Two whole orders per block of 100 elements, and 23 rows of one order
+    # per block of 300: 38 MB and 103 MB as one broadcast.
+    leq = np.broadcast_to(np.eye(n, dtype=bool), (k, n, n)).copy()
+    tracemalloc.start()
+    try:
+        tables, missing = extrema_stack(leq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # two 4 MB temporaries plus at most 3.5 MB of output
+    want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
+    assert (tables == want).all() and not missing.any()
+
+
+def test_validate_partial_lattice_memory_is_bounded_by_rows():
+    # Associativity is scanned one x at a time: a few n^2 temporaries, where
+    # one gather over every triple would take 512 MB.
+    n = 400
+    idx = np.arange(n)
+    join, meet = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    labels = [f"c{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        lat = validate_partial_lattice(labels, join, meet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(lat.join, join) and np.array_equal(lat.meet, meet)
 
 
 def parsed_lattice(kind, n):

@@ -1,0 +1,190 @@
+"""The stacked builders of the congruence sweep against the per-object
+builders that are their one-row case: the L/E class tables of
+``quotient_stack``, the axiom verdicts of ``axiom_violations`` and the (L/E)*
+of ``extension_stack``, row by row against ``quotient`` and
+``two_point_extension``, on the corpus, on random partial lattices past it,
+and on forged stacks."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import extrema_rows, two_point_extension_loops, validate_partial_lattice_loops
+
+from partlat import (
+    UNDEF,
+    PartialLattice,
+    PartlatError,
+    enumerate_partial_lattices,
+    from_plos,
+    is_plos,
+    make_poset,
+    quotient,
+    two_point_extension,
+    validate_partial_lattice,
+)
+from partlat.congruence import quotient_stack
+from partlat.extension import extension_stack
+from partlat.order import extrema_stack
+from partlat.plattice import axiom_violations
+
+CORPUS5 = list(enumerate_partial_lattices(5))
+
+
+def stacks(lat):
+    """The stacked L/E tables, block representatives and build errors, the
+    axiom verdicts and the (L/E)* of every kept witness of ``lat``."""
+    witnesses = lat.congruence_witnesses
+    block_of = np.array([w.restriction.block_of for w in witnesses])
+    theta = np.array([w.theta.block_of for w in witnesses])
+    least = (theta[:, :, None] == theta[:, None, :]).argmax(2)
+    join, meet, reps, errors = quotient_stack(lat, block_of, least)
+    sizes = (reps != UNDEF).sum(1)
+    axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", join, meet, sizes)
+    return join, meet, reps, errors, axioms, extension_stack(join, meet, sizes)
+
+
+def padded(table, size):
+    """``table`` in the top-left of a size x size table of UNDEF."""
+    out = np.full((size, size), UNDEF)
+    out[: len(table), : len(table)] = table
+    return out
+
+
+def assert_rows_match(lat):
+    join, meet, reps, errors, axioms, x = stacks(lat)
+    s, m = join.shape[1], x.join.shape[1]
+    for i, w in enumerate(lat.congruence_witnesses):
+        q = quotient(lat, w.restriction, w)
+        assert errors[i] is None and axioms[i] is None and x.errors[i] is None
+        assert reps[i].tolist() == [b[0] for b in w.restriction.blocks] + [UNDEF] * (s - q.n)
+        assert np.array_equal(join[i], padded(q.join, s))
+        assert np.array_equal(meet[i], padded(q.meet, s))
+        ext = two_point_extension(q)
+        assert x.sizes[i] == ext.star.n
+        assert (x.bottom[i], x.top[i]) == tuple(UNDEF if b is None else b
+                                                for b in (ext.added_bottom, ext.added_top))
+        pad = np.eye(m, dtype=bool)
+        pad[: ext.star.n, : ext.star.n] = ext.star.leq
+        assert np.array_equal(x.leq[i], pad)
+        # A padded element is its own sup and inf, and has none with another.
+        diagonal = np.eye(m, dtype=bool)
+        assert np.array_equal(x.join[i], np.where(diagonal, np.arange(m), padded(ext.star.join, m)))
+        assert np.array_equal(x.meet[i], np.where(diagonal, np.arange(m), padded(ext.star.meet, m)))
+
+
+def test_stacks_match_per_congruence_builders_on_corpus6():
+    for lat in enumerate_partial_lattices(6):
+        assert_rows_match(lat)
+
+
+@st.composite
+def random_partial_lattices(draw):
+    """The partial lattice of a random plos on up to 9 elements."""
+    n = draw(st.integers(1, 9))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    labels = "abcdefghi"[:n]
+    p = make_poset(labels, [(labels[min(a)], labels[max(a)]) for a in arcs if a[0] != a[1]])
+    assume(is_plos(p))
+    return from_plos(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_partial_lattices())
+def test_stacks_match_per_congruence_builders_on_random_plos(lat):
+    assert_rows_match(lat)
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except PartlatError as exc:
+        return type(exc), str(exc)
+
+
+def error_outcome(error):
+    return None if error is None else (type(error), str(error))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forged_stacks_raise_what_each_row_raises(data):
+    # One cell of one row's join or meet is set to another value, possibly
+    # out of range or breaking symmetry; every row must get the verdict that
+    # validate_partial_lattice gives its own tables, and every row that
+    # passes the extension that two_point_extension gives it.
+    lat = data.draw(st.sampled_from([lat for lat in CORPUS5 if len(lat.congruences) > 1]))
+    join, meet, reps, _, _, _ = stacks(lat)
+    sizes = (reps != UNDEF).sum(1)
+    i = data.draw(st.integers(0, len(join) - 1))
+    table = data.draw(st.sampled_from((join, meet)))
+    a, b = (data.draw(st.integers(0, sizes[i] - 1)) for _ in range(2))
+    table[i, a, b] = data.draw(st.integers(UNDEF - 1, sizes[i]))
+    if data.draw(st.booleans()):
+        table[i, b, a] = table[i, a, b]
+    labels = [tuple(f"[{lat.labels[r]}]" for r in row[: n]) for row, n in zip(reps, sizes)]
+    verdicts = axiom_violations(lambda k, x: labels[k][x], join, meet, sizes)
+    x = extension_stack(join, meet, sizes)
+    for k, n in enumerate(sizes):
+        row = (labels[k], join[k, :n, :n], meet[k, :n, :n])
+        want = outcome(validate_partial_lattice, *row)
+        assert want == outcome(validate_partial_lattice_loops, *row)
+        assert error_outcome(verdicts[k]) == (None if isinstance(want, PartialLattice) else want)
+        if verdicts[k] is None:
+            star, bottom, top = two_point_extension_loops(want)
+            assert x.errors[k] is None
+            assert (x.bottom[k], x.top[k]) == tuple(UNDEF if b is None else b
+                                                    for b in (bottom, top))
+            assert np.array_equal(x.join[k, : star.n, : star.n], star.join)
+            assert np.array_equal(x.meet[k, : star.n, : star.n], star.meet)
+
+
+def test_forged_row_reports_its_first_violation():
+    # A stack of three copies of a quotient table: the middle one breaks
+    # commutativity and the last one idempotency, and only they are flagged.
+    lat = CORPUS5[-1]
+    q = quotient(lat, lat.congruences[-1])  # by the identity: lat itself
+    join = np.stack([q.join] * 3)
+    meet = np.stack([q.meet] * 3)
+    join[1, 0, 1] = UNDEF if join[1, 0, 1] != UNDEF else 0
+    meet[2, 0, 0] = UNDEF
+    verdicts = axiom_violations(lambda k, x: q.labels[x], join, meet, np.full(3, q.n))
+    assert verdicts[0] is None
+    assert error_outcome(verdicts[1]) == outcome(validate_partial_lattice, q.labels, join[1],
+                                                 meet[1])
+    assert error_outcome(verdicts[2]) == outcome(validate_partial_lattice, q.labels, join[2],
+                                                 meet[2])
+    assert "commutativity" in str(verdicts[1]) and "idempotency" in str(verdicts[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(random_partial_lattices(), min_size=1, max_size=4))
+def test_two_point_extension_matches_its_definition(lats):
+    for lat in lats:
+        ext = two_point_extension(lat)
+        star, bottom, top = two_point_extension_loops(lat)
+        assert (ext.added_bottom, ext.added_top) == (bottom, top)
+        assert ext.star == star
+
+
+def test_two_point_extension_matches_its_definition_on_corpus5():
+    for lat in CORPUS5:
+        ext = two_point_extension(lat)
+        star, bottom, top = two_point_extension_loops(lat)
+        assert (ext.added_bottom, ext.added_top, ext.star) == (bottom, top, star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(random_partial_lattices(), min_size=1, max_size=5))
+def test_extrema_stack_matches_each_order(lats):
+    # Orders of different sizes, each padded with elements related only to
+    # themselves: the sup and inf of its own pairs are those of the order.
+    n = max(lat.n for lat in lats)
+    leq = np.stack([np.pad(lat.order.leq, (0, n - lat.n)) | np.eye(n, dtype=bool)
+                    for lat in lats])
+    tables, missing = extrema_stack(leq)
+    for k, lat in enumerate(lats):
+        want_tables, want_missing = extrema_rows(lat.order)
+        assert np.array_equal(tables[:, k, : lat.n, : lat.n], want_tables)
+        assert np.array_equal(missing[:, k, : lat.n, : lat.n], want_missing)

@@ -1,17 +1,21 @@
 import dataclasses
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from functools import cached_property
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import congruence_law_per_witness
+from oracles import congruence_law_per_witness, con_is_closed_under_meets_partitions
 
 from partlat import (
     UNDEF,
     CongruenceWitness,
     Lattice,
+    NotACongruence,
     PartialLattice,
     Partition,
     antichain,
@@ -19,15 +23,19 @@ from partlat import (
     con_is_closed_under_meets,
     congruence,
     enumerate_partial_lattices,
+    extension,
     from_lattice,
     morphism,
     named_lattice,
     parse,
+    plattice,
     quotient,
+    validate_partial_lattice,
     verify,
     verify_corpus,
 )
 from partlat.errors import InvariantError
+from partlat.extension import extension_stack
 from partlat.verify import congruence_law, structure_checks
 
 
@@ -99,10 +107,11 @@ def test_assigned_congruences_reach_both_halves_of_the_sweep(forged, detail):
     assert results["congruences"] == (False, detail)
 
 
-def count_calls(monkeypatch, home, *names):
+def count_calls(monkeypatch, home, *names, calls=None):
     """Counts the calls of each named function of ``home``, made through any
-    ``partlat`` namespace that holds it."""
-    calls = Counter()
+    ``partlat`` namespace that holds it, into ``calls`` (a new Counter by
+    default), which it returns."""
+    calls = Counter() if calls is None else calls
     for name in names:
         original = getattr(home, name)
 
@@ -123,16 +132,18 @@ def test_sweep_generates_no_congruence(monkeypatch):
     assert calls == {}
 
 
-def test_sweep_builds_one_quotient_per_congruence(monkeypatch):
-    # The exchange law and the projection are read off stacked tables: the
-    # per-congruence functions are the reference, not the sweep's route.
+def test_sweep_builds_no_quotient_and_one_extension_per_structure(monkeypatch):
+    # L/E and (L/E)* of every congruence are read off stacked tables: the
+    # per-congruence builders are the reference, not the sweep's route. The
+    # one extension built per structure is L* itself.
     calls = count_calls(monkeypatch, congruence, "quotient", "lattice_quotient")
-    calls.update(count_calls(monkeypatch, morphism, "quotient_extension_iso", "extend_hom",
-                             "restrict_hom", "canonical_projection"))
+    count_calls(monkeypatch, morphism, "quotient_extension_iso", "extend_hom", "restrict_hom",
+                "canonical_projection", calls=calls)
+    count_calls(monkeypatch, extension, "two_point_extension", calls=calls)
+    count_calls(monkeypatch, plattice, "validate_partial_lattice", calls=calls)
     checked, failures = verify_corpus(4)
     assert (checked, failures) == (23, [])
-    congruences = sum(len(lat.congruences) for lat in enumerate_partial_lattices(4))
-    assert calls == {"quotient": congruences}
+    assert calls == {"two_point_extension": 23}
 
 
 def test_join_case_disagreement_is_reported(monkeypatch, fig9):
@@ -168,13 +179,6 @@ def law_outcome(law, lat):
         return type(exc), str(exc)
 
 
-def with_quotient(w, quot):
-    """A copy of witness ``w`` whose quotient is ``quot``."""
-    w = dataclasses.replace(w)
-    w.__dict__["quot"] = quot
-    return w
-
-
 def with_dual_extension(quot):
     """``quot`` with the join and meet of its (L/E)* swapped."""
     star = quot.extension.star
@@ -183,15 +187,80 @@ def with_dual_extension(quot):
     return quot
 
 
+@dataclasses.dataclass(frozen=True)
+class ForgedWitness(CongruenceWitness):
+    """A witness whose L/E is built from forged class tables, validated as
+    ``quotient`` validates its own, and whose (L/E)* may have its join and
+    meet swapped."""
+
+    tables: tuple = None
+    dual: bool = False
+
+    @cached_property
+    def quot(self):
+        if not self.is_congruence:
+            raise NotACongruence(self)
+        lat = self.extension.source
+        labels = tuple(f"[{lat.labels[block[0]]}]" for block in self.restriction.blocks)
+        quot = validate_partial_lattice(labels, *self.tables)
+        return with_dual_extension(quot) if self.dual else quot
+
+
+def forge(w, tables, dual=False):
+    """A copy of witness ``w`` whose class tables are ``tables``."""
+    fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(CongruenceWitness)}
+    return ForgedWitness(**fields, tables=tables, dual=dual)
+
+
+@contextmanager
+def forged_builds(lat):
+    """The sweep's stacked builds with the forgeries of ``lat``'s witnesses
+    injected into their output: the row of each forged witness holds its
+    class tables and no build error, and the (L/E)* of a dual one has its
+    join and meet swapped. The per-witness law reads the same forgeries
+    through ``ForgedWitness.quot``."""
+    forged = {w.restriction.block_of: w for w in lat.congruence_witnesses
+              if isinstance(w, ForgedWitness)}
+    rows = {}
+
+    def quotient_stack(lat, block_of, least):
+        join, meet, reps, errors = congruence.quotient_stack(lat, block_of, least)
+        join, meet = join.copy(), meet.copy()
+        for i, row in enumerate(block_of.tolist()):
+            w = forged.get(tuple(row))
+            if w is not None:
+                n = len(w.tables[0])
+                join[i, :n, :n], meet[i, :n, :n] = w.tables
+                errors[i] = None
+                rows[i] = w
+        return join, meet, reps, errors
+
+    def dual_extension_stack(join, meet, sizes):
+        x = extension_stack(join, meet, sizes)
+        swapped = [i for i, w in rows.items() if w.dual and i < len(join)]
+        star_join, star_meet = x.join.copy(), x.meet.copy()
+        star_join[swapped], star_meet[swapped] = x.meet[swapped], x.join[swapped]
+        return x._replace(join=star_join, meet=star_meet)
+
+    with (patch.object(verify, "quotient_stack", quotient_stack),
+          patch.object(verify, "extension_stack", dual_extension_stack)):
+        yield
+
+
+def stacked_law(lat):
+    """``congruence_law`` on the stacked builds with ``lat``'s forgeries."""
+    with forged_builds(lat):
+        return congruence_law(lat)
+
+
 def forge_quotients(lat, forgeries):
     """``lat`` with the quotient of each congruence at a listed position
     forged: "swap" swaps the join and meet of L/E, "dual" those of (L/E)*."""
     witnesses = list(lat.congruence_witnesses)
     for i, kind in forgeries.items():
         quot = quotient(lat, witnesses[i].restriction)
-        quot = (PartialLattice(quot.labels, quot.meet, quot.join) if kind == "swap"
-                else with_dual_extension(quot))
-        witnesses[i] = with_quotient(witnesses[i], quot)
+        witnesses[i] = (forge(witnesses[i], (quot.meet, quot.join)) if kind == "swap"
+                        else forge(witnesses[i], (quot.join, quot.meet), dual=True))
     lat.congruence_witnesses = tuple(witnesses)
     return lat
 
@@ -204,7 +273,7 @@ def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries
     # The checks on L/E and on (L/E)* run as two stacked stages; the first
     # congruence that fails either is still the one reported.
     lat = forge_quotients(PartialLattice(fig9.labels, fig9.join, fig9.meet), forgeries)
-    assert law_outcome(congruence_law, lat) == law_outcome(per_witness_law, lat) == failure
+    assert law_outcome(stacked_law, lat) == law_outcome(per_witness_law, lat) == failure
 
 
 @pytest.mark.parametrize("lat, index, theta", [
@@ -217,10 +286,38 @@ def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries
 def test_exchange_law_needs_a_bijection(lat, index, theta):
     # theta is no congruence here, so the exchange check is called alone.
     w = lat.congruence_witnesses[index]
-    laws = verify._extension_laws(lat, [w.restriction], [w.quot.extension],
-                                  np.array([w.restriction.block_of]), np.array([theta]),
-                                  np.array([False]))
+    q = w.quot
+    x = extension_stack(q.join[None], q.meet[None], np.array([q.n]))
+    reps = np.array([[block[0] for block in w.restriction.blocks]])
+    laws = verify._extension_laws(lat, x, reps, np.array([w.restriction.block_of]),
+                                  np.array([theta]), np.array([False]))
     assert [bool(mask[0]) for mask, _ in laws] == [False, True]
+
+
+def test_lost_upper_bound_is_reported():
+    # The quotient laws alone, on stacked tables that keep every join case
+    # but whose meet relates no two blocks: the order of L/E, read from its
+    # meet, loses the upper bounds of c1 < c2. On a partial lattice the
+    # join cases imply the check: duality makes the orders read from join
+    # and meet agree, and the join cases give [a] v [c] = [c] for a <= c.
+    lat = from_lattice(named_lattice("chain", 3))
+    w = next(w for w in lat.congruence_witnesses if len(w.restriction.blocks) == 3)
+    block_of, theta = np.array([w.restriction.block_of]), np.array([w.theta.block_of])
+    least = (theta[:, :, None] == theta[:, None, :]).argmax(2)
+    qjoin, qmeet, _, _ = congruence.quotient_stack(lat, block_of, least)
+    qmeet = np.where(np.eye(3, dtype=bool), np.arange(3), UNDEF)[None]
+    laws, _ = verify._quotient_laws(lat, qjoin, qmeet, block_of, theta, least)
+    assert [bool(mask.any()) for mask, _ in laws[:2]] == [False, True]
+    assert verify._first_failure(laws, [w.restriction]) == (
+        0, "quotient lost an upper bound at (0, 1)")
+
+
+def test_empty_congruence_list_is_vacuously_closed():
+    lat = antichain(2)
+    lat.congruences = ()
+    assert con_is_closed_under_meets(lat) and con_is_closed_under_meets_partitions(lat)
+    results = {name: (ok, detail) for name, ok, detail in structure_checks(lat)}
+    assert results["congruences"] == per_witness_law(lat) == (True, "")
 
 
 FORGERIES = ("merge", "permute", "swap", "not_congruence", "quotient", "meet", "dual",
@@ -230,11 +327,12 @@ FORGERIES = ("merge", "permute", "swap", "not_congruence", "quotient", "meet", "
 @st.composite
 def forged(draw, corpus):
     """A fresh copy of a corpus structure with up to three forgeries applied
-    to its kept witnesses or to its list of congruences. A forged quotient
-    is a corpus structure with as many elements as e has blocks, or the true
-    quotient with one meet cell toggled, unvalidated, so that the checks past
-    the join cases and an (L/E)* that cannot be built are reached too, or the
-    true quotient with the join and meet of its (L/E)* swapped."""
+    to its kept witnesses or to its list of congruences. A forged L/E (see
+    ``forged_builds``) has the class tables of a corpus structure with as
+    many elements as e has blocks, or the true tables with one meet cell
+    toggled, so that the checks past the join cases and the axiom scan are
+    reached too; or it keeps the true tables and swaps the join and meet of
+    its (L/E)*."""
     source = draw(st.sampled_from(corpus))
     lat = PartialLattice(source.labels, source.join, source.meet)
     witnesses, congruences = list(lat.congruence_witnesses), list(lat.congruences)
@@ -270,16 +368,18 @@ def forged(draw, corpus):
             w = dataclasses.replace(w, is_congruence=False)
         elif kind == "quotient":
             size = len(w.restriction.blocks)
-            w = with_quotient(w, draw(st.sampled_from([q for q in corpus if q.n == size])))
+            q = draw(st.sampled_from([q for q in corpus if q.n == size]))
+            w = forge(w, (q.join, q.meet))
         elif kind == "meet":
             quot = quotient(lat, w.restriction)
             x, y = draw(st.integers(0, quot.n - 1)), draw(st.integers(0, quot.n - 1))
             meet = quot.meet.copy()
             meet[x, y] = meet[y, x] = (draw(st.integers(0, quot.n - 1)) if meet[x, y] == UNDEF
                                        else UNDEF)
-            w = with_quotient(w, PartialLattice(quot.labels, quot.join, meet))
+            w = forge(w, (quot.join, meet))
         elif kind == "dual":
-            w = with_quotient(w, with_dual_extension(quotient(lat, w.restriction)))
+            quot = quotient(lat, w.restriction)
+            w = forge(w, (quot.join, quot.meet), dual=True)
         if kind == "drop_witness":
             del witnesses[i]
         else:
@@ -292,4 +392,4 @@ def forged(draw, corpus):
 @given(data=st.data())
 def test_stacked_law_matches_per_witness_loop(corpus5, data):
     lat = data.draw(forged(corpus5))
-    assert law_outcome(congruence_law, lat) == law_outcome(per_witness_law, lat)
+    assert law_outcome(stacked_law, lat) == law_outcome(per_witness_law, lat)

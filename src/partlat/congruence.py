@@ -122,28 +122,33 @@ def generate_congruence(lat, *seeds):
 
     Read off the dependency order on the join-irreducibles (Freese, Ježek &
     Nation, *Free Lattices*, AMS 1995, ch. 2; R. Freese, "Computing
-    congruences efficiently", Algebra Universalis 59 (2008) 337-343). Each
-    pair (a, b) of consecutive members of a seed block collapses every
-    join-irreducible p <= a v b with p !<= a ^ b. p D q, when p <= q v x
-    and p !<= q_* v x for some x, gives con(p_*, p) <= con(q_*, q), so p is
-    collapsed as soon as it reaches a collapsed q along D. The congruence is
-    read from that down-set. Two seeds give the join of two congruences.
+    congruences efficiently", Algebra Universalis 59 (2008) 337-343): the
+    join-irreducibles it collapses are those ``collapsed_irreducibles``
+    finds for some seed, and the congruence is read from them. Two seeds
+    give the join of two congruences.
     """
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
-    return _congruence_reader(lat)(_seeded_irreducibles(lat, seeds))
+    block_of = np.array([seed.block_of for seed in seeds], dtype=np.int64).reshape(-1, lat.n)
+    return _congruence_reader(lat)(collapsed_irreducibles(lat, block_of).any(0))
 
 
-def _seeded_irreducibles(lat, seeds):
-    """Mask over ``irreducibles.members`` of the join-irreducibles that the
-    least congruence containing every seed collapses: those below some
-    p <= a v b with p !<= a ^ b along D, for consecutive members a, b of a
-    seed block. A seed may partition a prefix of the carrier."""
-    pairs = [pair for seed in seeds for block in seed.blocks for pair in zip(block, block[1:])]
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+def collapsed_irreducibles(lat, block_of):
+    """For k partitions of a prefix of the carrier, k x m, the masks over
+    ``irreducibles.members`` of the join-irreducibles that the least
+    congruence containing each collapses, k x |J|. Relating each a to the
+    next member b of its block collapses every p <= a v b with p !<= a ^ b.
+    p D q (p <= q v x and p !<= q_* v x for some x) gives
+    con(p_*, p) <= con(q_*, q), so the mask is then closed downward along D."""
+    # Sorted by block, each block's members are consecutive; a last member
+    # is paired with itself, which collapses nothing.
+    order = np.argsort(block_of, axis=1, kind="stable")
+    runs = np.sort(block_of, axis=1)
+    a = order[:, :-1]
+    b = np.where(runs[:, 1:] == runs[:, :-1], order[:, 1:], a)
     irr = lat.irreducibles
-    seeded = (irr.rows[:, lat.join[a, b]] & ~irr.rows[:, lat.meet[a, b]]).any(1)
-    return irr.below[:, seeded].any(1)
+    seeded = (irr.rows[:, lat.join[a, b]] & ~irr.rows[:, lat.meet[a, b]]).any(2).T
+    return seeded @ irr.below.T
 
 
 @dataclass(frozen=True)

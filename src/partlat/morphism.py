@@ -86,18 +86,26 @@ def check_hom(mapping, source, target):
 
 def _classify(mapping, source, target):
     """``check_hom`` on a map already known to land in the target carrier."""
-    h = np.array(mapping, dtype=np.int64)
-    broken, extra = [], []
-    for st, tt in ((source.join, target.join), (source.meet, target.meet)):
-        image = tt[h[:, None], h]  # [a, b]: h(a) . h(b)
-        defined = st != UNDEF
-        broken.append(defined & (image != h[st]))
-        extra.append(~defined & (image != UNDEF))
-    for kind, (join_mask, meet_mask) in ((NOT_HOM, broken), (HOM, extra)):
+    broken, extra = hom_masks(np.array([mapping], dtype=np.int64), (source.join, source.meet),
+                              (target.join[None], target.meet[None]))
+    for kind, (join_mask, meet_mask) in ((NOT_HOM, broken[:, 0]), (HOM, extra[:, 0])):
         pair = first_true(join_mask | meet_mask)
         if pair is not None:
             return HomReport(kind, pair, "join" if join_mask[pair] else "meet")
     return HomReport(CLOSED_HOM)
+
+
+def hom_masks(h, source, target):
+    """Where k maps ``h``, k x n, from the join and meet tables ``source``
+    into each map's own ``target`` tables, k x m x m, break or extend an
+    operation: [op, i, a, b] of ``broken`` when a . b is defined but
+    h_i(a) . h_i(b) is not h_i(a . b), of ``extra`` when a . b is undefined
+    but h_i(a) . h_i(b) is defined. Each mask is 2 x k x n x n, join first."""
+    r = np.arange(len(h))[:, None, None]
+    image = np.array([tt[r, h[:, :, None], h[:, None, :]] for tt in target])  # h_i(a) . h_i(b)
+    st = np.array(source)
+    defined = (st != UNDEF)[:, None]
+    return defined & (image != h[:, st].swapaxes(0, 1)), ~defined & (image != UNDEF)
 
 
 def kernel(h):
@@ -268,7 +276,9 @@ def order_isomorphism(a, b):
     """Backtracking search for an order isomorphism between two posets.
 
     Candidates are pruned by per-element signatures (ideal and filter sizes,
-    cover degrees), which keeps the search trivial at small scale.
+    cover degrees), which keeps the search trivial at small scale. A stack
+    of next-candidate positions, not recursion, holds the search, and a
+    candidate is checked against the elements placed with one row compare.
     """
     if a.n != b.n:
         return None
@@ -277,31 +287,31 @@ def order_isomorphism(a, b):
         return None
     candidates = [[j for j in range(b.n) if sigb[j] == siga[i]] for i in range(a.n)]
     order = sorted(range(a.n), key=lambda i: len(candidates[i]))
-    mapping = [None] * a.n
+    # [x, y]: 1 if x <= y, plus 2 if y <= x. want[k]: the k-th placed
+    # element's row against those placed before it.
+    rel_a, rel_b = ((p.leq + 2 * p.leq.T).astype(np.int8) for p in (a, b))
+    want = [row[:k].tobytes() for k, row in enumerate(rel_a[np.ix_(order, order)])]
+    image = np.zeros(a.n, dtype=np.int64)  # image[k]: where the k-th placed element goes
     used = [False] * b.n
-
-    def assign(k):
-        if k == a.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if any(
-                a.leq[i, prev] != b.leq[j, mapping[prev]]
-                or a.leq[prev, i] != b.leq[mapping[prev], j]
-                for prev in order[:k]
-            ):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if assign(k + 1):
-                return True
-            mapping[i] = None
-            used[j] = False
-        return False
-
-    return tuple(mapping) if assign(0) else None
+    stack = [0]  # per placed depth, the position of its next candidate
+    while 0 < len(stack) <= a.n:
+        k = len(stack) - 1
+        cands, p, placed = candidates[order[k]], stack[k], image[:k]
+        if p:  # back from a dead end: free this depth's last candidate
+            used[image[k]] = False
+        while p < len(cands) and (used[cands[p]]
+                                  or rel_b[cands[p]].take(placed).tobytes() != want[k]):
+            p += 1
+        if p == len(cands):
+            stack.pop()
+            continue
+        stack[k] = p + 1
+        image[k] = cands[p]
+        used[cands[p]] = True
+        stack.append(0)
+    if not stack:
+        return None
+    return tuple(image[np.argsort(order)].tolist())
 
 
 def find_isomorphism(a, b):

@@ -86,14 +86,27 @@ class PartialLattice(Carrier):
         return f"PartialLattice({' '.join(self.labels)}; {defined} defined cells)"
 
 
-def _as_table(n, table):
+def _as_table(n, table, name):
+    """The table as an n x n int64 array, UNDEF for a None cell. Raises
+    BadParameter for a shape that does not match the carrier, an array of
+    non-integer dtype, or a cell that is neither None nor an int in range."""
     if isinstance(table, np.ndarray):
-        return np.array(table, dtype=np.int64)
+        if not np.issubdtype(table.dtype, np.integer):
+            raise BadParameter(f"{name} table has dtype {table.dtype}, not an integer type")
+        if table.shape != (n, n):
+            raise BadParameter(f"{name} table shape does not match carrier")
+        return table.astype(np.int64)
+    rows = list(table)
+    if len(rows) != n or not all(hasattr(row, "__len__") and len(row) == n for row in rows):
+        raise BadParameter(f"{name} table shape does not match carrier")
     arr = np.full((n, n), UNDEF, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            v = table[i][j]
-            arr[i, j] = UNDEF if v is None else v
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v is None:
+                continue
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not UNDEF <= v < n:
+                raise BadParameter(f"{name}[{i},{j}] is not an element index")
+            arr[i, j] = v
     return arr
 
 
@@ -106,11 +119,8 @@ def validate_partial_lattice(labels, join, meet):
     labels = tuple(labels)
     _check_labels(labels)
     n = len(labels)
-    jt = _as_table(n, join)
-    mt = _as_table(n, meet)
-    for t, name in ((jt, "join"), (mt, "meet")):
-        if t.shape != (n, n):
-            raise BadParameter(f"{name} table shape does not match carrier")
+    jt = _as_table(n, join, "join")
+    mt = _as_table(n, meet, "meet")
     error = axiom_violations(lambda i, x: labels[x], jt[None], mt[None], np.array([n]))[0]
     if error is not None:
         raise error

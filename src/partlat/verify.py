@@ -18,22 +18,29 @@ from itertools import takewhile
 import numpy as np
 
 from . import fmt
-from .congruence import con_is_closed_under_meets, join_case_stack, quotient_stack
+from .congruence import (
+    collapsed_irreducibles,
+    con_is_closed_under_meets,
+    join_case_stack,
+    quotient_stack,
+)
 from .enumeration import enumerate_partial_lattices
 from .errors import InvariantError, NotACongruence
 from .extension import ExtensionStack, extension_stack
-from .morphism import NOT_HOM, _classify
+from .morphism import hom_masks
 from .order import first_true, is_plos
 from .plattice import (
     BOTH_TOTAL,
     UNDEF,
     axiom_violations,
     check_absorption,
-    from_lattice,
     is_total,
     lp_roundtrip,
     pl_roundtrip,
 )
+
+
+UNRECOGNIZED = "enumerated congruence not recognized: {e!r}"
 
 
 def serialize(lat):
@@ -71,20 +78,17 @@ def _check_extension(lat):
     if cell is not None:
         a, b, law = cell
         return False, laws[law][1].format(a, b)
-    embed_hom = _classify(range(n), lat, from_lattice(ext.star))  # a map the library built
-    if embed_hom.kind == NOT_HOM:
+    broken, _ = hom_masks(np.arange(n)[None], (lat.join, lat.meet),
+                          (ext.star.join[None], ext.star.meet[None]))
+    if broken.any():
         return False, "carrier is not a weak subalgebra of the extension"
     return True, ""
 
 
 def _until_error(*errors):
-    """The number of rows before the first one with an error in any of the
-    per-row ``errors`` lists, and that row's first error (None if none)."""
-    for i, row in enumerate(zip(*errors)):
-        error = next((e for e in row if e is not None), None)
-        if error is not None:
-            return i, error
-    return len(errors[0]), None
+    """(row, error) of the first row with an error in any of the per-row
+    ``errors`` lists, that row's first error, or None."""
+    return next(((i, e) for i, row in enumerate(zip(*errors)) for e in row if e is not None), None)
 
 
 def _first_failure(laws, congruences):
@@ -105,10 +109,9 @@ def _first_failure(laws, congruences):
 def _generated(lat, block_of, theta, least):
     """Which stacked witnesses hold the congruence their restriction e
     generates on the extension: theta is compatible with both star tables,
-    restricts to e, and collapses exactly the join-irreducibles that e seeds
-    and their D-down-closure. A congruence is fixed by the join-irreducibles
-    it collapses, so these three pin theta down. Every pair e relates seeds,
-    not only consecutive members of a block: both give the same closure."""
+    restricts to e, and collapses exactly the join-irreducibles that
+    ``collapsed_irreducibles`` finds for e. A congruence is fixed by the
+    join-irreducibles it collapses, so these three pin theta down."""
     star = lat.extension.star
     n, k = lat.n, len(theta)
     r = np.arange(k)[:, None, None]
@@ -117,13 +120,8 @@ def _generated(lat, block_of, theta, least):
     for table in (star.join, star.meet):
         ok &= (theta[r, table] == theta[r, table[least[:, :, None], least[:, None, :]]]).all((1, 2))
     irr = star.irreducibles
-    j = len(irr.members)
-    # [p, a, b]: p <= a v b and p !<= a ^ b, so relating a and b collapses p.
-    seeds = irr.rows[:, star.join[:n, :n]] & ~irr.rows[:, star.meet[:n, :n]]
-    seeded = (same.reshape(k, n * n).astype(np.float32)
-              @ seeds.reshape(j, n * n).T.astype(np.float32)) > 0
-    closed = seeded.astype(np.float32) @ irr.below.T.astype(np.float32) > 0
-    return ok & (closed == (theta[:, irr.members] == theta[:, irr.lower])).all(1)
+    collapsed = theta[:, irr.members] == theta[:, irr.lower]
+    return ok & (collapsed == collapsed_irreducibles(star, block_of)).all(1)
 
 
 def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
@@ -143,14 +141,8 @@ def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
     alpha = least[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
     leq = lat.order.leq
     qleq = qmeet == np.arange(qmeet.shape[1])[:, None]  # x ^ y = x
-    broken = extra = False
-    for table, qtable in ((lat.join, qjoin), (lat.meet, qmeet)):
-        image = qtable[classes]  # [i, a, b]: [a] . [b] in L/E_i
-        defined = table != UNDEF
-        broken = broken | (defined & (image != block_of[:, table]))
-        extra = extra | (~defined & (image != UNDEF))
-    hom = ~broken.any((1, 2))
-    closed = hom & ~extra.any((1, 2))
+    broken, extra = hom_masks(block_of, (lat.join, lat.meet), (qjoin, qmeet))
+    closed = ~(broken | extra).any((0, 2, 3))
     bounds = [b for b in (ext.added_bottom, ext.added_top) if b is not None]
     singleton = ((theta[:, :, None] == theta[:, None, bounds]).sum(1) == 1).all(1)
     return (
@@ -158,7 +150,7 @@ def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
          "join case disagrees with table at [{}],[{}]"),
         ((leq @ leq.T) & ~(qleq @ qleq.transpose(0, 2, 1))[classes],
          "quotient lost an upper bound at ({}, {})"),
-        (~hom, "projection is not a homomorphism for {e!r}"),
+        (broken.any((0, 2, 3)), "projection is not a homomorphism for {e!r}"),
         (closed != singleton, "projection closedness mismatches bound classes for {e!r}"),
     ), closed
 
@@ -187,12 +179,11 @@ def _extension_laws(lat, x, reps, block_of, theta, closed):
     valid = pos < x.sizes[:, None]
     pairs = valid[:, :, None] & valid[:, None, :]
     cls = theta[r[:, 0], into]  # the theta-class each element of (L/E)* is sent to
-    lifted_hom = ~(lifted == UNDEF).any(1)
+    broken, _ = hom_masks(lifted, (star.join, star.meet), (x.join, x.meet))
+    lifted_hom = ~(lifted == UNDEF).any(1) & ~broken.any((0, 2, 3))
     iso = (theta.max(1) + 1 == x.sizes) & ~((into == UNDEF) & valid).any(1)
     iso &= ~((cls[:, :, None] == cls[:, None, :]) & pairs & ~np.eye(size, dtype=bool)).any((1, 2))
     for table, xtable in ((star.join, x.join), (star.meet, x.meet)):
-        lifted_hom &= (xtable[r, lifted[:, :, None], lifted[:, None, :]]
-                       == lifted[:, table]).all((1, 2))
         iso &= ~((cls[r, xtable] != theta[r, table[into[:, :, None], into[:, None, :]]])
                  & pairs).any((1, 2))
     return (
@@ -211,50 +202,43 @@ def congruence_law(lat):
     one stack of orders and tables (``extension_stack``); each law is one
     gather or broadcast over the stack. The exchange law compares (L/E)*,
     built from the L/E tables alone, with the theta-classes of L*. The
-    failure reported, or the error raised, is the one that checking the
-    congruences one at a time, each check in turn, meets first: an error
-    building row i is raised only once the rows before it pass.
+    checks run as stages, each on the rows before the first failure found
+    so far, so the failure left, a detail or an error to raise, is the one
+    that checking the congruences one at a time, each check in turn, meets
+    first.
     """
+    congruences = lat.congruences
     kept = {w.restriction: w for w in lat.congruence_witnesses}
-    witnesses = list(takewhile(lambda w: w is not None, map(kept.get, lat.congruences)))
-    if witnesses:
+    witnesses = list(takewhile(lambda w: w is not None, map(kept.get, congruences)))
+    k = len(witnesses)
+    failure = UNRECOGNIZED.format(e=congruences[k]) if k < len(congruences) else None
+    if k:
         block_of = np.array([w.restriction.block_of for w in witnesses])
         theta = np.array([w.theta.block_of for w in witnesses])
         least = (theta[:, :, None] == theta[:, None, :]).argmax(2)  # least member of x's class
-        unrecognized = first_true(~_generated(lat, block_of, theta, least))
-        if unrecognized is not None:
-            witnesses = witnesses[: unrecognized[0]]
-    found = lifted_found = raised = lifted_raised = None
-    k = len(witnesses)
-    if witnesses:
+        k, failure = _first_failure(((~_generated(lat, block_of, theta, least), UNRECOGNIZED),),
+                                    congruences) or (k, failure)
+    if k:
         qjoin, qmeet, reps, errors = quotient_stack(lat, block_of[:k], least[:k])
         sizes = (reps != UNDEF).sum(1)
         axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", qjoin, qmeet, sizes)
-        k, raised = _until_error([None if w.is_congruence else NotACongruence(w)
-                                  for w in witnesses], errors, axioms)
+        k, failure = _until_error([None if w.is_congruence else NotACongruence(w)
+                                   for w in witnesses[:k]], errors, axioms) or (k, failure)
     if k:
-        congruences = lat.congruences[:k]
         laws, closed = _quotient_laws(lat, qjoin[:k], qmeet[:k], block_of[:k], theta[:k],
                                       least[:k])
-        found = _first_failure(laws, congruences)
-        # Only the congruences before the first failing one reach (L/E)*.
-        reach = k if found is None else found[0]
-        if reach:
-            x = extension_stack(qjoin[:reach], qmeet[:reach], sizes[:reach])
-            b, lifted_raised = _until_error(x.errors)
-            if b:
-                lifted_found = _first_failure(_extension_laws(
-                    lat, ExtensionStack(*(field[:b] for field in x)), reps[:b], block_of[:b],
-                    theta[:b], closed[:b]), congruences)
-    for failure, error in ((lifted_found, lifted_raised), (found, raised)):
-        if failure is not None:
-            if isinstance(failure[1], Exception):
-                raise failure[1]
-            return False, failure[1]
-        if error is not None:
-            raise error
-    if k < len(lat.congruences):
-        return False, f"enumerated congruence not recognized: {lat.congruences[k]!r}"
+        k, failure = _first_failure(laws, congruences) or (k, failure)
+    if k:
+        x = extension_stack(qjoin[:k], qmeet[:k], sizes[:k])
+        k, failure = _until_error(x.errors) or (k, failure)
+    if k:
+        k, failure = _first_failure(_extension_laws(
+            lat, ExtensionStack(*(field[:k] for field in x)), reps[:k], block_of[:k],
+            theta[:k], closed[:k]), congruences) or (k, failure)
+    if isinstance(failure, Exception):
+        raise failure
+    if failure is not None:
+        return False, failure
     if not con_is_closed_under_meets(lat):
         return False, "congruence set not closed under refinement"
     return True, ""

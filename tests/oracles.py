@@ -34,9 +34,14 @@ the extensions of many partial lattices became one padded stack.
 join-irreducibles read from one gather over all pairs, before that gather
 went over blocks. ``congruence_law_per_witness`` is the congruence law for one congruence, as
 the sweep checked it before one stacked pass checked them all: it
-recognizes the witness with ``is_generated_witness`` and goes through the
+recognizes the witness with ``is_generated_witness``, which compares theta
+with the worklist closure of the lifted e, and goes through the
 per-congruence ``canonical_projection``, ``extend_hom``, ``restrict_hom``
 and ``quotient_extension_iso``.
+
+``order_isomorphism_signatures`` is the recursive isomorphism search, one
+stack frame per placed element, before an explicit stack of candidate
+positions replaced the recursion; the two must return the same mapping.
 """
 
 import re
@@ -74,7 +79,7 @@ from partlat import (
     upper_bounds,
     validate_partial_lattice,
 )
-from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON, _seeded_irreducibles
+from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
 from partlat.errors import ParseError, SemanticError, ensure
 from partlat.fmt import Document, shown, text_end
 from partlat.order import first_true
@@ -482,25 +487,14 @@ def quotient_loops(lat, e, witness=None):
 
 
 def is_generated_witness(w):
-    """Whether the witness theta is the congruence its restriction e
-    generates on the extension: theta is compatible with both star tables,
-    restricts to e, and collapses exactly the join-irreducibles that e seeds
-    and their D-down-closure. A congruence is fixed by the join-irreducibles
-    it collapses, so these three pin theta down."""
+    """Whether the witness theta restricts to e and is the congruence that
+    e generates on the extension, with the adjoined bounds as singletons,
+    as the worklist closure generates it."""
     ext = w.extension
-    star = ext.star
-    theta = np.array(w.theta.block_of)
-    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
-    for table in (star.join, star.meet):
-        cls = theta[table]
-        if (cls != cls[least[:, None], least]).any():
-            return False
-    if w.theta.restrict(range(ext.source.n)) != w.restriction:
-        return False
-    irr = star.irreducibles
-    collapsed = theta[irr.members] == theta[irr.lower]
-    # The carrier is the prefix of the star, so e seeds star pairs as it is.
-    return bool((collapsed == _seeded_irreducibles(star, (w.restriction,))).all())
+    n = ext.source.n
+    lifted = Partition(w.restriction.block_of + tuple(range(n, ext.star.n)))
+    return (w.theta.restrict(range(n)) == w.restriction
+            and generate_congruence_worklist(ext.star, lifted) == w.theta)
 
 
 def congruence_law_per_witness(lat, e, w):
@@ -557,6 +551,50 @@ def irreducibles_below_gather(lat):
     for k in range(len(members)):
         below |= below[:, k : k + 1] & below[k : k + 1, :]
     return below
+
+
+def order_isomorphism_signatures(a, b):
+    """The recursive backtracking search for an order isomorphism that the
+    iterative one replaced: candidates pruned by per-element signatures
+    (ideal and filter sizes, cover degrees), elements placed fewest
+    candidates first, each checked against every element placed before it."""
+    if a.n != b.n:
+        return None
+
+    def signatures(p):
+        return list(zip(p.leq.sum(0).tolist(), p.leq.sum(1).tolist(),
+                        p.covers.sum(0).tolist(), p.covers.sum(1).tolist()))
+
+    siga, sigb = signatures(a), signatures(b)
+    if sorted(siga) != sorted(sigb):
+        return None
+    candidates = [[j for j in range(b.n) if sigb[j] == siga[i]] for i in range(a.n)]
+    order = sorted(range(a.n), key=lambda i: len(candidates[i]))
+    mapping = [None] * a.n
+    used = [False] * b.n
+
+    def assign(k):
+        if k == a.n:
+            return True
+        i = order[k]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            if any(
+                a.leq[i, prev] != b.leq[j, mapping[prev]]
+                or a.leq[prev, i] != b.leq[mapping[prev], j]
+                for prev in order[:k]
+            ):
+                continue
+            mapping[i] = j
+            used[j] = True
+            if assign(k + 1):
+                return True
+            mapping[i] = None
+            used[j] = False
+        return False
+
+    return tuple(mapping) if assign(0) else None
 
 
 def canonical_form_loops(leq):

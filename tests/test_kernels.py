@@ -11,8 +11,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partlat import (
+    CLOSED_HOM,
+    HOM,
+    NOT_HOM,
     UNDEF,
     BadParameter,
+    HomReport,
     NotACongruence,
     PartialLattice,
     Partition,
@@ -33,6 +37,7 @@ from partlat import (
     make_poset,
     build,
     named_lattice,
+    order_isomorphism,
     parse,
     quotient,
     quotient_join_case,
@@ -40,7 +45,9 @@ from partlat import (
     validate_lattice,
     validate_partial_lattice,
 )
-from partlat.order import extrema, extrema_stack
+from partlat.congruence import collapsed_irreducibles
+from partlat.morphism import hom_masks
+from partlat.order import extrema, extrema_stack, first_true
 
 from oracles import (
     check_absorption_loops,
@@ -54,6 +61,7 @@ from oracles import (
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
+    order_isomorphism_signatures,
     quotient_join_case_branches,
     quotient_loops,
     validate_lattice_loops,
@@ -85,10 +93,11 @@ def boolean4_suborders(draw):
 
 
 @st.composite
-def random_posets(draw):
-    """A random order on up to 9 elements in a random index order; unlike
-    sub-orders of ``boolean 4``, a pair can lack both sup and inf."""
-    n = draw(st.integers(1, 9))
+def random_posets(draw, n=None):
+    """A random order on up to 9 elements, or on ``n``, in a random index
+    order; unlike sub-orders of ``boolean 4``, a pair can lack both sup and
+    inf."""
+    n = draw(st.integers(1, 9)) if n is None else n
     perm = draw(st.permutations(range(n)))
     arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          max_size=16))
@@ -299,20 +308,28 @@ def plos_structures(draw, orders):
 
 
 @st.composite
-def hom_cases(draw):
-    """A random, constant or inclusion map between ``from_plos`` of two
-    random sub-orders of ``boolean 4``, or from a carrier into its own L*."""
-    source = draw(plos_structures(boolean4_suborders()))
+def maps_from(draw, source):
+    """A random, constant or inclusion map from ``source`` into ``from_plos``
+    of a random sub-order of ``boolean 4``, or into the source's own L*; the
+    map and its target."""
     into_star = draw(st.booleans())
     target = (from_lattice(source.extension.star) if into_star
               else draw(plos_structures(boolean4_suborders())))
     kind = draw(st.sampled_from(("random", "constant") + ("inclusion",) * into_star))
     if kind == "inclusion":
-        return tuple(range(source.n)), source, target
-    if kind == "constant":
-        return (draw(st.integers(0, target.n - 1)),) * source.n, source, target
+        return tuple(range(source.n)), target
     values = st.integers(0, target.n - 1)
-    return tuple(draw(st.lists(values, min_size=source.n, max_size=source.n))), source, target
+    if kind == "constant":
+        return (draw(values),) * source.n, target
+    return tuple(draw(st.lists(values, min_size=source.n, max_size=source.n))), target
+
+
+@st.composite
+def hom_cases(draw):
+    """One map from ``from_plos`` of a random sub-order of ``boolean 4``."""
+    source = draw(plos_structures(boolean4_suborders()))
+    mapping, target = draw(maps_from(source))
+    return mapping, source, target
 
 
 @given(hom_cases())
@@ -321,6 +338,40 @@ def test_hom_check_matches_loops(case):
     report = check_hom(*case)
     assert report == check_hom_loops(*case)
     assert report.witness is None or all(type(v) is int for v in report.witness)
+
+
+@st.composite
+def hom_stacks(draw):
+    """Up to four maps from one ``from_plos`` structure, each into its own
+    target."""
+    source = draw(plos_structures(boolean4_suborders()))
+    return source, draw(st.lists(maps_from(source), max_size=4))
+
+
+@given(hom_stacks())
+@settings(max_examples=200, deadline=None)
+def test_hom_masks_match_loops_row_by_row(case):
+    # The targets differ in size, so their tables are padded with UNDEF.
+    source, cases = case
+    k, n = len(cases), source.n
+    m = max((target.n for _, target in cases), default=1)
+    h = np.array([h for h, _ in cases], dtype=np.int64).reshape(k, n)
+    tables = np.full((2, k, m, m), UNDEF)
+    for i, (_, target) in enumerate(cases):
+        tables[:, i, :target.n, :target.n] = target.join, target.meet
+    broken, extra = hom_masks(h, (source.join, source.meet), tables)
+    assert broken.shape == extra.shape == (2, k, n, n)
+    for i, (mapping, target) in enumerate(cases):
+        assert first_report(broken[:, i], extra[:, i]) == check_hom_loops(mapping, source, target)
+
+
+def first_report(broken, extra):
+    """The HomReport that one map's two masks, each 2 x n x n, give."""
+    for kind, (join_mask, meet_mask) in ((NOT_HOM, broken), (HOM, extra)):
+        pair = first_true(join_mask | meet_mask)
+        if pair is not None:
+            return HomReport(kind, pair, "join" if join_mask[pair] else "meet")
+    return HomReport(CLOSED_HOM)
 
 
 def partitions(n):
@@ -368,6 +419,85 @@ M126 = named_lattice("M", 126)
 def test_generate_congruence_matches_worklist(case):
     lat, seeds = case
     assert generate_congruence(lat, *seeds) == generate_congruence_worklist(lat, *seeds)
+
+
+NAMED = [named_lattice(*args) for args in (("N5",), ("M", 5), ("chain", 5), ("boolean", 3),
+                                            ("boolean", 4))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_collapsed_irreducibles_match_worklist(corpus5, data):
+    # Each row partitions a prefix of the carrier; the rest stay singletons.
+    lat = data.draw(st.one_of(st.sampled_from(NAMED),
+                              st.sampled_from(corpus5).map(lambda s: s.extension.star)))
+    m = data.draw(st.integers(0, lat.n))
+    rows = data.draw(st.lists(st.lists(st.integers(0, max(m - 1, 0)), min_size=m, max_size=m),
+                              max_size=4))
+    block_of = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    collapsed = collapsed_irreducibles(lat, block_of)
+    irr = lat.irreducibles
+    assert collapsed.shape == (len(rows), len(irr.members))
+    for row, mask in zip(rows, collapsed):
+        seed = Partition(row + [("singleton", x) for x in range(m, lat.n)])
+        theta = np.array(generate_congruence_worklist(lat, seed).block_of)
+        assert np.array_equal(mask, theta[irr.members] == theta[irr.lower])
+
+
+def test_seed_collapses_its_irreducible_and_what_lies_below_it_along_d():
+    # In N5, 0 < x < z < 1 and 0 < y < 1. Relating 0 and x collapses x, the
+    # only join-irreducible below 0 v x and not below 0 ^ x; z D x (z <= x v y
+    # and z !<= x_* v y), so the closure along D collapses z as well.
+    lat = named_lattice("N5")
+    zero, x, z = lat.indices(("0", "x", "z"))
+    seed = Partition.from_blocks(lat.n, [(zero, x)])
+    members = [lat.labels[p] for p in lat.irreducibles.members]
+    collapsed = collapsed_irreducibles(lat, np.array([seed.block_of]))
+    assert [p for p, hit in zip(members, collapsed[0]) if hit] == ["x", "z"]
+    assert generate_congruence(lat, seed).render(lat.labels) == "0 x z|y 1"
+
+
+def test_empty_seed_stack_collapses_nothing():
+    lat = named_lattice("N5")
+    assert collapsed_irreducibles(lat, np.zeros((0, lat.n), dtype=np.int64)).shape == (0, 3)
+    assert generate_congruence(lat) == Partition.identity(lat.n)
+
+
+@st.composite
+def poset_pairs(draw):
+    """A random poset and a random relabelling of it, or two random posets
+    of one size."""
+    if draw(st.booleans()):
+        p = draw(st.one_of(boolean4_suborders(), random_posets()))
+        perm = draw(st.permutations(range(p.n)))
+        return p, Poset(p.labels, p.leq[np.ix_(perm, perm)])
+    n = draw(st.integers(1, 9))
+    return draw(random_posets(n)), draw(random_posets(n))
+
+
+@given(poset_pairs())
+@settings(max_examples=300, deadline=None)
+def test_order_isomorphism_matches_recursive_search(case):
+    assert order_isomorphism(*case) == order_isomorphism_signatures(*case)
+
+
+def is_order_isomorphism(a, b, mapping):
+    h = np.array(mapping)
+    return sorted(mapping) == list(range(b.n)) and np.array_equal(a.leq, b.leq[np.ix_(h, h)])
+
+
+def test_order_isomorphism_of_large_carriers():
+    # Past the interpreter's recursion limit, one stack frame per element.
+    n = 1000
+    idx = np.arange(n)
+    labels = [f"c{i}" for i in range(n)]
+    chain = Poset(labels, idx[:, None] <= idx)
+    perm = np.random.default_rng(0).permutation(n)
+    relabelled = Poset(labels, chain.leq[np.ix_(perm, perm)])
+    antichain = Poset(labels, np.eye(n, dtype=bool))
+    for a, b in ((chain, relabelled), (antichain, antichain)):
+        assert is_order_isomorphism(a, b, order_isomorphism(a, b))
+    assert order_isomorphism(chain, antichain) is None
 
 
 def test_meet_closure_matches_partitions_on_corpus5(corpus5):

@@ -7,6 +7,7 @@ from partlat import (
     JOIN_PARTIAL,
     UNDEF,
     AxiomViolation,
+    BadParameter,
     NotPlos,
     all_partial_congruences,
     antichain,
@@ -51,6 +52,19 @@ class TestValidate:
             validate_partial_lattice(fig4.labels, jt, mt)
         assert err.value.axiom == "duality"
         assert set(err.value.witness) == {a, c}
+
+    # A chain a < b has join [[0, 1], [1, 1]]; each join below is malformed.
+    @pytest.mark.parametrize("join, message", [
+        ([[0]], "join table shape does not match carrier"),
+        ([[0, 1], [1.7, 1]], "join[1,0] is not an element index"),
+        ([[0, 1], ["x", 1]], "join[1,0] is not an element index"),
+        ([[0, True], [1, 1]], "join[0,1] is not an element index"),
+        (np.array([[0, 1], [1.7, 1]]), "join table has dtype float64, not an integer type"),
+    ], ids=["short", "float_cell", "str_cell", "bool_cell", "float_array"])
+    def test_malformed_table_is_rejected(self, join, message):
+        with pytest.raises(BadParameter) as err:
+            validate_partial_lattice(("a", "b"), join, [[0, 0], [0, 1]])
+        assert str(err.value) == message
 
     def test_idempotency_first(self):
         jt = np.array([[1, UNDEF], [UNDEF, 1]])

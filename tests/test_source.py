@@ -49,11 +49,8 @@ def test_every_oracle_is_used():
     assert sorted(defined.keys() - used) == []
 
 
-def test_sweep_uses_no_per_congruence_route():
-    # The sweep checks every congruence of a structure in one stacked pass
-    # and builds every L/E and (L/E)* as one stack; these per-congruence
-    # functions are its reference, not its route, so verify.py neither
-    # imports nor names them.
+def verify_names():
+    """Every name that verify.py imports or reads, attributes included."""
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     named = set()
     for node in ast.walk(tree):
@@ -63,7 +60,24 @@ def test_sweep_uses_no_per_congruence_route():
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
+    return named
+
+
+def test_sweep_uses_no_per_congruence_route():
+    # The sweep checks every congruence of a structure in one stacked pass
+    # and builds every L/E and (L/E)* as one stack; these per-congruence
+    # functions are its reference, not its route, so verify.py neither
+    # imports nor names them.
     per_congruence = {"quotient_extension_iso", "lattice_quotient", "extend_hom",
                       "restrict_hom", "canonical_projection", "quotient",
                       "two_point_extension", "validate_partial_lattice", "quot"}
-    assert named & per_congruence == set()
+    assert verify_names() & per_congruence == set()
+
+
+def test_sweep_restates_no_seeding_or_homomorphism_scan():
+    # The seeded D-closure is congruence.collapsed_irreducibles and the
+    # homomorphism masks are morphism.hom_masks; verify.py calls them and
+    # reads neither the join-irreducible rows and D order nor the one-map
+    # classifier.
+    restated = {"rows", "below", "_seeded_irreducibles", "_classify", "NOT_HOM", "from_lattice"}
+    assert verify_names() & restated == set()

@@ -5,10 +5,10 @@ exhaustive generation", J. Algorithms 26 (1998); Brinkmann & McKay, "Posets
 on up to 16 points", Order 19 (2002)): removing a maximal element from a
 poset on m points leaves a poset on m - 1 points below which it sat over a
 down-set, so level m is level m - 1 with a new last element added above each
-down-set of each member. Candidates are deduplicated by their canonical form,
-the lexicographically least order matrix over all relabelings, and each
-level is returned sorted by it. One enumeration grows each level once and
-keeps it frozen. Sizes are capped at six.
+down-set of each member (``order.down_sets``). Candidates are deduplicated by
+their canonical form, the lexicographically least order matrix over all
+relabelings, and each level is returned sorted by it. One enumeration grows
+each level once and keeps it frozen. Sizes are capped at six.
 """
 
 from functools import cache
@@ -17,7 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import BadParameter, NotPlos
-from .order import Poset, _frozen
+from .order import Poset, _frozen, down_sets
 from .plattice import from_plos
 
 _LABELS = "abcdef"
@@ -52,14 +52,6 @@ def canonical_form(leq):
     return packed[best].tobytes(), stacked[best].reshape(n, n).copy()
 
 
-def _down_sets(leq):
-    """Every down-set of the order ``leq`` as a row of a boolean matrix."""
-    m = len(leq)
-    subsets = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
-    # S is a down-set when everything below a member of S is in S.
-    return subsets[((subsets @ leq.T) == subsets).all(axis=1)]
-
-
 @cache
 def _level(m):
     """The order matrices of all posets on m elements, frozen and sorted by
@@ -71,7 +63,7 @@ def _level(m):
     for leq in _level(m - 1):
         grown = np.eye(m, dtype=bool)
         grown[:-1, :-1] = leq
-        for down in _down_sets(leq):
+        for down in down_sets(leq):
             grown[:-1, -1] = down  # the new element m - 1 sits above ``down``
             key, canon = canonical_form(grown)
             found.setdefault(key, canon)

@@ -83,8 +83,8 @@ class Carrier:
         return tuple(self.index(x) for x in labels)
 
     def is_index(self, i):
-        """Whether ``i`` is an integer in 0..n-1, which numpy will not wrap."""
-        return isinstance(i, (int, np.integer)) and 0 <= i < self.n
+        """Whether ``i`` is an integer in 0..n-1, which numpy will not wrap, and not a bool."""
+        return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.n
 
 
 class Poset(Carrier):
@@ -259,6 +259,33 @@ def is_plos(p):
     bound set.
     """
     return plos_report(p, extrema(p)[1])
+
+
+def down_sets(leq):
+    """Every down-set of the preorder ``leq`` as a row of a boolean matrix.
+
+    Elements with one down-set form a class. Taken by down-set size, a linear
+    extension, each class is added to every down-set found so far that holds
+    all strictly below it: each down-set is built once, as an int bit mask,
+    and the work follows their number, not 2^m.
+    """
+    m = len(leq)
+    width = -(-m // 8)
+    bits = np.zeros((m, 8 * width), dtype=bool)
+    bits[:, :m] = leq.T  # row k: the down-set of k, padded to whole bytes
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    classes = {}
+    for k in range(m):
+        down = int.from_bytes(packed[k * width:(k + 1) * width], "little")
+        classes[down] = classes.get(down, 0) | 1 << k
+    found = [0]
+    for down in sorted(classes, key=int.bit_count):
+        members = classes[down]
+        need = down ^ members  # everything strictly below the class
+        found += [s | members for s in found if s & need == need]
+    rows = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in found), np.uint8)
+    return np.unpackbits(rows.reshape(len(found), width), axis=1, count=m,
+                         bitorder="little").view(bool)
 
 
 # The join-irreducibles of a lattice (elements with one lower cover), their

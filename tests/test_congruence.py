@@ -336,6 +336,13 @@ class TestQuotientJoinCase:
         with pytest.raises(BadParameter):
             quotient_join_case(fig9, e, 0, fig9.n)
 
+    def test_bool_element_is_rejected(self):
+        # bool subclasses int; numpy would read True as element 1
+        from partlat import antichain
+
+        with pytest.raises(BadParameter):
+            quotient_join_case(antichain(2), Partition.identity(2), True, False)
+
     def test_branches_may_differ_but_blocks_agree(self, fig9):
         # (a, b) and (a, d) are representative pairs of the same classes
         e = figs.congruence_of(fig9, "a|b d|c")

@@ -22,6 +22,7 @@ from partlat import (
     Partition,
     PartlatError,
     Poset,
+    all_congruences,
     check_absorption,
     check_hom,
     check_distributivity,
@@ -47,13 +48,14 @@ from partlat import (
 )
 from partlat.congruence import collapsed_irreducibles
 from partlat.morphism import hom_masks
-from partlat.order import extrema, extrema_stack, first_true
+from partlat.order import down_sets, extrema, extrema_stack, first_true
 
 from oracles import (
     check_absorption_loops,
     check_distributivity_loops,
     check_hom_loops,
     con_is_closed_under_meets_partitions,
+    down_sets_filter,
     extrema_rows,
     from_plos_loops,
     generate_congruence_worklist,
@@ -165,6 +167,58 @@ def test_extrema_broadcast_matches_rows(p):
     want_tables, want_missing = extrema_rows(p)
     assert tables.dtype == want_tables.dtype
     assert np.array_equal(tables, want_tables) and np.array_equal(missing, want_missing)
+
+
+@st.composite
+def random_preorders(draw):
+    """The reflexive-transitive closure of random arcs on up to 9 elements,
+    so a cycle of arcs makes a class of several elements."""
+    n = draw(st.integers(1, 9))
+    reach = np.eye(n, dtype=bool)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=12)):
+        reach[a, b] = True
+    for k in range(n):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return reach
+
+
+@given(st.one_of(random_posets().map(lambda p: p.leq), random_preorders()))
+@example(np.ones((1, 1), dtype=bool))
+@example(named_lattice("M", 5).irreducibles.below)  # one class of five
+@settings(max_examples=300, deadline=None)
+def test_down_sets_match_filter(leq):
+    rows = down_sets(leq)
+    found = {row.tobytes() for row in rows}
+    assert rows.dtype == bool and rows.shape[1] == len(leq)
+    assert len(found) == len(rows)  # each down-set once
+    assert found == {row.tobytes() for row in down_sets_filter(leq)}
+    assert {np.zeros(len(leq), dtype=bool).tobytes(), np.ones(len(leq), dtype=bool).tobytes()} <= found
+
+
+def test_down_sets_of_a_long_chain():
+    # m + 1 down-sets, where the filter would test 2^m subsets. m = 20 comes
+    # first, so a lister that is exponential fails there rather than trying
+    # to hold 2^40 rows.
+    for m in (20, 40):
+        rows = down_sets(np.triu(np.ones((m, m), dtype=bool)))
+        assert len(rows) == m + 1
+        assert np.array_equal(rows[np.argsort(rows.sum(1))], np.tri(m + 1, m, -1, dtype=bool))
+
+
+def test_all_congruences_memory_is_bounded_by_blocks():
+    # 128 congruences of 128 elements: one product over all of them would
+    # hold 8 MB of counts at once.
+    lat = named_lattice("boolean", 7)
+    lat.irreducibles
+    tracemalloc.start()
+    try:
+        congruences = all_congruences(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert len(set(congruences)) == 128
 
 
 def test_extrema_memory_is_bounded_by_blocks():

@@ -70,6 +70,17 @@ class TestCheckHom:
         with pytest.raises(BadParameter):
             check_hom((0.5, 1, 2), fig4, fig4)
 
+    def test_bool_value_is_rejected(self):
+        # bool subclasses int, so True would be read as element 1
+        c2 = from_lattice(named_lattice("chain", 2))
+        with pytest.raises(BadParameter):
+            check_hom([True, True], c2, c2)
+
+    def test_bool_value_is_rejected_by_morphism(self):
+        c2 = from_lattice(named_lattice("chain", 2))
+        with pytest.raises(BadParameter):
+            Morphism(c2, c2, (False, True))
+
     def test_value_mismatch_is_not_hom(self, fig4):
         a, b, c = fig4.indices(("a", "b", "c"))
         # swap b and c: a v c = c must map to a v b, which is undefined

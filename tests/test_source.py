@@ -49,9 +49,9 @@ def test_every_oracle_is_used():
     assert sorted(defined.keys() - used) == []
 
 
-def verify_names():
-    """Every name that verify.py imports or reads, attributes included."""
-    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+def module_names(module):
+    """Every name that ``module``.py imports or reads, attributes included."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -71,7 +71,7 @@ def test_sweep_uses_no_per_congruence_route():
     per_congruence = {"quotient_extension_iso", "lattice_quotient", "extend_hom",
                       "restrict_hom", "canonical_projection", "quotient",
                       "two_point_extension", "validate_partial_lattice", "quot"}
-    assert verify_names() & per_congruence == set()
+    assert module_names("verify") & per_congruence == set()
 
 
 def test_sweep_restates_no_seeding_or_homomorphism_scan():
@@ -80,4 +80,14 @@ def test_sweep_restates_no_seeding_or_homomorphism_scan():
     # reads neither the join-irreducible rows and D order nor the one-map
     # classifier.
     restated = {"rows", "below", "_seeded_irreducibles", "_classify", "NOT_HOM", "from_lattice"}
-    assert verify_names() & restated == set()
+    assert module_names("verify") & restated == set()
+
+
+def test_one_down_set_lister():
+    # order.down_sets lists the down-sets of an order for the poset levels
+    # and of the dependency order for Con L; neither caller keeps its own
+    # filter or walk, nor the per-congruence reader.
+    for module in ("enumeration", "congruence"):
+        names = module_names(module)
+        assert "down_sets" in names, module
+        assert names & {"_down_sets", "under", "_congruence_reader"} == set(), module

@@ -312,6 +312,20 @@ def test_lost_upper_bound_is_reported():
         0, "quotient lost an upper bound at (0, 1)")
 
 
+@pytest.mark.parametrize("op", ["join", "meet"])
+def test_weak_subalgebra_of_the_extension_is_checked(op):
+    # Unvalidated tables with one off-diagonal cell, a v b = c or a ^ b = c:
+    # the induced order is an antichain, so every case law holds, but the
+    # extension sends a and b to an adjoined bound, not to c.
+    diagonal = np.where(np.eye(3, dtype=bool), np.arange(3), UNDEF)
+    cell = diagonal.copy()
+    cell[0, 1] = 2
+    lat = PartialLattice("abc", *((cell, diagonal) if op == "join" else (diagonal, cell)))
+    assert lat.extension.star.n == 5
+    assert verify._check_extension(lat) == (
+        False, "carrier is not a weak subalgebra of the extension")
+
+
 def test_empty_congruence_list_is_vacuously_closed():
     lat = antichain(2)
     lat.congruences = ()

@@ -16,15 +16,15 @@ from partlat.verify import structure_checks, verify_corpus
 
 corpus = list(enumerate_partial_lattices(5))
 print("corpus size:", len(corpus))
-print("by carrier size:", dict(Counter(lat.n for lat in corpus)))
-print("by totality:", dict(Counter(is_total(lat) for lat in corpus)))
+print("by carrier size:", dict(sorted(Counter(lat.n for lat in corpus).items())))
+print("by totality:", dict(sorted(Counter(is_total(lat) for lat in corpus).items())))
 
 ###############################################################################
 # Extensions add zero, one, or two points depending on which tables have
 # gaps.
 
 print("by adjoined bounds:",
-      dict(Counter(two_point_extension(lat).added for lat in corpus)))
+      dict(sorted(Counter(two_point_extension(lat).added for lat in corpus).items())))
 
 ###############################################################################
 # Per-structure checks: absorption, the order correspondence roundtrips,

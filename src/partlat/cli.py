@@ -213,7 +213,7 @@ def _build_parser():
     iso.add_argument("second")
     iso.set_defaults(func=cmd_iso)
     ver = sub.add_parser("verify", help="run the law suite over the enumerated corpus")
-    ver.add_argument("--n", type=int, default=4, choices=range(1, 7),
+    ver.add_argument("--n", type=int, default=4, choices=range(1, 9),
                      help="largest carrier size to enumerate")
     ver.set_defaults(func=cmd_verify)
     demo = sub.add_parser("demo", help="print a figure from the bundled gallery")

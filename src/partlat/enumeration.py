@@ -5,14 +5,21 @@ exhaustive generation", J. Algorithms 26 (1998); Brinkmann & McKay, "Posets
 on up to 16 points", Order 19 (2002)): removing a maximal element from a
 poset on m points leaves a poset on m - 1 points below which it sat over a
 down-set, so level m is level m - 1 with a new last element added above each
-down-set of each member (``order.down_sets``). Candidates are deduplicated by
-their canonical form, the lexicographically least order matrix over all
-relabelings, and each level is returned sorted by it. One enumeration grows
-each level once and keeps it frozen. Sizes are capped at six.
+down-set of each member (``order.down_sets``).
+
+The candidates of a level are deduplicated by one stacked canonical form:
+colours refined to the equitable partition of McKay & Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 60 (2014), then the least order
+matrix over the relabelings that keep the colour classes, a product of
+factorials of their sizes instead of n!. Each level is sorted by that key,
+and one enumeration grows each level once and keeps it frozen. Sizes are
+capped at eight: all 2,045 posets on 7 points take about 0.07 s and all
+16,999 on 8 about 0.5 s (2-vCPU VM, Python 3.11, numpy 2.4).
 """
 
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
+from math import factorial
 
 import numpy as np
 
@@ -20,60 +27,147 @@ from .errors import BadParameter, NotPlos
 from .order import Poset, _frozen, down_sets
 from .plattice import from_plos
 
-_LABELS = "abcdef"
-_RELABELINGS = {}
+_LABELS = "abcdefgh"
+# Cells per block: the refinement's int64 relation stays within 4 MB, and a
+# block of relabelings with its element indices within 4 MB / n.
+_CELLS = 2**19
+_BYTES = 256 ** np.arange(7, -1, -1, dtype=np.uint64)  # place values of a big-endian word
 
 
-def _relabelings(n):
-    """Row k holds, for each cell of the order matrix relabeled by the k-th
-    permutation, the flat index of the cell it is read from."""
-    if n not in _RELABELINGS:
-        perms = np.array(list(permutations(range(n))), dtype=np.intp)
-        _RELABELINGS[n] = (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
-    return _RELABELINGS[n]
+def _refine(leq):
+    """The stable colours of each relation of a k x n x n stack, n <= 8.
+
+    Starting from one colour, each round keys an element by its colour and
+    the counts of each colour strictly below and strictly above it, three
+    bits a count, with one integer product; the first round thus colours by
+    (down-set size, up-set size). The new colour is the count of smaller
+    keys in the row, so colour order is key order and no labelling enters.
+    A relation leaves the rounds once its colours are all distinct or a
+    round splits no class: colours only grow, and their total grows
+    exactly when a class splits.
+    """
+    k, n = leq.shape[:2]
+    strict = leq.copy()
+    strict.reshape(k, -1)[:, :: n + 1] = False
+    # rel[i, x, y] is 2^24 if y < x, plus 1 if x < y: one product counts both sides
+    rel = strict.transpose(0, 2, 1).astype(np.int64)
+    rel <<= 24
+    rel |= strict
+    colour = np.zeros((k, n), dtype=np.int64)
+    total = np.zeros(k, dtype=np.int64)
+    discrete = n * (n - 1) // 2  # the colour total when every class is a singleton
+    live = np.arange(k)
+    while len(live):
+        old = colour[live]
+        key = old << 48 | (rel[live] @ (1 << 3 * old)[:, :, None])[:, :, 0]
+        new = (key[:, None, :] < key[:, :, None]).sum(2)
+        colour[live] = new
+        grown = new.sum(1)
+        split = grown > total[live]
+        total[live] = grown
+        live = live[split & (grown < discrete)]
+    return colour
+
+
+@cache
+def _class_relabelings(starts, n):
+    """Every relabeling of 0..n-1 that keeps the classes starting at the set
+    bits of ``starts``: row r lists, for each position, the position it is
+    read from. That is the product of the class sizes' factorials."""
+    bounds = [k for k in range(n) if starts >> k & 1] + [n]
+    table = np.arange(n, dtype=np.int8)[None]
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 1:  # a singleton class keeps its position
+            block = np.fromiter(chain.from_iterable(permutations(range(a, b))), dtype=np.int8,
+                                count=factorial(b - a) * (b - a)).reshape(-1, b - a)
+            table = np.repeat(table, len(block), 0)
+            table[:, a:b] = np.tile(block, (len(table) // len(block), 1))
+    return _frozen(table)
+
+
+def _least(leq, colour):
+    """The key of the least order matrix of each relation over the
+    relabelings that keep its ordered colour classes.
+
+    Relations are grouped by the sizes of their classes; each group reads
+    one table of relabelings, gathered over blocks of relations and of
+    relabelings within ``_CELLS`` cells. A matrix packed row by row into
+    bytes and read as one big-endian integer orders as the bytes do.
+    """
+    n = leq.shape[1]
+    place = _BYTES[8 - (n * n + 7) // 8:]
+    base = np.argsort(colour, axis=1)  # the elements in colour order
+    starts = np.bitwise_or.reduce(1 << colour, axis=1)  # colours in use: where classes start
+    order = np.argsort(starts)
+    ordered = starts[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
+    keys = np.full(len(leq), 2**64 - 1, dtype=np.uint64)
+    per = max(1, _CELLS // (n * n))
+    for a, b in zip(cuts, cuts[1:]):
+        group = order[a:b]
+        table = _class_relabelings(int(ordered[a]), n)
+        for first in range(0, len(table), per):
+            rows = table[first:first + per]
+            step = max(1, per // len(rows))
+            for at in range(0, len(group), step):
+                part = group[at:at + step]
+                perm = base[part[:, None, None], rows]  # [relation, relabeling, position]: element placed there
+                cells = leq[part[:, None, None, None], perm[..., None], perm[:, :, None, :]]
+                words = np.packbits(cells.reshape(len(part), len(rows), -1), axis=2) @ place
+                keys[part] = np.minimum(keys[part], words.min(1))
+    return keys
 
 
 def canonical_form(leq):
-    """Canonical key and matrix: the lexicographically least relabeling.
+    """Canonical key and matrix of a relation on n <= 8 elements, or of each
+    relation of a k x n x n stack.
 
-    The key is the row-major order matrix packed into bytes. For n <= 8 those
-    are at most eight bytes, which, right-aligned in a big-endian 64-bit word,
-    order numerically exactly as the bytes order lexicographically, so one
-    argmin picks the least relabeling. Raises BadParameter for n > 8.
+    The matrix is the least relabeling, by the row-major order matrix packed
+    into bytes, among those that keep the ordered classes of the stable
+    colouring (``_refine``); isomorphic relations get equal keys and equal
+    matrices. For one n x n relation the key is those bytes; for a stack it
+    is a length-k array of them, right-aligned in 64-bit words, which order
+    numerically as the bytes order lexicographically. The stack is taken in
+    blocks of ``_CELLS`` cells. Raises BadParameter for n > 8.
     """
-    n = len(leq)
+    leq = np.asarray(leq, dtype=bool)
+    n = leq.shape[-1]
     if n > 8:
         raise BadParameter("canonical_form needs at most 8 elements")
-    stacked = leq.ravel()[_relabelings(n)]
-    packed = np.packbits(stacked, axis=1)
-    words = np.zeros((len(packed), 8), dtype=np.uint8)
-    words[:, 8 - packed.shape[1]:] = packed
-    best = int(np.argmin(words.view(">u8")))
-    return packed[best].tobytes(), stacked[best].reshape(n, n).copy()
+    stack = leq.reshape(-1, n, n)
+    keys = np.empty(len(stack), dtype=np.uint64)
+    step = max(1, _CELLS // max(1, n * n))
+    for first in range(0, len(stack), step):
+        block = stack[first:first + step]
+        keys[first:first + step] = _least(block, _refine(block))
+    packed = keys.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (n * n + 7) // 8:]
+    canon = np.unpackbits(packed, axis=1, count=n * n).view(bool).reshape(-1, n, n)
+    if leq.ndim == 3:
+        return keys, canon
+    return packed[0].tobytes(), canon[0]
 
 
 @cache
 def _level(m):
-    """The order matrices of all posets on m elements, frozen and sorted by
-    canonical key; level m - 1 is read from this cache, which each
+    """The order matrices of all posets on m elements as one frozen stack,
+    sorted by canonical key; level m - 1 is read from this cache, which each
     enumeration starts empty."""
     if m == 1:
-        return (_frozen(np.ones((1, 1), dtype=bool)),)
-    found = {}
-    for leq in _level(m - 1):
-        grown = np.eye(m, dtype=bool)
-        grown[:-1, :-1] = leq
-        for down in down_sets(leq):
-            grown[:-1, -1] = down  # the new element m - 1 sits above ``down``
-            key, canon = canonical_form(grown)
-            found.setdefault(key, canon)
-    return tuple(_frozen(found[key]) for key in sorted(found))
+        return _frozen(np.ones((1, 1, 1), dtype=bool))
+    parents = _level(m - 1)
+    downs = [down_sets(leq) for leq in parents]
+    grown = np.zeros((sum(map(len, downs)), m, m), dtype=bool)
+    grown[:, :-1, :-1] = np.repeat(parents, [len(d) for d in downs], axis=0)
+    grown[:, :-1, -1] = np.concatenate(downs)  # the new element m - 1 sits above each down-set
+    grown[:, -1, -1] = True
+    keys, canon = canonical_form(grown)
+    return _frozen(canon[np.unique(keys, return_index=True)[1]])
 
 
 def all_posets(n):
     """All posets on n elements up to isomorphism, in canonical order."""
-    if not 1 <= n <= 6:
-        raise BadParameter("n must be between 1 and 6")
+    if not 1 <= n <= 8:
+        raise BadParameter("n must be between 1 and 8")
     labels = _LABELS[:n]
     return [Poset(labels, leq) for leq in _level(n)]
 
@@ -85,8 +179,8 @@ def enumerate_partial_lattices(n_max):
     scan, which also rejects posets that fail the bound properties; the
     stream order is deterministic.
     """
-    if not 1 <= n_max <= 6:
-        raise BadParameter("n_max must be between 1 and 6")
+    if not 1 <= n_max <= 8:
+        raise BadParameter("n_max must be between 1 and 8")
     _level.cache_clear()  # levels are shared within one enumeration only
     for n in range(1, n_max + 1):
         for p in all_posets(n):

@@ -631,7 +631,7 @@ def all_posets_masks(n):
         key, canon = canonical_form_loops(leq)
         if key not in found:
             found[key] = canon
-    labels = "abcdef"[:n]
+    labels = "abcdefgh"[:n]
     return [Poset(labels, found[key]) for key in sorted(found)]
 
 

@@ -235,12 +235,22 @@ class TestVerify:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "checked 298 partial lattices on up to 6 elements: ok\n"
-        for n in ("0", "7"):
+        for n in ("0", "9"):
             result = subprocess.run(
                 [sys.executable, "-m", "partlat", "verify", "--n", n],
                 capture_output=True, text=True, timeout=60, env=env,
             )
             assert result.returncode == 2, n
+
+    def test_sweep_of_corpus_7(self):
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "partlat", "verify", "--n", "7"],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "checked 1376 partial lattices on up to 7 elements: ok\n"
 
 
 class TestDemo:
@@ -293,7 +303,7 @@ WORDS = ("--dot", "--help", "-h", "--classes", "-", "fig1", "N5")
 NAMED = st.sampled_from(("N5", "M3", "chain2", "chain0", "-"))
 # verify always comes with --n: its default, 4, and anything above 3 would
 # start a real sweep, so larger n is only reached through the parser's rejection.
-VERIFY = st.sampled_from(("1", "2", "3", "0", "7", "-1", "x")).map(
+VERIFY = st.sampled_from(("1", "2", "3", "0", "9", "-1", "x")).map(
     lambda n: ["verify", "--n", n])
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from partlat import (
     BadParameter,
+    Poset,
     all_posets,
     enumerate_partial_lattices,
     is_plos,
@@ -20,41 +22,108 @@ from partlat.enumeration import canonical_form
 from oracles import all_posets_masks, canonical_form_loops, isomorphic_bruteforce
 
 # regression constants fixed by the enumeration oracle run (posets: OEIS A000112)
-POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
-PLOS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222}
-# sha256 of (labels, join, meet) over the enumerate_partial_lattices(6) stream,
-# taken from the mask-filter enumeration; it pins members and stream order.
-STREAM6_SHA256 = "c5e0fde333efa6c11f7521e357864ef916dde52fd449781d8020240c089eb9f9"
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
+PLOS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222, 7: 1078, 8: 5994}
+# sha256 of (labels, join, meet) over the enumerate_partial_lattices(6) stream;
+# it pins members and stream order. Its isomorphism classes are those of the
+# mask-filter enumeration (test_augmentation_matches_mask_filter).
+STREAM6_SHA256 = "b58c0b2609a41986ba39425a395d99747a1bfa1cea11f415492c5e507af0fd80"
 
 
 @st.composite
-def reflexive_relations(draw):
-    """A random reflexive relation on up to 7 elements, not necessarily an
-    order."""
-    n = draw(st.integers(1, 7))
+def reflexive_relations(draw, n=None):
+    """A random reflexive relation on up to 8 elements, or on ``n``, not
+    necessarily an order."""
+    n = draw(st.integers(1, 8)) if n is None else n
     cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     leq = np.array(cells, dtype=bool).reshape(n, n)
     np.fill_diagonal(leq, True)
     return leq
 
 
+@st.composite
+def orders(draw, n=None):
+    """A random order on up to 8 elements, or on ``n``, in a random index
+    order: the transitive closure of arcs that point up in a hidden linear
+    order."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    rank = np.array(draw(st.permutations(range(n))))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    leq = np.eye(n, dtype=bool)
+    for a, b in arcs:
+        leq[a, b] |= rank[a] < rank[b]
+    for k in range(n):  # Warshall
+        leq |= leq[:, k, None] & leq[k]
+    return leq
+
+
+def relabeled(leq, perm):
+    perm = np.asarray(perm)
+    return leq[perm[:, None], perm]
+
+
 # an order on 8 elements, the largest canonical_form accepts: 64 bits, no padding
 EIGHT = np.eye(8, dtype=bool) | np.triu(np.arange(64).reshape(8, 8) % 3 == 0)
+CYCLES = np.eye(8, dtype=bool)
+CYCLES[[0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 0, 4, 5, 6, 7, 3]] = True
 
 
-@given(reflexive_relations())
-@example(EIGHT)
-@settings(max_examples=100, deadline=None)
-def test_canonical_form_matches_loops(leq):
+@given(st.one_of(orders(), reflexive_relations()).flatmap(
+    lambda leq: st.tuples(st.just(leq), st.permutations(range(len(leq))))))
+@example((EIGHT, list(range(7, -1, -1))))
+@example((np.eye(8, dtype=bool), [1, 0, 2, 3, 4, 5, 6, 7]))  # 8! relabelings in one class
+# directed 3- and 5-cycles: every element has one element strictly below and
+# one above, so one colour class whose 8! relabelings span five blocks; the
+# least matrix is not in every block, so each block must be searched
+@example((CYCLES, [3, 6, 1, 4, 7, 2, 5, 0]))
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_invariant_and_a_relabeling(case):
+    leq, perm = case
     key, canon = canonical_form(leq)
-    want_key, want_canon = canonical_form_loops(leq)
-    assert key == want_key
-    assert canon.shape == want_canon.shape and (canon == want_canon).all()
+    again, canon_again = canonical_form(relabeled(leq, perm))
+    assert key == again and canon.dtype == bool and (canon == canon_again).all()
+    assert key == np.packbits(canon).tobytes()
+    # the canonical matrix is the input relabeled: the oracle's global least agrees
+    assert canonical_form_loops(canon)[0] == canonical_form_loops(leq)[0]
+    # a stack gives each row's form, the key as a big-endian 64-bit word
+    keys, stack = canonical_form(np.stack((leq, relabeled(leq, perm))))
+    assert keys.tolist() == [int.from_bytes(key, "big")] * 2 and (stack == canon).all()
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.one_of(orders(n), reflexive_relations(n)),
+    st.one_of(orders(n), reflexive_relations(n)),
+    st.permutations(range(n)), st.booleans())))
+@settings(max_examples=100, deadline=None)
+def test_equal_keys_exactly_for_isomorphic_relations(case):
+    first, second, perm, copy = case
+    if copy:
+        second = relabeled(first, perm)
+    p, q = (Poset("abcde"[:len(leq)], leq) for leq in (first, second))
+    assert (canonical_form(first)[0] == canonical_form(second)[0]) == isomorphic_bruteforce(p, q)
 
 
 def test_canonical_form_rejects_nine_elements():
     with pytest.raises(BadParameter):
         canonical_form(np.eye(9, dtype=bool))
+
+
+@pytest.mark.parametrize("build", [
+    # the 8-element antichain: one colour class, 8! = 40,320 relabelings,
+    # whose cell index table alone would be 20.6 MB unblocked
+    lambda: canonical_form(np.eye(8, dtype=bool)),
+    lambda: all_posets(7),
+], ids=["antichain8", "all_posets7"])
+def test_canonical_form_memory_is_bounded_by_blocks(build):
+    enumeration._class_relabelings.cache_clear()
+    enumeration._level.cache_clear()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestAllPosets:
@@ -74,15 +143,19 @@ class TestAllPosets:
             key, canon = canonical_form(p.leq)
             assert (canon == p.leq).all()
 
-    @pytest.mark.parametrize("n", sorted(POSET_COUNTS))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_augmentation_matches_mask_filter(self, n):
-        assert all_posets(n) == all_posets_masks(n)
+        # the same isomorphism classes, each once, as the filter over every
+        # relation mask; representatives differ, so both go through the
+        # oracle's global canonical form
+        got = [canonical_form_loops(p.leq)[0] for p in all_posets(n)]
+        assert sorted(got) == [canonical_form_loops(p.leq)[0] for p in all_posets_masks(n)]
 
     def test_bad_parameter(self):
         with pytest.raises(BadParameter):
             all_posets(0)
         with pytest.raises(BadParameter):
-            all_posets(7)
+            all_posets(9)
 
 
 class TestEnumerate:
@@ -135,7 +208,8 @@ class TestEnumerate:
         all_posets(6)  # levels grown before an enumeration are not reused by it
         calls.clear()
         first = list(enumerate_partial_lattices(6))
-        once = {**{("all_posets", n): 1 for n in range(1, 7)}, ("canonical_form", None): 938}
+        # one stacked canonical form per grown level, 2 to 6
+        once = {**{("all_posets", n): 1 for n in range(1, 7)}, ("canonical_form", None): 5}
         assert calls == once
         calls.clear()
         assert list(enumerate_partial_lattices(6)) == first
@@ -153,4 +227,4 @@ class TestEnumerate:
         with pytest.raises(BadParameter):
             list(enumerate_partial_lattices(0))
         with pytest.raises(BadParameter):
-            list(enumerate_partial_lattices(7))
+            list(enumerate_partial_lattices(9))

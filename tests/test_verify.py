@@ -294,6 +294,29 @@ def test_exchange_law_needs_a_bijection(lat, index, theta):
     assert [bool(mask[0]) for mask, _ in laws] == [False, True]
 
 
+def test_lifted_map_into_a_missing_bound_is_no_homomorphism():
+    # L* of the 2-antichain adjoins a bottom (2) and a top (3). The forged
+    # (L/E)* of the identity congruence has the carrier and the top only,
+    # so the lifted map sends the bottom of L* to UNDEF. Its tables are the
+    # image of L*'s under that map, with UNDEF read as the pad index 3, the
+    # cell a gather at UNDEF reads: no table cell breaks the operations, and
+    # only the missing image fails the law.
+    lat = antichain(2)
+    star = lat.extension.star
+    lifted = np.array([0, 1, UNDEF, 2])
+    tables = np.full((2, 1, 4, 4), UNDEF)
+    for table, source in zip(tables, (star.join, star.meet)):
+        table[0][lifted[:, None], lifted] = lifted[source]
+    x = extension.ExtensionStack(np.eye(4, dtype=bool)[None], *tables, np.array([3]),
+                                 np.array([UNDEF]), np.array([2]), [None])
+    broken, _ = morphism.hom_masks(lifted[None], (star.join, star.meet), tables)
+    assert not broken.any()
+    laws = verify._extension_laws(lat, x, np.array([[0, 1]]), np.array([[0, 1]]),
+                                  np.array([np.arange(4)]), np.array([True]))
+    (hom, error), _ = laws
+    assert hom.tolist() == [True] and str(error) == "extended map must be a homomorphism"
+
+
 def test_lost_upper_bound_is_reported():
     # The quotient laws alone, on stacked tables that keep every join case
     # but whose meet relates no two blocks: the order of L/E, read from its

@@ -5,13 +5,14 @@ generated congruence on the two-point extension restricts back to E. All
 quotient operations are computed through that extension.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParameter, InvariantError, NotACongruence, ensure
-from .order import Poset, down_sets, validate_lattice
+from .order import Poset, _frozen, down_sets, validate_lattice
 from .plattice import UNDEF, validate_partial_lattice
 
 
@@ -73,11 +74,9 @@ class Partition:
             raise BadParameter("partition carrier mismatch")
         return Partition(list(zip(self.block_of, other.block_of)))
 
-    def restrict(self, indices):
-        """Partition induced on the listed elements, reindexed to 0..k-1."""
-        return Partition([self.block_of[i] for i in indices])
-
     def refines(self, other):
+        if self.n != other.n:
+            raise BadParameter("partition carrier mismatch")
         seen = {}
         for mine, theirs in zip(self.block_of, other.block_of):
             if seen.setdefault(mine, theirs) != theirs:
@@ -97,8 +96,7 @@ class Partition:
         return self.block_of < other.block_of
 
     def __repr__(self):
-        body = "|".join(" ".join(str(i) for i in block) for block in self.blocks)
-        return f"Partition({body})"
+        return f"Partition({self.render([str(i) for i in range(self.n)])})"
 
 
 def _read(lat, collapsed):
@@ -109,18 +107,18 @@ def _read(lat, collapsed):
     the least member of the class of a is the join of those p: the first
     element, in a linear extension, above them all, and its place there
     labels the class. A float32 product counts the p left out below v and
-    not below u exactly, in blocks within 2 MB.
+    not below u exactly, in blocks within 2 MB. Returns the labels, k x n.
     """
     n, irr = lat.n, lat.irreducibles
-    ascending = np.argsort(lat.leq.sum(0), kind="stable")  # a linear extension
+    ascending = lat.leq.sum(0).argsort(kind="stable")  # a linear extension
     below_v = irr.rows.T.astype(np.float32, order="C")  # [v, p]: p <= v
     not_above = (~irr.rows.take(ascending, 1)).astype(np.float32)  # [p, i]: p !<= ascending[i]
     step = max(1, 2**19 // (n * n))
-    places = []
+    places = np.empty((len(collapsed), n), dtype=np.int64)
     for start in range(0, len(collapsed), step):
         left = ~collapsed[start:start + step, None] * below_v  # [c, v, p]: p left out, p <= v
-        places += (left @ not_above).argmin(2).tolist()  # the first 0 of counts [c, v, i]
-    return [Partition(row) for row in places]
+        places[start:start + step] = (left @ not_above).argmin(2)  # the first 0 of counts [c, v, i]
+    return places
 
 
 def generate_congruence(lat, *seeds):
@@ -136,7 +134,7 @@ def generate_congruence(lat, *seeds):
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
     block_of = np.array([seed.block_of for seed in seeds], dtype=np.int64).reshape(-1, lat.n)
-    return _read(lat, collapsed_irreducibles(lat, block_of).any(0, keepdims=True))[0]
+    return Partition(_read(lat, collapsed_irreducibles(lat, block_of).any(0, keepdims=True))[0])
 
 
 def collapsed_irreducibles(lat, block_of):
@@ -193,7 +191,7 @@ def is_congruence_on_partial(lat, e):
     # Block ids of e are below n, so the adjoined bounds n.. stay singletons.
     lifted = Partition(e.block_of + tuple(range(lat.n, ext.star.n)))
     theta = generate_congruence(ext.star, lifted)
-    restriction = theta.restrict(range(lat.n))
+    restriction = Partition(theta.block_of[:lat.n])  # the carrier is the prefix of the star
     return CongruenceWitness(theta, restriction, restriction == e, ext)
 
 
@@ -209,50 +207,54 @@ def all_congruences(lat):
     efficiently", Algebra Universalis 59 (2008) 337-343). So each down-set
     of that preorder gives one congruence, and all are read at once.
     """
-    return tuple(sorted(_read(lat, down_sets(lat.irreducibles.below))))
+    return tuple(sorted(map(Partition, _read(lat, down_sets(lat.irreducibles.below)).tolist())))
+
+
+# The congruences e of a partial lattice, k x n, sorted, and the congruences
+# theta(e) they generate on L*, k x |L*|. Each row labels every element by the
+# least index of its class: a canonical form that sorts as ``Partition.block_of``
+# does, as two rows first differing at x relate the same elements before x and
+# label x by its class's least member, x for a new class. e is theta[:, :n].
+CongruenceTable = namedtuple("CongruenceTable", "block_of theta")
+
+
+def congruence_table(lat):
+    """The ``CongruenceTable`` of the partial lattice, read off Con L*. Every
+    congruence of L* that restricts to e contains theta(e), the congruence e
+    generates with the adjoined bounds as singletons, so it labels each element
+    by a least member no greater: of the rows sorted, theta(e) is the last."""
+    star = lat.extension.star
+    labels = _read(star, down_sets(star.irreducibles.below))
+    theta = (labels[:, :, None] == labels[:, None, :]).argmax(2)  # least member of x's class
+    theta = theta[np.lexsort(theta.T[::-1])]
+    e = theta[:, :lat.n]
+    last = np.concatenate(((e[1:] != e[:-1]).any(1), [True]))
+    return CongruenceTable(_frozen(e[last]), _frozen(theta[last]))
 
 
 def congruence_witnesses(lat):
-    """One witness per congruence of the partial lattice, sorted by restriction.
-
-    Every congruence theta of the extension restricts to a congruence e, and
-    theta contains the congruence that e generates with the adjoined bounds
-    as singletons, which restricts to e as well. So of all theta restricting
-    to e, the generated one has the most blocks, and it is kept.
-    """
-    ext = lat.extension
-    carrier = range(lat.n)
-    kept = {}
-    for theta in all_congruences(ext.star):
-        e = theta.restrict(carrier)
-        if e not in kept or len(theta.blocks) > len(kept[e].blocks):
-            kept[e] = theta
-    return tuple(CongruenceWitness(kept[e], e, True, ext) for e in sorted(kept))
+    """One witness per congruence, sorted, read off ``lat.congruence_table``."""
+    return tuple(CongruenceWitness(Partition(theta), e, True, lat.extension)
+                 for theta, e in zip(lat.congruence_table.theta.tolist(), lat.congruences))
 
 
 def all_partial_congruences(lat):
-    """Restrictions to the carrier of all congruences of the extension, read
-    off the kept ``congruence_witnesses``."""
-    return tuple(w.restriction for w in lat.congruence_witnesses)
+    """The congruences, sorted, read off ``lat.congruence_table``."""
+    return tuple(map(Partition, lat.congruence_table.block_of.tolist()))
 
 
 def con_is_closed_under_meets(lat):
     """Common refinements of congruences must again be congruences.
 
-    Every partition is read as the map sending each element to the least
+    The rows of ``lat.congruence_table`` send each element to the least
     member of its class. The common refinement of p and q sends x to the
     least element that both relate to x, so it is found for all q at once.
     """
-    # (0, n) when there is none, so that an empty set is vacuously closed.
-    block_of = np.array([theta.block_of for theta in lat.congruences],
-                        dtype=np.int64).reshape(-1, lat.n)
+    block_of = lat.congruence_table.block_of  # (0, n) when empty: vacuously closed
     same = block_of[:, :, None] == block_of[:, None, :]  # [c, x, y]: c relates x and y
-    known = {row.tobytes() for row in same.argmax(axis=2)}
-    for p, relates in enumerate(same):
-        meets = (same[p:] & relates).argmax(axis=2)  # meet is commutative
-        if not all(row.tobytes() in known for row in meets):
-            return False
-    return True
+    known = {row.tobytes() for row in block_of}
+    return all(row.tobytes() in known  # meet is commutative: q from p on
+               for p, relates in enumerate(same) for row in (same[p:] & relates).argmax(2))
 
 
 DEFINED = "defined"
@@ -287,8 +289,7 @@ def quotient(lat, e, witness=None):
     result passes the axiom validator.
     """
     w = _require_congruence(lat, e, witness)
-    theta = np.array(w.theta.block_of)
-    least = np.array([block[0] for block in w.theta.blocks])[theta]  # least member of x's class
+    least = np.array([block[0] for block in w.theta.blocks])[list(w.theta.block_of)]
     join, meet, reps, errors = quotient_stack(lat, np.array([e.block_of]), least[None])
     if errors[0] is not None:
         raise errors[0]

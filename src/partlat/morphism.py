@@ -98,14 +98,17 @@ def _classify(mapping, source, target):
 def hom_masks(h, source, target):
     """Where k maps ``h``, k x n, from the join and meet tables ``source``
     into each map's own ``target`` tables, k x m x m, break or extend an
-    operation: [op, i, a, b] of ``broken`` when a . b is defined but
-    h_i(a) . h_i(b) is not h_i(a . b), of ``extra`` when a . b is undefined
-    but h_i(a) . h_i(b) is defined. Each mask is 2 x k x n x n, join first."""
+    operation: [op, i, a, b] of ``broken`` when a . b is defined but h_i(a)
+    or h_i(b) is UNDEF or h_i(a) . h_i(b) is not h_i(a . b), of ``extra`` when
+    a . b is undefined but h_i(a) . h_i(b) is defined. Masks are 2 x k x n x n, join first."""
     r = np.arange(len(h))[:, None, None]
     image = np.array([tt[r, h[:, :, None], h[:, None, :]] for tt in target])  # h_i(a) . h_i(b)
     st = np.array(source)
     defined = (st != UNDEF)[:, None]
-    return defined & (image != h[:, st].swapaxes(0, 1)), ~defined & (image != UNDEF)
+    broken = defined & (image != h[:, st].swapaxes(0, 1))
+    if UNDEF in h:
+        broken |= defined & ((h == UNDEF)[:, :, None] | (h == UNDEF)[:, None, :])
+    return broken, ~defined & (image != UNDEF)
 
 
 def kernel(h):

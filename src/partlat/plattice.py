@@ -37,9 +37,9 @@ class PartialLattice(Carrier):
     """Partial algebra (L, v, ^) with strongly idempotent, commutative,
     associative operations tied together by the duality conditions.
 
-    The induced order, the two-point extension, the congruence witnesses and
-    the congruence set depend only on the tables, so each is built once, on
-    first access, by its module-level builder.
+    The induced order, the two-point extension and the congruence table
+    depend only on the tables, so each is built once, on first access, by
+    its module-level builder; the congruences and witnesses read the table.
     """
 
     def __init__(self, labels, join, meet):
@@ -60,15 +60,22 @@ class PartialLattice(Carrier):
         return extension.two_point_extension(self)
 
     @cached_property
+    def congruence_table(self):
+        """The congruences as arrays, as built by ``congruence_table``."""
+        from . import congruence
+
+        return congruence.congruence_table(self)
+
+    @cached_property
     def congruence_witnesses(self):
-        """One witness per congruence, as kept by ``congruence_witnesses``."""
+        """One witness per congruence, as read by ``congruence_witnesses``."""
         from . import congruence
 
         return congruence.congruence_witnesses(self)
 
     @cached_property
     def congruences(self):
-        """All congruences, as listed by ``all_partial_congruences``."""
+        """All congruences, as read by ``all_partial_congruences``."""
         from . import congruence
 
         return congruence.all_partial_congruences(self)

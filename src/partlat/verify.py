@@ -5,15 +5,14 @@ partial lattices. Failures carry the offending structure serialized in the
 input format so they can be replayed from the command line.
 
 The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
-to L*/theta(E), is checked for all congruences of a structure at once: the
-kept witnesses are stacked, L/E and (L/E)* of all of them are built as
-padded stacks of tables, and each check is one gather or broadcast over
-the stack. The per-congruence functions of ``congruence``, ``extension``
-and ``morphism`` stay the reference for it.
+to L*/theta(E), is checked for all congruences of a structure at once: it
+reads the structure's congruence table, L/E and (L/E)* of all its rows are
+built as padded stacks of tables, and each check is one gather or broadcast
+over the stack. The per-congruence functions of ``congruence``,
+``extension`` and ``morphism`` stay the reference for it.
 """
 
 import traceback
-from itertools import takewhile
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .congruence import (
     quotient_stack,
 )
 from .enumeration import enumerate_partial_lattices
-from .errors import InvariantError, NotACongruence
+from .errors import InvariantError
 from .extension import ExtensionStack, extension_stack
 from .morphism import hom_masks
 from .order import first_true, is_plos
@@ -38,9 +37,6 @@ from .plattice import (
     lp_roundtrip,
     pl_roundtrip,
 )
-
-
-UNRECOGNIZED = "enumerated congruence not recognized: {e!r}"
 
 
 def serialize(lat):
@@ -91,40 +87,39 @@ def _until_error(*errors):
     return next(((i, e) for i, row in enumerate(zip(*errors)) for e in row if e is not None), None)
 
 
-def _first_failure(laws, congruences):
+def _first_failure(laws, lat):
     """(row, detail) of the first failing law of the first congruence that
     fails one, or None. A law is a mask over [congruence, ...] and a detail:
-    a template filled with the first failing pair and the congruence ``e``,
-    or an InvariantError to raise."""
+    a template filled with the first failing pair and the congruence ``e``
+    of ``lat.congruences``, or an InvariantError to raise."""
     cell = first_true(np.stack([mask.reshape(len(mask), -1).any(1) for mask, _ in laws], axis=1))
     if cell is None:
         return None
     i, law = cell
     mask, detail = laws[law]
     if isinstance(detail, str):
-        detail = detail.format(*(first_true(mask[i]) if mask.ndim > 1 else ()), e=congruences[i])
+        detail = detail.format(*(first_true(mask[i]) if mask.ndim > 1 else ()),
+                               e=lat.congruences[i])
     return i, detail
 
 
-def _generated(lat, block_of, theta, least):
-    """Which stacked witnesses hold the congruence their restriction e
-    generates on the extension: theta is compatible with both star tables,
+def _generated(lat, block_of, theta):
+    """Which table rows hold the congruence theta, labelled by least members,
+    that their e generates on L*: theta is compatible with both star tables,
     restricts to e, and collapses exactly the join-irreducibles that
     ``collapsed_irreducibles`` finds for e. A congruence is fixed by the
     join-irreducibles it collapses, so these three pin theta down."""
     star = lat.extension.star
-    n, k = lat.n, len(theta)
-    r = np.arange(k)[:, None, None]
-    same = block_of[:, :, None] == block_of[:, None, :]
-    ok = (same == (theta[:, :n, None] == theta[:, None, :n])).all((1, 2))
+    r = np.arange(len(theta))[:, None, None]
+    ok = (theta[:, :lat.n] == block_of).all(1)
     for table in (star.join, star.meet):
-        ok &= (theta[r, table] == theta[r, table[least[:, :, None], least[:, None, :]]]).all((1, 2))
+        ok &= (theta[r, table] == theta[r, table[theta[:, :, None], theta[:, None, :]]]).all((1, 2))
     irr = star.irreducibles
     collapsed = theta[:, irr.members] == theta[:, irr.lower]
     return ok & (collapsed == collapsed_irreducibles(star, block_of)).all(1)
 
 
-def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
+def _quotient_laws(lat, qjoin, qmeet, block_of, theta):
     """The laws on the stacked L/E tables: join cases, upper bounds, and the
     projection, which is a homomorphism, closed exactly when the adjoined
     bounds are singleton classes. The projection is e's block map, so its
@@ -138,7 +133,7 @@ def _quotient_laws(lat, qjoin, qmeet, block_of, theta, least):
     ext = lat.extension
     n, k = lat.n, len(qjoin)
     classes = np.arange(k)[:, None, None], block_of[:, :, None], block_of[:, None, :]
-    alpha = least[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
+    alpha = theta[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
     leq = lat.order.leq
     qleq = qmeet == np.arange(qmeet.shape[1])[:, None]  # x ^ y = x
     broken, extra = hom_masks(block_of, (lat.join, lat.meet), (qjoin, qmeet))
@@ -180,14 +175,13 @@ def _extension_laws(lat, x, reps, block_of, theta, closed):
     pairs = valid[:, :, None] & valid[:, None, :]
     cls = theta[r[:, 0], into]  # the theta-class each element of (L/E)* is sent to
     broken, _ = hom_masks(lifted, (star.join, star.meet), (x.join, x.meet))
-    lifted_hom = ~(lifted == UNDEF).any(1) & ~broken.any((0, 2, 3))
-    iso = (theta.max(1) + 1 == x.sizes) & ~((into == UNDEF) & valid).any(1)
+    iso = ((theta == np.arange(star.n)).sum(1) == x.sizes) & ~((into == UNDEF) & valid).any(1)
     iso &= ~((cls[:, :, None] == cls[:, None, :]) & pairs & ~np.eye(size, dtype=bool)).any((1, 2))
     for table, xtable in ((star.join, x.join), (star.meet, x.meet)):
         iso &= ~((cls[r, xtable] != theta[r, table[into[:, :, None], into[:, None, :]]])
                  & pairs).any((1, 2))
     return (
-        (closed & ~lifted_hom, InvariantError("extended map must be a homomorphism")),
+        (closed & broken.any((0, 2, 3)), InvariantError("extended map must be a homomorphism")),
         (~iso, InvariantError("quotient extension exchange failed to verify")),
     )
 
@@ -196,45 +190,39 @@ def congruence_law(lat):
     """The quotient machinery over every congruence of ``lat`` in one stacked
     pass, then the closure of the congruence set under meets.
 
-    The kept witnesses are stacked in ``lat.congruences`` order. L/E of all
-    of them is one stack of class tables (``quotient_stack``), checked
-    against the axioms as one stack (``axiom_violations``), and their (L/E)*
-    one stack of orders and tables (``extension_stack``); each law is one
-    gather or broadcast over the stack. The exchange law compares (L/E)*,
-    built from the L/E tables alone, with the theta-classes of L*. The
-    checks run as stages, each on the rows before the first failure found
-    so far, so the failure left, a detail or an error to raise, is the one
-    that checking the congruences one at a time, each check in turn, meets
-    first.
+    The rows of ``lat.congruence_table`` are the stack. L/E of all of them
+    is one stack of class tables (``quotient_stack``), checked against the
+    axioms as one stack (``axiom_violations``), and their (L/E)* one stack
+    of orders and tables (``extension_stack``); each law is one gather or
+    broadcast over the stack. The exchange law compares (L/E)*, built from
+    the L/E tables alone, with the theta-classes of L*. The checks run as
+    stages, each on the rows before the first failure found so far, so the
+    failure left, a detail or an error to raise, is the one that checking
+    the congruences one at a time, each check in turn, meets first.
     """
-    congruences = lat.congruences
-    kept = {w.restriction: w for w in lat.congruence_witnesses}
-    witnesses = list(takewhile(lambda w: w is not None, map(kept.get, congruences)))
-    k = len(witnesses)
-    failure = UNRECOGNIZED.format(e=congruences[k]) if k < len(congruences) else None
+    least, theta = lat.congruence_table
+    rank = np.cumsum(least == np.arange(lat.n), axis=1) - 1
+    block_of = np.take_along_axis(rank, least, 1)  # blocks numbered as in Partition.block_of
+    k, failure = len(theta), None
     if k:
-        block_of = np.array([w.restriction.block_of for w in witnesses])
-        theta = np.array([w.theta.block_of for w in witnesses])
-        least = (theta[:, :, None] == theta[:, None, :]).argmax(2)  # least member of x's class
-        k, failure = _first_failure(((~_generated(lat, block_of, theta, least), UNRECOGNIZED),),
-                                    congruences) or (k, failure)
+        k, failure = _first_failure(
+            ((~_generated(lat, least, theta), "enumerated congruence not recognized: {e!r}"),),
+            lat) or (k, failure)
     if k:
-        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of[:k], least[:k])
+        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of[:k], theta[:k])
         sizes = (reps != UNDEF).sum(1)
         axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", qjoin, qmeet, sizes)
-        k, failure = _until_error([None if w.is_congruence else NotACongruence(w)
-                                   for w in witnesses[:k]], errors, axioms) or (k, failure)
+        k, failure = _until_error(errors, axioms) or (k, failure)
     if k:
-        laws, closed = _quotient_laws(lat, qjoin[:k], qmeet[:k], block_of[:k], theta[:k],
-                                      least[:k])
-        k, failure = _first_failure(laws, congruences) or (k, failure)
+        laws, closed = _quotient_laws(lat, qjoin[:k], qmeet[:k], block_of[:k], theta[:k])
+        k, failure = _first_failure(laws, lat) or (k, failure)
     if k:
         x = extension_stack(qjoin[:k], qmeet[:k], sizes[:k])
         k, failure = _until_error(x.errors) or (k, failure)
     if k:
         k, failure = _first_failure(_extension_laws(
             lat, ExtensionStack(*(field[:k] for field in x)), reps[:k], block_of[:k],
-            theta[:k], closed[:k]), congruences) or (k, failure)
+            theta[:k], closed[:k]), lat) or (k, failure)
     if isinstance(failure, Exception):
         raise failure
     if failure is not None:

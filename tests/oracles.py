@@ -20,7 +20,10 @@ carrier as the prefix of the extension, source element i at star index i.
 ``canonical_form_loops`` and ``all_posets_masks`` are the enumeration the
 library replaced: a Python ``min`` over every relabeling, and a filter over
 every relation mask. ``con_is_closed_under_meets_partitions`` builds every
-``Partition.meet`` of two congruences. ``extrema_rows`` is the sup/inf
+``Partition.meet`` of two congruences, and ``congruence_witnesses_partitions``
+keeps one witness per congruence in a dict keyed by ``Partition``, as the
+library did before the congruences became one array table per structure;
+``least_member_rows`` writes partitions in that table's row form. ``extrema_rows`` is the sup/inf
 kernel one carrier row at a time, before it became one broadcast, and
 ``quotient_join_case_branches`` classifies one pair by the branches the
 join-case table replaced. ``parse_scanner`` is the text parser that walked
@@ -61,6 +64,7 @@ from partlat import (
     UNDEF,
     AxiomViolation,
     BadParameter,
+    CongruenceWitness,
     HomReport,
     IdentityReport,
     JoinCase,
@@ -72,6 +76,7 @@ from partlat import (
     Partition,
     PlosReport,
     Poset,
+    all_congruences,
     canonical_projection,
     extend_hom,
     is_congruence_on_partial,
@@ -497,14 +502,13 @@ def is_generated_witness(w):
     ext = w.extension
     n = ext.source.n
     lifted = Partition(w.restriction.block_of + tuple(range(n, ext.star.n)))
-    return (w.theta.restrict(range(n)) == w.restriction
+    return (Partition(w.theta.block_of[:n]) == w.restriction
             and generate_congruence_worklist(ext.star, lifted) == w.theta)
 
 
 def congruence_law_per_witness(lat, e, w):
-    """Quotient machinery for a single congruence, from its kept witness
-    (None when no congruence of the extension restricts to e)."""
-    if w is None or not is_generated_witness(w):
+    """Quotient machinery for a single congruence, from its kept witness."""
+    if not is_generated_witness(w):
         return False, f"enumerated congruence not recognized: {e!r}"
     quot = w.quot
 
@@ -642,6 +646,27 @@ def down_sets_filter(leq):
     m = len(leq)
     subsets = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     return subsets[((subsets @ leq.T) == subsets).all(axis=1)]
+
+
+def congruence_witnesses_partitions(lat):
+    """One witness per congruence of the partial lattice, sorted by
+    restriction: each congruence of L* is restricted to the carrier, its
+    prefix, and for each restriction e the one with the most blocks is kept
+    in a dict keyed by e."""
+    ext = lat.extension
+    kept = {}
+    for theta in all_congruences(ext.star):
+        e = Partition(theta.block_of[:lat.n])
+        if e not in kept or len(theta.blocks) > len(kept[e].blocks):
+            kept[e] = theta
+    return tuple(CongruenceWitness(kept[e], e, True, ext) for e in sorted(kept))
+
+
+def least_member_rows(partitions, n):
+    """The partitions of an n-element carrier as rows that label each
+    element by the least member of its class, len x n."""
+    return np.array([[p.block_containing(x)[0] for x in range(n)] for p in partitions],
+                    dtype=np.int64).reshape(-1, n)
 
 
 def con_is_closed_under_meets_partitions(lat):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from partlat import (
@@ -10,6 +12,7 @@ from partlat import (
     all_congruences,
     all_partial_congruences,
     con_is_closed_under_meets,
+    congruence_witnesses,
     enumerate_partial_lattices,
     generate_congruence,
     is_congruence_on_partial,
@@ -31,6 +34,11 @@ from oracles import (
     least_congruence_bruteforce,
     partition_to_comparable,
 )
+
+
+# The digest of ``congruence_digest``, computed before the congruences were
+# kept as one array table per structure.
+CONGRUENCE_SHA256 = "53601a4a1130300588d0ddc4f9c5d08ddb1e39900b5cfaa222c6616b3f90767e"
 
 
 def label_blocks(partition, labels):
@@ -65,9 +73,9 @@ class TestPartition:
         q = Partition([0, 1, 1, 2])
         assert generate_congruence(chain, p, q) == Partition([0, 0, 0, 1])
 
-    def test_restrict_reindexes(self):
-        p = Partition([0, 1, 0, 2])
-        assert p.restrict((0, 2, 3)) == Partition([0, 0, 1])
+    def test_refines_rejects_a_carrier_mismatch(self):
+        with pytest.raises(BadParameter, match="carrier mismatch"):
+            Partition.identity(2).refines(Partition.full(3))
 
     def test_render(self):
         p = Partition.from_blocks(3, [(0, 2)])
@@ -367,3 +375,27 @@ class TestLatticeQuotient:
         q = lattice_quotient(lat, Partition.identity(lat.n))
         assert q.n == lat.n
         assert (q.poset.leq == lat.poset.leq).all()
+
+
+def congruence_digest():
+    """SHA-256 over the ``repr`` of the congruence outputs, order included:
+    ``all_congruences`` of named lattices, and for every structure of corpus
+    6 ``all_congruences(L*)``, the (theta, e) of ``congruence_witnesses`` and
+    ``generate_congruence`` of every carrier pair a < b on L*."""
+    digest = hashlib.sha256()
+    for args in (("M", 3), ("M", 12), ("M", 126), ("N5",), ("chain", 1), ("chain", 8),
+                 ("chain", 12), ("boolean", 5), ("boolean", 7)):
+        digest.update(repr(all_congruences(named_lattice(*args))).encode())
+    for lat in enumerate_partial_lattices(6):
+        star = lat.extension.star
+        digest.update(repr(all_congruences(star)).encode())
+        digest.update(repr([(w.theta, w.restriction) for w in congruence_witnesses(lat)]).encode())
+        for a in range(lat.n):
+            for b in range(a + 1, lat.n):
+                seed = Partition.from_blocks(star.n, [(a, b)])
+                digest.update(repr(generate_congruence(star, seed)).encode())
+    return digest.hexdigest()
+
+
+def test_congruence_outputs_are_pinned():
+    assert congruence_digest() == CONGRUENCE_SHA256

@@ -46,7 +46,7 @@ from partlat import (
     validate_lattice,
     validate_partial_lattice,
 )
-from partlat.congruence import collapsed_irreducibles
+from partlat.congruence import CongruenceTable, collapsed_irreducibles
 from partlat.morphism import hom_masks
 from partlat.order import down_sets, extrema, extrema_stack, first_true
 
@@ -55,6 +55,7 @@ from oracles import (
     check_distributivity_loops,
     check_hom_loops,
     con_is_closed_under_meets_partitions,
+    congruence_witnesses_partitions,
     down_sets_filter,
     extrema_rows,
     from_plos_loops,
@@ -63,6 +64,7 @@ from oracles import (
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
+    least_member_rows,
     order_isomorphism_signatures,
     quotient_join_case_branches,
     quotient_loops,
@@ -96,14 +98,14 @@ def boolean4_suborders(draw):
 
 @st.composite
 def random_posets(draw, n=None):
-    """A random order on up to 9 elements, or on ``n``, in a random index
+    """A random order on up to 9 elements, or on ``n`` up to 10, in a random index
     order; unlike sub-orders of ``boolean 4``, a pair can lack both sup and
     inf."""
     n = draw(st.integers(1, 9)) if n is None else n
     perm = draw(st.permutations(range(n)))
     arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                          max_size=16))
-    labels = "abcdefghi"[:n]
+    labels = "abcdefghij"[:n]
     # Arcs point up from the smaller number before relabelling, so no cycle forms.
     return make_poset(labels, [(labels[perm[min(arc)]], labels[perm[max(arc)]])
                                for arc in arcs if arc[0] != arc[1]])
@@ -419,6 +421,18 @@ def test_hom_masks_match_loops_row_by_row(case):
         assert first_report(broken[:, i], extra[:, i]) == check_hom_loops(mapping, source, target)
 
 
+def test_undefined_image_breaks_every_cell_through_it():
+    # The chain a < b into the one-element lattice, padded with an UNDEF row
+    # and column, with b sent to UNDEF: a gather at UNDEF reads the pad, so
+    # h(a) v h(b) and h(a v b) would both read UNDEF and agree.
+    source = from_lattice(named_lattice("chain", 2))
+    target = np.full((2, 1, 2, 2), UNDEF)
+    target[:, 0, 0, 0] = 0
+    broken, extra = hom_masks(np.array([[0, UNDEF]]), (source.join, source.meet), target)
+    assert broken[:, 0].tolist() == [[[False, True], [True, True]]] * 2
+    assert not extra.any()
+
+
 def first_report(broken, extra):
     """The HomReport that one map's two masks, each 2 x n x n, give."""
     for kind, (join_mask, meet_mask) in ((NOT_HOM, broken), (HOM, extra)):
@@ -563,8 +577,10 @@ def test_meet_closure_rejects_a_forged_set():
     low, high = Partition.from_blocks(3, [(0, 1)]), Partition.from_blocks(3, [(1, 2)])
     for forged, closed in (((low, high, Partition.full(3)), False),
                            ((Partition.identity(3), low, high, Partition.full(3)), True)):
+        # The chain is total, so L* is the chain itself and each theta is its e.
         lat = from_lattice(named_lattice("chain", 3))
-        lat.congruences = forged  # low ^ high is the identity
+        rows = least_member_rows(forged, 3)
+        lat.congruence_table = CongruenceTable(rows, rows)  # low ^ high is the identity
         assert con_is_closed_under_meets(lat) is con_is_closed_under_meets_partitions(lat) is closed
 
 
@@ -581,6 +597,20 @@ def test_kept_witnesses_are_the_generated_congruences_on_corpus6():
             assert w.extension is lat.extension
         total += len(witnesses)
     assert total == 1944
+
+
+@given(plos_structures(st.integers(1, 10).flatmap(random_posets)))
+@settings(max_examples=150, deadline=None)
+def test_congruence_table_matches_partition_dedupe(lat):
+    # Sort order included: the table is sorted by its least-member rows,
+    # the oracle by Partition.
+    witnesses = congruence_witnesses_partitions(lat)
+    assert lat.congruence_witnesses == witnesses
+    assert lat.congruences == tuple(w.restriction for w in witnesses)
+    table = lat.congruence_table
+    assert np.array_equal(table.block_of, least_member_rows(lat.congruences, lat.n))
+    assert np.array_equal(table.theta, least_member_rows([w.theta for w in witnesses],
+                                                         lat.extension.star.n))
 
 
 def test_join_case_table_matches_branches(corpus5, fig4, fig9):

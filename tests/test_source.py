@@ -91,3 +91,11 @@ def test_one_down_set_lister():
         names = module_names(module)
         assert "down_sets" in names, module
         assert names & {"_down_sets", "under", "_congruence_reader"} == set(), module
+
+
+def test_sweep_reads_the_congruence_table():
+    # The sweep reads each structure's congruences as one array table; the
+    # Partition views, their dedupe by restriction and the row alignment
+    # are the library's API edge and the tests' reference, not its route.
+    assert module_names("verify") & {"Partition", "congruence_witnesses", "restrict",
+                                     "takewhile"} == set()

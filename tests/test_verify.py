@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import congruence_law_per_witness, con_is_closed_under_meets_partitions
+from oracles import (
+    congruence_law_per_witness,
+    con_is_closed_under_meets_partitions,
+    least_member_rows,
+)
 
 from partlat import (
     UNDEF,
     CongruenceWitness,
     Lattice,
-    NotACongruence,
     PartialLattice,
     Partition,
     antichain,
@@ -34,6 +37,7 @@ from partlat import (
     verify,
     verify_corpus,
 )
+from partlat.congruence import CongruenceTable
 from partlat.errors import InvariantError
 from partlat.extension import extension_stack
 from partlat.verify import congruence_law, structure_checks
@@ -60,11 +64,18 @@ def test_passing_checks_have_empty_detail():
             assert detail == "", name
 
 
+def forge_table(lat, congruences, thetas):
+    """``lat`` with its congruence table forged: row i holds the i-th
+    congruence and, as the congruence it generates on L*, the i-th theta."""
+    lat.congruence_table = CongruenceTable(least_member_rows(congruences, lat.n),
+                                           least_member_rows(thetas, lat.extension.star.n))
+    return lat
+
+
 def congruence_detail(lat, theta, e):
     """The congruence law's outcome when ``theta`` is kept as the witness of e."""
-    lat.congruence_witnesses = (CongruenceWitness(theta, e, True, lat.extension),)
-    lat.congruences = (e,)
-    results = {name: (ok, detail) for name, ok, detail in structure_checks(lat)}
+    results = {name: (ok, detail) for name, ok, detail
+               in structure_checks(forge_table(lat, [e], [theta]))}
     return results["congruences"]
 
 
@@ -101,8 +112,8 @@ def test_forged_witness_is_not_recognized(lat, theta, e):
      "congruence set not closed under refinement"),
 ])
 def test_assigned_congruences_reach_both_halves_of_the_sweep(forged, detail):
-    lat = from_lattice(named_lattice("chain", 3))
-    lat.congruences = forged
+    # The chain is total, so L* is the chain itself and each theta is its e.
+    lat = forge_table(from_lattice(named_lattice("chain", 3)), forged, forged)
     results = {name: (ok, detail) for name, ok, detail in structure_checks(lat)}
     assert results["congruences"] == (False, detail)
 
@@ -146,6 +157,22 @@ def test_sweep_builds_no_quotient_and_one_extension_per_structure(monkeypatch):
     assert calls == {"two_point_extension": 23}
 
 
+def test_passing_sweep_builds_no_partition(monkeypatch):
+    # The sweep reads each structure's congruence table as arrays; a
+    # Partition is built only for a caller that reads one, such as a
+    # failure's detail.
+    built = Counter()
+    init = Partition.__init__
+
+    def counted(self, block_of):
+        built["Partition"] += 1
+        init(self, block_of)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
+    assert verify_corpus(5) == (76, [])
+    assert built == {}
+
+
 def test_join_case_disagreement_is_reported(monkeypatch, fig9):
     real = verify.join_case_stack
 
@@ -159,11 +186,14 @@ def test_join_case_disagreement_is_reported(monkeypatch, fig9):
     assert results["congruences"] == (False, "join case disagrees with table at [0],[1]")
 
 
-def per_witness_law(lat):
-    """The congruence law checked one congruence at a time, then the meets."""
-    kept = {w.restriction: w for w in lat.congruence_witnesses}
-    for e in lat.congruences:
-        ok, detail = congruence_law_per_witness(lat, e, kept.get(e))
+def per_witness_law(lat, quotients={}):
+    """The congruence law checked one congruence at a time, then the meets;
+    the quotients of the rows listed in ``quotients`` are forged (see
+    ``forged_builds``)."""
+    for i, (e, w) in enumerate(zip(lat.congruences, lat.congruence_witnesses)):
+        if i in quotients:
+            w = forge(w, *quotients[i])
+        ok, detail = congruence_law_per_witness(lat, e, w)
         if not ok:
             return False, detail
     if not con_is_closed_under_meets(lat):
@@ -171,10 +201,10 @@ def per_witness_law(lat):
     return True, ""
 
 
-def law_outcome(law, lat):
+def law_outcome(law, *args):
     """The law's (ok, detail), or the type and message of what it raised."""
     try:
-        return law(lat)
+        return law(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -198,8 +228,6 @@ class ForgedWitness(CongruenceWitness):
 
     @cached_property
     def quot(self):
-        if not self.is_congruence:
-            raise NotACongruence(self)
         lat = self.extension.source
         labels = tuple(f"[{lat.labels[block[0]]}]" for block in self.restriction.blocks)
         quot = validate_partial_lattice(labels, *self.tables)
@@ -213,31 +241,28 @@ def forge(w, tables, dual=False):
 
 
 @contextmanager
-def forged_builds(lat):
-    """The sweep's stacked builds with the forgeries of ``lat``'s witnesses
-    injected into their output: the row of each forged witness holds its
-    class tables and no build error, and the (L/E)* of a dual one has its
-    join and meet swapped. The per-witness law reads the same forgeries
-    through ``ForgedWitness.quot``."""
-    forged = {w.restriction.block_of: w for w in lat.congruence_witnesses
-              if isinstance(w, ForgedWitness)}
+def forged_builds(quotients):
+    """The sweep's stacked builds with forged quotients injected into their
+    output: ``quotients`` maps a row of the congruence table to the class
+    tables of its L/E and whether its (L/E)* has its join and meet swapped.
+    The row holds those tables and no build error. The per-witness law reads
+    the same forgeries through ``ForgedWitness.quot``."""
     rows = {}
 
     def quotient_stack(lat, block_of, least):
         join, meet, reps, errors = congruence.quotient_stack(lat, block_of, least)
         join, meet = join.copy(), meet.copy()
-        for i, row in enumerate(block_of.tolist()):
-            w = forged.get(tuple(row))
-            if w is not None:
-                n = len(w.tables[0])
-                join[i, :n, :n], meet[i, :n, :n] = w.tables
+        for i, (tables, dual) in quotients.items():
+            if i < len(block_of):
+                n = len(tables[0])
+                join[i, :n, :n], meet[i, :n, :n] = tables
                 errors[i] = None
-                rows[i] = w
+                rows[i] = dual
         return join, meet, reps, errors
 
     def dual_extension_stack(join, meet, sizes):
         x = extension_stack(join, meet, sizes)
-        swapped = [i for i, w in rows.items() if w.dual and i < len(join)]
+        swapped = [i for i, dual in rows.items() if dual and i < len(join)]
         star_join, star_meet = x.join.copy(), x.meet.copy()
         star_join[swapped], star_meet[swapped] = x.meet[swapped], x.join[swapped]
         return x._replace(join=star_join, meet=star_meet)
@@ -247,22 +272,22 @@ def forged_builds(lat):
         yield
 
 
-def stacked_law(lat):
-    """``congruence_law`` on the stacked builds with ``lat``'s forgeries."""
-    with forged_builds(lat):
+def stacked_law(lat, quotients={}):
+    """``congruence_law`` on the stacked builds with forged ``quotients``."""
+    with forged_builds(quotients):
         return congruence_law(lat)
 
 
 def forge_quotients(lat, forgeries):
-    """``lat`` with the quotient of each congruence at a listed position
-    forged: "swap" swaps the join and meet of L/E, "dual" those of (L/E)*."""
-    witnesses = list(lat.congruence_witnesses)
+    """Forged quotients (see ``forged_builds``) of the rows of ``lat``'s
+    congruence table at the listed positions: "swap" swaps the join and meet
+    of L/E, "dual" those of (L/E)*."""
+    quotients = {}
     for i, kind in forgeries.items():
-        quot = quotient(lat, witnesses[i].restriction)
-        witnesses[i] = (forge(witnesses[i], (quot.meet, quot.join)) if kind == "swap"
-                        else forge(witnesses[i], (quot.join, quot.meet), dual=True))
-    lat.congruence_witnesses = tuple(witnesses)
-    return lat
+        quot = quotient(lat, lat.congruences[i])
+        quotients[i] = (((quot.meet, quot.join), False) if kind == "swap"
+                        else ((quot.join, quot.meet), True))
+    return quotients
 
 
 @pytest.mark.parametrize("forgeries, failure", [
@@ -272,8 +297,10 @@ def forge_quotients(lat, forgeries):
 def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries, failure):
     # The checks on L/E and on (L/E)* run as two stacked stages; the first
     # congruence that fails either is still the one reported.
-    lat = forge_quotients(PartialLattice(fig9.labels, fig9.join, fig9.meet), forgeries)
-    assert law_outcome(stacked_law, lat) == law_outcome(per_witness_law, lat) == failure
+    lat = PartialLattice(fig9.labels, fig9.join, fig9.meet)
+    quotients = forge_quotients(lat, forgeries)
+    assert (law_outcome(stacked_law, lat, quotients) == law_outcome(per_witness_law, lat, quotients)
+            == failure)
 
 
 @pytest.mark.parametrize("lat, index, theta", [
@@ -290,7 +317,8 @@ def test_exchange_law_needs_a_bijection(lat, index, theta):
     x = extension_stack(q.join[None], q.meet[None], np.array([q.n]))
     reps = np.array([[block[0] for block in w.restriction.blocks]])
     laws = verify._extension_laws(lat, x, reps, np.array([w.restriction.block_of]),
-                                  np.array([theta]), np.array([False]))
+                                  least_member_rows([Partition(theta)], len(theta)),
+                                  np.array([False]))
     assert [bool(mask[0]) for mask, _ in laws] == [False, True]
 
 
@@ -299,8 +327,8 @@ def test_lifted_map_into_a_missing_bound_is_no_homomorphism():
     # (L/E)* of the identity congruence has the carrier and the top only,
     # so the lifted map sends the bottom of L* to UNDEF. Its tables are the
     # image of L*'s under that map, with UNDEF read as the pad index 3, the
-    # cell a gather at UNDEF reads: no table cell breaks the operations, and
-    # only the missing image fails the law.
+    # cell a gather at UNDEF reads: only the cells through the missing
+    # image break the operations, and they fail the law.
     lat = antichain(2)
     star = lat.extension.star
     lifted = np.array([0, 1, UNDEF, 2])
@@ -310,7 +338,8 @@ def test_lifted_map_into_a_missing_bound_is_no_homomorphism():
     x = extension.ExtensionStack(np.eye(4, dtype=bool)[None], *tables, np.array([3]),
                                  np.array([UNDEF]), np.array([2]), [None])
     broken, _ = morphism.hom_masks(lifted[None], (star.join, star.meet), tables)
-    assert not broken.any()
+    through_bottom = (lifted == UNDEF)[:, None] | (lifted == UNDEF)
+    assert np.array_equal(broken.any((0, 1)), through_bottom)
     laws = verify._extension_laws(lat, x, np.array([[0, 1]]), np.array([[0, 1]]),
                                   np.array([np.arange(4)]), np.array([True]))
     (hom, error), _ = laws
@@ -324,14 +353,14 @@ def test_lost_upper_bound_is_reported():
     # join cases imply the check: duality makes the orders read from join
     # and meet agree, and the join cases give [a] v [c] = [c] for a <= c.
     lat = from_lattice(named_lattice("chain", 3))
-    w = next(w for w in lat.congruence_witnesses if len(w.restriction.blocks) == 3)
-    block_of, theta = np.array([w.restriction.block_of]), np.array([w.theta.block_of])
-    least = (theta[:, :, None] == theta[:, None, :]).argmax(2)
-    qjoin, qmeet, _, _ = congruence.quotient_stack(lat, block_of, least)
+    theta = lat.congruence_table.theta[-1:]  # the identity sorts last
+    block_of = np.array([lat.congruences[-1].block_of])
+    assert block_of.tolist() == [[0, 1, 2]]
+    qjoin, qmeet, _, _ = congruence.quotient_stack(lat, block_of, theta)
     qmeet = np.where(np.eye(3, dtype=bool), np.arange(3), UNDEF)[None]
-    laws, _ = verify._quotient_laws(lat, qjoin, qmeet, block_of, theta, least)
+    laws, _ = verify._quotient_laws(lat, qjoin, qmeet, block_of, theta)
     assert [bool(mask.any()) for mask, _ in laws[:2]] == [False, True]
-    assert verify._first_failure(laws, [w.restriction]) == (
+    assert verify._first_failure(laws, lat) == (
         0, "quotient lost an upper bound at (0, 1)")
 
 
@@ -350,83 +379,79 @@ def test_weak_subalgebra_of_the_extension_is_checked(op):
 
 
 def test_empty_congruence_list_is_vacuously_closed():
-    lat = antichain(2)
-    lat.congruences = ()
+    lat = forge_table(antichain(2), [], [])
     assert con_is_closed_under_meets(lat) and con_is_closed_under_meets_partitions(lat)
     results = {name: (ok, detail) for name, ok, detail in structure_checks(lat)}
     assert results["congruences"] == per_witness_law(lat) == (True, "")
 
 
-FORGERIES = ("merge", "permute", "swap", "not_congruence", "quotient", "meet", "dual",
-             "drop_witness", "drop", "extra", "subset")
+FORGERIES = ("merge", "permute", "swap", "quotient", "meet", "dual", "drop", "extra", "subset")
 
 
 @st.composite
 def forged(draw, corpus):
     """A fresh copy of a corpus structure with up to three forgeries applied
-    to its kept witnesses or to its list of congruences. A forged L/E (see
-    ``forged_builds``) has the class tables of a corpus structure with as
-    many elements as e has blocks, or the true tables with one meet cell
-    toggled, so that the checks past the join cases and the axiom scan are
-    reached too; or it keeps the true tables and swaps the join and meet of
-    its (L/E)*."""
+    to the rows of its congruence table, and the forged quotients of its
+    rows (see ``forged_builds``). A row's theta may be merged, permuted or
+    swapped with another row's; rows may be dropped, kept as a subset, or
+    inserted with a random e whose theta is e with the adjoined bounds as
+    singletons. A forged L/E has the class tables of a corpus structure
+    with as many elements as e has blocks, or the true tables with one meet
+    cell toggled, so that the checks past the join cases and the axiom scan
+    are reached too; or it keeps the true tables and swaps the join and
+    meet of its (L/E)*. Quotients are forged only on rows of the true
+    table, whose e is a congruence."""
     source = draw(st.sampled_from(corpus))
     lat = PartialLattice(source.labels, source.join, source.meet)
-    witnesses, congruences = list(lat.congruence_witnesses), list(lat.congruences)
     m = lat.extension.star.n
+    # [e, theta, forged quotient or None, whether e is a true row]
+    rows = [[e, theta, None, True]
+            for e, theta in zip(*(half.tolist() for half in source.congruence_table))]
     for kind in draw(st.lists(st.sampled_from(FORGERIES), max_size=3)):
         if kind in ("drop", "extra", "subset"):
-            at = draw(st.integers(0, len(congruences)))
+            at = draw(st.integers(0, len(rows)))
             if kind == "drop":
-                del congruences[at:at + 1]
+                del rows[at:at + 1]
             elif kind == "extra":
-                block_of = draw(st.lists(st.integers(0, lat.n - 1), min_size=lat.n, max_size=lat.n))
-                congruences.insert(at, Partition(block_of))
+                e = draw(st.lists(st.integers(0, lat.n - 1), min_size=lat.n, max_size=lat.n))
+                rows.insert(at, [e, e + list(range(lat.n, m)), None, False])
             else:
-                keep = draw(st.lists(st.booleans(), min_size=len(congruences),
-                                     max_size=len(congruences)))
-                congruences = [e for e, kept in zip(congruences, keep) if kept]
+                keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+                rows = [row for row, kept in zip(rows, keep) if kept]
             continue
-        if not witnesses:
+        true_rows = [row for row in rows if row[3]]
+        if not true_rows:
             continue
-        i = draw(st.integers(0, len(witnesses) - 1))
-        w = witnesses[i]
-        theta = w.theta.block_of
+        row = draw(st.sampled_from(true_rows))
+        e, theta = row[:2]
         if kind == "merge":
             a, b = draw(st.lists(st.sampled_from(theta), min_size=2, max_size=2, unique=True)
-                        if len(w.theta.blocks) > 1 else st.just((0, 0)))
-            w = dataclasses.replace(w, theta=Partition([a if x == b else x for x in theta]))
+                        if len(set(theta)) > 1 else st.just((0, 0)))
+            row[1] = [a if x == b else x for x in theta]
         elif kind == "permute":
             perm = draw(st.permutations(range(m)))
-            w = dataclasses.replace(w, theta=Partition([theta[x] for x in perm]))
+            row[1] = [theta[x] for x in perm]
         elif kind == "swap":
-            w = dataclasses.replace(w, theta=draw(st.sampled_from(witnesses)).theta)
-        elif kind == "not_congruence":
-            w = dataclasses.replace(w, is_congruence=False)
+            row[1] = draw(st.sampled_from(rows))[1]
         elif kind == "quotient":
-            size = len(w.restriction.blocks)
-            q = draw(st.sampled_from([q for q in corpus if q.n == size]))
-            w = forge(w, (q.join, q.meet))
-        elif kind == "meet":
-            quot = quotient(lat, w.restriction)
-            x, y = draw(st.integers(0, quot.n - 1)), draw(st.integers(0, quot.n - 1))
-            meet = quot.meet.copy()
-            meet[x, y] = meet[y, x] = (draw(st.integers(0, quot.n - 1)) if meet[x, y] == UNDEF
-                                       else UNDEF)
-            w = forge(w, (quot.join, meet))
-        elif kind == "dual":
-            quot = quotient(lat, w.restriction)
-            w = forge(w, (quot.join, quot.meet), dual=True)
-        if kind == "drop_witness":
-            del witnesses[i]
+            q = draw(st.sampled_from([q for q in corpus if q.n == len(set(e))]))
+            row[2] = ((q.join, q.meet), False)
         else:
-            witnesses[i] = w
-    lat.congruence_witnesses, lat.congruences = tuple(witnesses), tuple(congruences)
-    return lat
+            quot = quotient(lat, Partition(e))
+            if kind == "meet":
+                x, y = draw(st.integers(0, quot.n - 1)), draw(st.integers(0, quot.n - 1))
+                meet = quot.meet.copy()
+                meet[x, y] = meet[y, x] = (draw(st.integers(0, quot.n - 1))
+                                           if meet[x, y] == UNDEF else UNDEF)
+                row[2] = ((quot.join, meet), False)
+            else:
+                row[2] = ((quot.join, quot.meet), True)
+    forge_table(lat, [Partition(row[0]) for row in rows], [Partition(row[1]) for row in rows])
+    return lat, {i: row[2] for i, row in enumerate(rows) if row[2] is not None}
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_stacked_law_matches_per_witness_loop(corpus5, data):
-    lat = data.draw(forged(corpus5))
-    assert law_outcome(stacked_law, lat) == law_outcome(per_witness_law, lat)
+    lat, quotients = data.draw(forged(corpus5))
+    assert law_outcome(stacked_law, lat, quotients) == law_outcome(per_witness_law, lat, quotients)

@@ -12,9 +12,14 @@ colours refined to the equitable partition of McKay & Piperno, "Practical
 graph isomorphism, II", J. Symbolic Comput. 60 (2014), then the least order
 matrix over the relabelings that keep the colour classes, a product of
 factorials of their sizes instead of n!. Each level is sorted by that key,
-and one enumeration grows each level once and keeps it frozen. Sizes are
-capped at eight: all 2,045 posets on 7 points take about 0.07 s and all
-16,999 on 8 about 0.5 s (2-vCPU VM, Python 3.11, numpy 2.4).
+and one enumeration grows each level once and keeps it frozen.
+
+A level becomes its partial lattices through one ``extrema_stack`` over all
+its order matrices (``plos_lattices``), not one ``from_plos`` per poset.
+Sizes are capped at eight: all 2,045 posets on 7 points take about 0.07 s
+and all 16,999 on 8 about 0.5 s; the partial lattices up to 7 points take
+about 0.11 s and up to 8 about 0.95 s, against 0.28 s and 2.2 s with one
+``from_plos`` per poset (2-vCPU VM, Python 3.11, numpy 2.4).
 """
 
 from functools import cache
@@ -23,9 +28,9 @@ from math import factorial
 
 import numpy as np
 
-from .errors import BadParameter, NotPlos
-from .order import Poset, _frozen, down_sets
-from .plattice import from_plos
+from .errors import BadParameter
+from .order import Poset, _frozen, down_sets, extrema_stack, is_integer_in
+from .plattice import PartialLattice
 
 _LABELS = "abcdefgh"
 # Cells per block: the refinement's int64 relation stays within 4 MB, and a
@@ -166,26 +171,27 @@ def _level(m):
 
 def all_posets(n):
     """All posets on n elements up to isomorphism, in canonical order."""
-    if not 1 <= n <= 8:
-        raise BadParameter("n must be between 1 and 8")
+    if not is_integer_in(n, 1, 8):
+        raise BadParameter("n must be an integer between 1 and 8")
     labels = _LABELS[:n]
     return [Poset(labels, leq) for leq in _level(n)]
 
 
-def enumerate_partial_lattices(n_max):
-    """Stream all partial lattices on at most n_max elements up to isomorphism.
+def plos_lattices(posets):
+    """``from_plos`` of each plos among same-size ``posets``, in their order,
+    from one ``extrema_stack`` over all their orders: a poset is kept exactly
+    when no pair misses its sup or inf, and its tables are that scan's."""
+    tables, missing = extrema_stack(np.stack([p.leq for p in posets]))
+    for i in np.flatnonzero(~missing.any((0, 2, 3))):
+        yield PartialLattice(posets[i].labels, tables[0, i], tables[1, i])
 
-    Each enumerated poset is mapped to its canonical partial lattice in one
-    scan, which also rejects posets that fail the bound properties; the
-    stream order is deterministic.
-    """
-    if not 1 <= n_max <= 8:
-        raise BadParameter("n_max must be between 1 and 8")
+
+def enumerate_partial_lattices(n_max):
+    """Stream all partial lattices on at most n_max elements up to isomorphism:
+    ``plos_lattices`` of each level of ``all_posets``, one stacked scan per
+    level, in canonical order, so the stream order is deterministic."""
+    if not is_integer_in(n_max, 1, 8):
+        raise BadParameter("n_max must be an integer between 1 and 8")
     _level.cache_clear()  # levels are shared within one enumeration only
     for n in range(1, n_max + 1):
-        for p in all_posets(n):
-            try:
-                lat = from_plos(p)
-            except NotPlos:
-                continue
-            yield lat
+        yield from plos_lattices(all_posets(n))

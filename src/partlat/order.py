@@ -54,6 +54,13 @@ def first_true_rows(mask):
     return found
 
 
+def is_integer_in(value, low, high=None):
+    """Whether ``value`` is an integer in low..high (no upper end when
+    ``high`` is None) that numpy will not wrap, and not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high))
+
+
 def _check_labels(labels):
     if not labels:
         raise BadParameter("carrier must be nonempty")
@@ -83,8 +90,8 @@ class Carrier:
         return tuple(self.index(x) for x in labels)
 
     def is_index(self, i):
-        """Whether ``i`` is an integer in 0..n-1, which numpy will not wrap, and not a bool."""
-        return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.n
+        """Whether ``i`` is an element index: ``is_integer_in(i, 0, n - 1)``."""
+        return is_integer_in(i, 0, self.n - 1)
 
 
 class Poset(Carrier):
@@ -212,19 +219,22 @@ def extrema_stack(leq):
     have the same size; dually for L(a, b). Both sides are scanned together.
     The bound sets of a block are one 2 x orders x rows x n x n boolean
     array, and the size test is folded into it in place, so at most two such
-    arrays are alive at once. A block holds at most 2^21 / n^2 pairs of an
-    order and a row a: whole orders while n^3 fits, else rows of one order.
-    So each array stays within 4 MB (2 n^2 bytes past n = 1448), and every
-    order up to n = 128 is one block.
+    arrays are alive at once; the sizes are int32 and each extremum is
+    written straight into ``tables``. A block holds at most 2^15 / n^2 pairs
+    of an order and a row a: whole orders while n^3 fits, else rows of one
+    order. So each boolean array stays within 64 KB (2 n^2 bytes past
+    n = 181), the counts within 256 KB / n, and every order up to n = 32 is
+    one block.
     """
     k, n = leq.shape[:2]
     # rel[0, i, a, x]: a <= x in order i; rel[1, i, a, x]: x <= a
     rel = np.empty((2, k, n, n), dtype=bool)
     rel[0], rel[1] = leq, leq.transpose(0, 2, 1)
-    sizes = rel.sum(3)[:, :, None, None, :]  # sizes of the up-set and the down-set of x
+    # the sizes of the up-set and the down-set of x
+    sizes = rel.sum(3, dtype=np.int32)[:, :, None, None, :]
     tables = np.empty((2, k, n, n), dtype=np.int64)
     missing = np.empty((2, k, n, n), dtype=bool)
-    step = max(1, 2**21 // max(1, n * n))
+    step = max(1, 2**15 // max(1, n * n))
     per_block = max(1, step // max(1, n))
     for first in range(0, k, per_block):
         orders = slice(first, first + per_block)
@@ -232,11 +242,13 @@ def extrema_stack(leq):
             rows = slice(start, start + step)
             # [side, i, a, b, x]: x bounds a and b
             bounds = rel[:, orders, rows, None, :] & rel[:, orders, None, :, :]
-            count = bounds.sum(4)
+            count = bounds.sum(4, dtype=np.int32)
             bounds &= count[..., None] == sizes[:, orders]  # now: x is the extremum
-            found = bounds.any(4)
-            tables[:, orders, rows] = np.where(found, bounds.argmax(4), UNDEF)
-            missing[:, orders, rows] = (count > 0) & ~found
+            lost = ~bounds.any(4)
+            table = tables[:, orders, rows]
+            bounds.argmax(4, out=table)
+            table[lost] = UNDEF
+            missing[:, orders, rows] = (count > 0) & lost
     return tables, missing
 
 
@@ -381,8 +393,8 @@ def named_lattice(kind, size=None):
             raise BadParameter("N5 takes no size parameter")
         rel = (("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1"))
         return validate_lattice(make_poset(("0", "x", "z", "y", "1"), rel))
-    if size is None or size < 1:
-        raise BadParameter(f"{kind!r} needs a size parameter >= 1")
+    if not is_integer_in(size, 1):
+        raise BadParameter(f"{kind!r} needs an integer size >= 1")
     # min() keeps the shift small for absurd sizes; 2**8 is already too many.
     elements = {"chain": size, "M": size + 2, "boolean": 1 << min(size, 8)}.get(kind, 0)
     if elements > MAX_NAMED_ELEMENTS:

@@ -49,6 +49,10 @@ positions replaced the recursion; the two must return the same mapping.
 ``down_sets_filter`` lists the down-sets of an order by testing all 2^m
 subsets with one product, before ``order.down_sets`` built each down-set
 once from a smaller one.
+
+``enumerate_partial_lattices_loops`` maps each enumerated poset through
+``from_plos`` one at a time, before one ``extrema_stack`` filtered each
+level.
 """
 
 import re
@@ -77,8 +81,10 @@ from partlat import (
     PlosReport,
     Poset,
     all_congruences,
+    all_posets,
     canonical_projection,
     extend_hom,
+    from_plos,
     is_congruence_on_partial,
     kernel,
     lower_bounds,
@@ -637,6 +643,18 @@ def all_posets_masks(n):
             found[key] = canon
     labels = "abcdefgh"[:n]
     return [Poset(labels, found[key]) for key in sorted(found)]
+
+
+def enumerate_partial_lattices_loops(n_max):
+    """All partial lattices on at most n_max elements, level by level in the
+    order of ``all_posets``: ``from_plos`` of each poset, skipping those it
+    rejects."""
+    for n in range(1, n_max + 1):
+        for p in all_posets(n):
+            try:
+                yield from_plos(p)
+            except NotPlos:
+                continue
 
 
 def down_sets_filter(leq):

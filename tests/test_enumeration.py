@@ -16,10 +16,16 @@ from partlat import (
     induced_order,
     lp_roundtrip,
 )
-from partlat import enumeration
+from partlat import enumeration, order, plattice
 from partlat.enumeration import canonical_form
+from partlat.verify import verify_corpus
 
-from oracles import all_posets_masks, canonical_form_loops, isomorphic_bruteforce
+from oracles import (
+    all_posets_masks,
+    canonical_form_loops,
+    enumerate_partial_lattices_loops,
+    isomorphic_bruteforce,
+)
 
 # regression constants fixed by the enumeration oracle run (posets: OEIS A000112)
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
@@ -28,6 +34,8 @@ PLOS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 15, 5: 53, 6: 222, 7: 1078, 8: 5994}
 # it pins members and stream order. Its isomorphism classes are those of the
 # mask-filter enumeration (test_augmentation_matches_mask_filter).
 STREAM6_SHA256 = "b58c0b2609a41986ba39425a395d99747a1bfa1cea11f415492c5e507af0fd80"
+# sizes no enumeration takes: out of range, a bool (not read as 1), a float, a string
+BAD_SIZES = [0, 9, True, False, 2.0, "3", None]
 
 
 @st.composite
@@ -152,10 +160,12 @@ class TestAllPosets:
         assert sorted(got) == [canonical_form_loops(p.leq)[0] for p in all_posets_masks(n)]
 
     def test_bad_parameter(self):
-        with pytest.raises(BadParameter):
-            all_posets(0)
-        with pytest.raises(BadParameter):
-            all_posets(9)
+        for n in BAD_SIZES:
+            with pytest.raises(BadParameter, match="integer between 1 and 8"):
+                all_posets(n)
+
+    def test_numpy_integer_size(self):
+        assert len(all_posets(np.int64(4))) == POSET_COUNTS[4]
 
 
 class TestEnumerate:
@@ -186,6 +196,10 @@ class TestEnumerate:
                 if a.n == b.n:
                     assert order_isomorphism(induced_order(a), induced_order(b)) is None
 
+    def test_stream_matches_per_poset_loop(self):
+        # members, tables and order, against from_plos one poset at a time
+        assert list(enumerate_partial_lattices(7)) == list(enumerate_partial_lattices_loops(7))
+
     def test_stream_digest(self):
         digest = hashlib.sha256()
         for lat in enumerate_partial_lattices(6):
@@ -203,13 +217,20 @@ class TestEnumerate:
                 return fn(*args)
             return counted
 
-        for name in ("all_posets", "canonical_form"):
-            monkeypatch.setattr(enumeration, name, counting(name, getattr(enumeration, name)))
+        # extrema_stack is counted where enumeration binds it and where
+        # order's own extrema (so from_plos and is_plos) reach it
+        for module, name in ((enumeration, "all_posets"), (enumeration, "canonical_form"),
+                             (enumeration, "extrema_stack"), (order, "extrema_stack"),
+                             (plattice, "from_plos")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         all_posets(6)  # levels grown before an enumeration are not reused by it
         calls.clear()
         first = list(enumerate_partial_lattices(6))
-        # one stacked canonical form per grown level, 2 to 6
-        once = {**{("all_posets", n): 1 for n in range(1, 7)}, ("canonical_form", None): 5}
+        # one stacked canonical form per grown level, 2 to 6; one all_posets
+        # call and one stacked sup/inf scan per level, 1 to 6, whose blocks
+        # stay inside it; no from_plos
+        once = {**{("all_posets", n): 1 for n in range(1, 7)}, ("canonical_form", None): 5,
+                ("extrema_stack", None): 6}
         assert calls == once
         calls.clear()
         assert list(enumerate_partial_lattices(6)) == first
@@ -224,7 +245,8 @@ class TestEnumerate:
         assert first == second
 
     def test_bad_parameter(self):
-        with pytest.raises(BadParameter):
-            list(enumerate_partial_lattices(0))
-        with pytest.raises(BadParameter):
-            list(enumerate_partial_lattices(9))
+        for n in BAD_SIZES:
+            with pytest.raises(BadParameter, match="integer between 1 and 8"):
+                list(enumerate_partial_lattices(n))
+            with pytest.raises(BadParameter, match="integer between 1 and 8"):
+                verify_corpus(n)

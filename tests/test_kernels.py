@@ -47,6 +47,7 @@ from partlat import (
     validate_partial_lattice,
 )
 from partlat.congruence import CongruenceTable, collapsed_irreducibles
+from partlat.enumeration import plos_lattices
 from partlat.morphism import hom_masks
 from partlat.order import down_sets, extrema, extrema_stack, first_true
 
@@ -172,6 +173,42 @@ def test_extrema_broadcast_matches_rows(p):
 
 
 @st.composite
+def bowtied_posets(draw, n):
+    """A random order on 4 <= n <= 9 elements in a random index order, with
+    the bowtie c, d < a, b as a component: U(c, d) = {a, b} has no least
+    element, so it is never plos."""
+    leq = np.eye(n, dtype=bool)
+    leq[np.ix_([0, 1], [2, 3])] = True
+    if n > 4:
+        leq[4:, 4:] = draw(random_posets(n - 4)).leq
+    perm = draw(st.permutations(range(n)))
+    return Poset("abcdefghi"[:n], leq[np.ix_(perm, perm)])
+
+
+@st.composite
+def level_stacks(draw):
+    """1 to 8 orders on one n <= 9: random ones, from n = 4 on mixed with
+    bowtied ones, or bowtied ones only."""
+    n = draw(st.integers(1, 9))
+    kinds = [random_posets(n)]
+    if n >= 4:
+        kinds = draw(st.sampled_from([kinds + [bowtied_posets(n)], [bowtied_posets(n)]]))
+    return draw(st.lists(st.one_of(*kinds), min_size=1, max_size=8))
+
+
+@given(level_stacks())
+@example([BOWTIE, make_poset("abcdef", list(zip("abcde", "bcdef"))), BOWTIE,
+          make_poset("abcdef", [])])
+@settings(max_examples=200, deadline=None)
+def test_level_filter_keeps_what_from_plos_accepts(posets):
+    # one stacked scan over same-size orders keeps exactly those from_plos
+    # accepts, in their order, with its tables
+    want = [lat for lat in (outcome(from_plos, p) for p in posets)
+            if isinstance(lat, PartialLattice)]
+    assert list(plos_lattices(posets)) == want
+
+
+@st.composite
 def random_preorders(draw):
     """The reflexive-transitive closure of random arcs on up to 9 elements,
     so a cycle of arcs makes a class of several elements."""
@@ -224,7 +261,7 @@ def test_all_congruences_memory_is_bounded_by_blocks():
 
 
 def test_extrema_memory_is_bounded_by_blocks():
-    n = 300  # 23 rows per block, 300 blocks short of one 54 MB broadcast
+    n = 300  # one row per block: 300 blocks of 0.2 MB, where one broadcast takes 54 MB
     p = Poset([f"x{i}" for i in range(n)], np.eye(n, dtype=bool))
     tracemalloc.start()
     try:
@@ -232,15 +269,15 @@ def test_extrema_memory_is_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # two 4 MB temporaries plus the 1.6 MB of output
+    assert peak < 3 * 2**20  # two 0.2 MB temporaries plus the 1.6 MB of output
     want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
     assert np.array_equal(tables, np.stack((want, want))) and not missing.any()
 
 
 @pytest.mark.parametrize("k, n", [(20, 100), (2, 300)])
 def test_extrema_stack_memory_is_bounded_by_blocks(k, n):
-    # Two whole orders per block of 100 elements, and 23 rows of one order
-    # per block of 300: 38 MB and 103 MB as one broadcast.
+    # Three rows of one order per block of 100 elements, and one row per
+    # block of 300: 38 MB and 103 MB as one broadcast.
     leq = np.broadcast_to(np.eye(n, dtype=bool), (k, n, n)).copy()
     tracemalloc.start()
     try:
@@ -248,7 +285,7 @@ def test_extrema_stack_memory_is_bounded_by_blocks(k, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # two 4 MB temporaries plus at most 3.5 MB of output
+    assert peak < 5 * 2**20  # two 0.2 MB temporaries plus at most 3.6 MB of output
     want = np.where(np.eye(n, dtype=bool), np.arange(n), UNDEF)
     assert (tables == want).all() and not missing.any()
 

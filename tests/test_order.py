@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from partlat import (
@@ -185,6 +186,16 @@ class TestNamedLattice:
             named_lattice("pentagon", 5)
         with pytest.raises(BadParameter):
             named_lattice("N5", 3)
+
+    @pytest.mark.parametrize("size", [True, False, 3.0, "3", None], ids=repr)
+    @pytest.mark.parametrize("kind", ["chain", "M", "boolean"])
+    def test_size_must_be_an_integer(self, kind, size):
+        # a bool is not read as 1 or 0, nor a float or string as its value
+        with pytest.raises(BadParameter, match="integer size"):
+            named_lattice(kind, size)
+
+    def test_numpy_integer_size(self):
+        assert named_lattice("M", np.int64(3)).n == named_lattice("M", 3).n == 5
 
     def test_carrier_cap(self):
         for kind, size in (("boolean", 8), ("boolean", 99), ("chain", 129), ("M", 127)):

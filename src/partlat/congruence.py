@@ -12,8 +12,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameter, InvariantError, NotACongruence, ensure
-from .order import Poset, _frozen, down_sets, validate_lattice
+from .order import Poset, _frozen, down_sets, is_integer_in, validate_lattice
 from .plattice import UNDEF, validate_partial_lattice
+
+
+def _carrier_size(n):
+    """``n``, if it is an integer carrier size >= 1; else BadParameter."""
+    if not is_integer_in(n, 1):
+        raise BadParameter(f"carrier size must be an integer >= 1, not {n!r}")
+    return n
 
 
 class Partition:
@@ -38,22 +45,20 @@ class Partition:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(n))
+        return cls(range(_carrier_size(n)))
 
     @classmethod
     def full(cls, n):
-        if n < 1:
-            raise BadParameter("carrier must be nonempty")
-        return cls([0] * n)
+        return cls([0] * _carrier_size(n))
 
     @classmethod
     def from_blocks(cls, n, blocks):
         """Partition from explicit blocks; unlisted elements become singletons."""
-        block_of = [None] * n
+        block_of = [None] * _carrier_size(n)
         for b, members in enumerate(blocks):
             for i in members:
-                if not 0 <= i < n:
-                    raise BadParameter(f"element {i} outside carrier of size {n}")
+                if not is_integer_in(i, 0, n - 1):
+                    raise BadParameter(f"element {i!r} outside carrier of size {n}")
                 if block_of[i] is not None:
                     raise BadParameter(f"element {i} appears in two blocks")
                 block_of[i] = b

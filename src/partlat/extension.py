@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Lattice, Poset, _frozen, lattice_stack,
-                    sink_table)
+from .errors import NotALattice
+from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Lattice, Poset, _frozen, extrema_stack,
+                    first_true, sink_table)
 from .plattice import BOTH_TOTAL, PartialLattice, is_total
 
 ONE_POINT_LABEL = "c*"
@@ -90,8 +91,12 @@ def extension_stack(join, meet, sizes):
         if high:
             top[i] = star - 1
             leq[i, :star, star - 1] = True
-    (star_join, star_meet), errors = lattice_stack(leq, star_sizes)
-    return ExtensionStack(leq, star_join, star_meet, star_sizes, bottom, top, errors)
+    tables, _ = extrema_stack(leq)
+    # Each row's gaps are symmetric, so the first lies on or above the diagonal.
+    gaps = [first_true(gap[:n, :n])
+            for gap, n in zip((tables == UNDEF).any(0), star_sizes.tolist())]
+    errors = [None if pair is None else NotALattice(pair) for pair in gaps]
+    return ExtensionStack(leq, *tables, star_sizes, bottom, top, errors)
 
 
 @dataclass(frozen=True, eq=False)

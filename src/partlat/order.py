@@ -111,6 +111,13 @@ class Poset(Carrier):
         strict = self.leq & ~np.eye(self.n, dtype=bool)
         return _frozen(strict & ~(strict @ strict))
 
+    @cached_property
+    def extrema(self):
+        """Sup and inf of every pair: ``extrema_stack`` of this order alone.
+        ``(tables, missing)``, each 2 x n x n."""
+        tables, missing = extrema_stack(self.leq[None])
+        return _frozen(tables[:, 0]), _frozen(missing[:, 0])
+
     def __eq__(self, other):
         return (
             isinstance(other, Poset)
@@ -199,13 +206,6 @@ class PlosReport:
         return self.ok
 
 
-def extrema(p):
-    """Sup and inf of every pair of ``p``: ``extrema_stack`` of its order
-    alone. Returns ``(tables, missing)``, each 2 x n x n."""
-    tables, missing = extrema_stack(p.leq[None])
-    return tables[:, 0], missing[:, 0]
-
-
 def extrema_stack(leq):
     """Sup and inf of every pair of each order of a k x n x n stack,
     broadcast over blocks of (order, rows a).
@@ -252,25 +252,20 @@ def extrema_stack(leq):
     return tables, missing
 
 
-def plos_report(p, missing):
-    """The bound-property report for ``p`` from the ``missing`` mask of
-    ``extrema``: the first pair a <= b that fails, upper side first."""
+def is_plos(p):
+    """Check the lower and upper bound properties.
+
+    Every nonempty U(x, y) needs a least element and every nonempty L(x, y)
+    a greatest one. The first pair a <= b that fails in ``p.extrema``,
+    upper side first, is reported together with its bound set.
+    """
+    missing = p.extrema[1]
     pair = first_true(np.triu(missing.any(0)))
     if pair is None:
         return PlosReport(True)
     if missing[0][pair]:
         return PlosReport(False, "upper", pair, upper_bounds(p, *pair))
     return PlosReport(False, "lower", pair, lower_bounds(p, *pair))
-
-
-def is_plos(p):
-    """Check the lower and upper bound properties.
-
-    Every nonempty U(x, y) needs a least element and every nonempty L(x, y)
-    a greatest one; the first offending pair is reported together with its
-    bound set.
-    """
-    return plos_report(p, extrema(p)[1])
 
 
 def down_sets(leq):
@@ -359,23 +354,12 @@ class Lattice(Carrier):
 
 def validate_lattice(p):
     """Totalize sup and inf over ``p``, failing at the first pair without both."""
-    tables, errors = lattice_stack(p.leq[None], np.array([p.n]))
-    if errors[0] is not None:
-        raise errors[0]
-    return Lattice(p, *tables[:, 0])
-
-
-def lattice_stack(leq, sizes):
-    """``validate_lattice`` over a k x n x n stack of orders, the order of
-    row i on 0..sizes[i]-1 and its other elements related to nothing else.
-
-    Returns the sup and inf tables, 2 x k x n x n, and for each row the
-    NotALattice that ``validate_lattice`` raises on its order, or None.
-    """
-    tables, _ = extrema_stack(leq)
-    # Each row's gaps are symmetric, so the first lies on or above the diagonal.
-    gaps = [first_true(gap[:n, :n]) for gap, n in zip((tables == UNDEF).any(0), sizes.tolist())]
-    return tables, [None if pair is None else NotALattice(pair) for pair in gaps]
+    tables = p.extrema[0]
+    # The gaps are symmetric, so the first lies on or above the diagonal.
+    pair = first_true((tables == UNDEF).any(0))
+    if pair is not None:
+        raise NotALattice(pair)
+    return Lattice(p, *tables)
 
 
 # Largest carrier a named lattice may have, so ``boolean 7`` is the largest

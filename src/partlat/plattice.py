@@ -19,11 +19,11 @@ from .order import (
     _check_labels,
     _frozen,
     distributive_mismatch,
-    extrema,
     first_mismatches,
     first_true,
     first_true_rows,
-    plos_report,
+    is_integer_in,
+    is_plos,
     sink_table,
 )
 
@@ -194,12 +194,12 @@ def induced_order(lat):
 
 def from_plos(p):
     """Canonical partial lattice on ``p``: sup where U(x, y) is nonempty and
-    inf where L(x, y) is, everything else undefined."""
-    tables, missing = extrema(p)
-    report = plos_report(p, missing)
+    inf where L(x, y) is, everything else undefined. Both tables are read
+    from ``p.extrema``, the scan ``is_plos`` reads."""
+    report = is_plos(p)
     if not report:
         raise NotPlos(report)
-    return PartialLattice(p.labels, *tables)
+    return PartialLattice(p.labels, *p.extrema[0])
 
 
 def lp_roundtrip(lat):
@@ -293,8 +293,8 @@ def to_lattice(lat):
 
 def antichain(n):
     """The n-element antichain: only diagonal cells are defined."""
-    if n < 1:
-        raise BadParameter("antichain needs n >= 1")
+    if not is_integer_in(n, 1):
+        raise BadParameter(f"antichain needs an integer n >= 1, not {n!r}")
     labels = tuple(f"a{i + 1}" for i in range(n))
     diag = np.full((n, n), UNDEF, dtype=np.int64)
     np.fill_diagonal(diag, np.arange(n))

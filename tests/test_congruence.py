@@ -11,6 +11,7 @@ from partlat import (
     Partition,
     all_congruences,
     all_partial_congruences,
+    antichain,
     con_is_closed_under_meets,
     congruence_witnesses,
     enumerate_partial_lattices,
@@ -87,6 +88,29 @@ class TestPartition:
             Partition.full(2),
             Partition.identity(2),
         ]
+
+
+# Sizes no carrier takes: below 1, a bool (not read as 1 or 0), a float, a
+# string, None; and members no 3-element carrier holds, alike.
+BAD_SIZES = [0, -1, True, False, 2.0, "3", None]
+BAD_MEMBERS = [-1, 3, True, 1.0, "1", None]
+SIZED_BUILDERS = {
+    "antichain": antichain,
+    "Partition.identity": Partition.identity,
+    "Partition.full": Partition.full,
+    "Partition.from_blocks": lambda n: Partition.from_blocks(n, [[0]]),
+}
+
+
+@pytest.mark.parametrize("builder, value",
+                         [(name, n) for name in SIZED_BUILDERS for n in BAD_SIZES]
+                         + [("member", i) for i in BAD_MEMBERS], ids=repr)
+def test_sizes_at_the_api_edge(builder, value):
+    # A carrier size or block member that is not an integer in range is a
+    # BadParameter, never a TypeError or a value read as another.
+    build_with = SIZED_BUILDERS.get(builder, lambda i: Partition.from_blocks(3, [[i, 2]]))
+    with pytest.raises(BadParameter):
+        build_with(value)
 
 
 class TestGenerateCongruence:

@@ -218,7 +218,7 @@ class TestEnumerate:
             return counted
 
         # extrema_stack is counted where enumeration binds it and where
-        # order's own extrema (so from_plos and is_plos) reach it
+        # Poset.extrema (so from_plos and is_plos) reaches it
         for module, name in ((enumeration, "all_posets"), (enumeration, "canonical_form"),
                              (enumeration, "extrema_stack"), (order, "extrema_stack"),
                              (plattice, "from_plos")):

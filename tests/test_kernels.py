@@ -49,7 +49,7 @@ from partlat import (
 from partlat.congruence import CongruenceTable, collapsed_irreducibles
 from partlat.enumeration import plos_lattices
 from partlat.morphism import hom_masks
-from partlat.order import down_sets, extrema, extrema_stack, first_true
+from partlat.order import down_sets, extrema_stack, first_true
 
 from oracles import (
     check_absorption_loops,
@@ -166,7 +166,7 @@ def test_bound_kernel_matches_loops(p):
 @example(SUBSETS8)  # 256 elements: eight blocks of rows
 @settings(max_examples=300, deadline=None)
 def test_extrema_broadcast_matches_rows(p):
-    tables, missing = extrema(p)
+    tables, missing = p.extrema
     want_tables, want_missing = extrema_rows(p)
     assert tables.dtype == want_tables.dtype
     assert np.array_equal(tables, want_tables) and np.array_equal(missing, want_missing)
@@ -265,7 +265,7 @@ def test_extrema_memory_is_bounded_by_blocks():
     p = Poset([f"x{i}" for i in range(n)], np.eye(n, dtype=bool))
     tracemalloc.start()
     try:
-        tables, missing = extrema(p)
+        tables, missing = p.extrema
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

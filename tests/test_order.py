@@ -6,7 +6,9 @@ from partlat import (
     CycleDetected,
     DuplicateLabel,
     NotALattice,
+    Poset,
     UnknownLabel,
+    from_plos,
     is_distributive,
     is_modular,
     is_plos,
@@ -16,6 +18,7 @@ from partlat import (
     upper_bounds,
     validate_lattice,
 )
+from partlat import order
 from partlat.enumeration import all_posets
 
 
@@ -117,6 +120,31 @@ class TestIsPlos:
         from partlat import induced_order
 
         assert is_plos(induced_order(fig9))
+
+
+class TestExtremaCache:
+    def test_one_scan_per_poset(self, monkeypatch):
+        calls = []
+
+        def counted(leq):
+            calls.append(leq.shape)
+            return scan(leq)
+
+        known = named_lattice("boolean", 3)
+        p = Poset(known.labels, known.leq)  # a fresh Poset: nothing cached yet
+        scan = order.extrema_stack
+        monkeypatch.setattr(order, "extrema_stack", counted)
+        assert is_plos(p)
+        lat = from_plos(p)
+        assert validate_lattice(p) == known
+        assert np.array_equal(lat.join, known.join) and np.array_equal(lat.meet, known.meet)
+        assert calls == [(1, 8, 8)]
+
+    def test_read_only(self):
+        tables, missing = make_poset(("a", "b"), (("a", "b"),)).extrema
+        for arr in (tables, missing):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestValidateLattice:

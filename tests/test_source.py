@@ -93,6 +93,20 @@ def test_one_down_set_lister():
         assert names & {"_down_sets", "under", "_congruence_reader"} == set(), module
 
 
+def test_one_scan_per_order():
+    # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos
+    # and validate_lattice read; extension_stack and the enumeration levels
+    # scan their stacks themselves. No module keeps a one-order wrapper that
+    # scans again, and no other module calls the scan.
+    wrappers = {"extrema", "plos_report", "lattice_stack"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert defined & wrappers == set(), path.name
+        if path.stem not in ("order", "extension", "enumeration"):
+            assert "extrema_stack" not in module_names(path.stem), path.name
+
+
 def test_sweep_reads_the_congruence_table():
     # The sweep reads each structure's congruences as one array table; the
     # Partition views, their dedupe by restriction and the row alignment

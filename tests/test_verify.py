@@ -30,6 +30,7 @@ from partlat import (
     from_lattice,
     morphism,
     named_lattice,
+    order,
     parse,
     plattice,
     quotient,
@@ -55,6 +56,58 @@ def test_raising_law_keeps_its_traceback(monkeypatch, fig4):
     assert "in broken" in detail
     assert detail.rstrip().endswith("RuntimeError: absorption exploded")
     assert results["roundtrip_structure"][0]  # the sweep went on
+
+
+def test_each_order_is_scanned_once(monkeypatch):
+    # lat.order once, shared by both roundtrips and the plos law; L*; and
+    # the stacked (L/E)* of the congruence law.
+    lats = list(enumerate_partial_lattices(4))
+    calls = []
+
+    def counting(scan):
+        def counted(leq):
+            calls.append(len(leq))
+            return scan(leq)
+        return counted
+
+    for module in (order, extension):
+        monkeypatch.setattr(module, "extrema_stack", counting(module.extrema_stack))
+    for lat in lats:
+        assert all(ok for _, ok, _ in structure_checks(lat))
+    assert len(calls) == 3 * len(lats) == 69
+
+
+def forged_bowtie():
+    """An unvalidated structure whose join induces the bowtie c, d < a, b:
+    U(c, d) = {a, b} has no least element, so its order is not plos."""
+    a, b, c, d = range(4)
+    join = np.full((4, 4), UNDEF)
+    meet = np.full((4, 4), UNDEF)
+    for x in range(4):
+        join[x, x] = meet[x, x] = x
+    for low in (c, d):
+        for high in (a, b):
+            join[low, high] = join[high, low] = high
+            meet[low, high] = meet[high, low] = low
+    return PartialLattice("abcd", join, meet)
+
+
+def test_forged_structures_fail_the_order_laws(fig4):
+    results = {name: (ok, detail) for name, ok, detail in structure_checks(forged_bowtie())}
+    for name in ("roundtrip_structure", "roundtrip_order", "induced_order_plos"):
+        assert not results[name][0], name
+    detail = results["roundtrip_order"][1]
+    assert detail.startswith("Traceback (most recent call last):")
+    assert "partlat.errors.NotPlos" in detail
+    # One join cell more than fig4 defines, where U(a, b) is empty: the
+    # order and its scan are fig4's, so only the structure roundtrip fails.
+    join = fig4.join.copy()
+    a, b = fig4.index("a"), fig4.index("b")
+    join[a, b] = join[b, a] = fig4.index("c")
+    results = {name: ok for name, ok, _ in
+               structure_checks(PartialLattice(fig4.labels, join, fig4.meet))}
+    assert not results["roundtrip_structure"]
+    assert results["roundtrip_order"] and results["induced_order_plos"]
 
 
 def test_passing_checks_have_empty_detail():

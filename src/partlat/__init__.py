@@ -49,7 +49,6 @@ from .plattice import (
     antichain,
     check_absorption,
     check_distributivity,
-    from_lattice,
     from_plos,
     induced_order,
     is_total,

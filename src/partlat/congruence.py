@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameter, InvariantError, NotACongruence, ensure
-from .order import Poset, _frozen, down_sets, is_integer_in, validate_lattice
+from .order import Lattice, Poset, _frozen, down_sets, first_true, is_integer_in
 from .plattice import UNDEF, validate_partial_lattice
 
 
@@ -390,12 +390,23 @@ def quotient_join_case(lat, e, a, b, witness=None):
 def lattice_quotient(lat, theta):
     """Quotient of a total lattice by a congruence.
 
-    Blocks are ordered by comparability of representatives, which is
-    well-defined for lattice congruences; the result is validated as a
-    lattice.
+    Block i is the class of its least member r_i, and [r_i] . [r_j] is the
+    block of r_i . r_j. Raises BadParameter unless the block map is
+    compatible with both tables: with rep(x) the least member of the block
+    of x, a . b and rep(a) . rep(b) lie in one block; one gather per table.
     """
-    member = np.zeros((lat.n, len(theta.blocks)), dtype=np.int64)
-    member[np.arange(lat.n), theta.block_of] = 1
-    leq = (member.T @ lat.leq.astype(np.int64) @ member) > 0
-    labels = tuple(f"[{lat.labels[block[0]]}]" for block in theta.blocks)
-    return validate_lattice(Poset(labels, leq))
+    if theta.n != lat.n:
+        raise BadParameter("partition carrier mismatch")
+    block_of = np.array(theta.block_of)
+    reps = np.array([block[0] for block in theta.blocks])
+    rep = reps[block_of]
+    tables = []
+    for table, name in ((lat.join, "join"), (lat.meet, "meet")):
+        cls = block_of[table]
+        pair = first_true(cls != cls[rep[:, None], rep])
+        if pair is not None:
+            x, y = (lat.labels[i] for i in pair)
+            raise BadParameter(f"partition is not a congruence at {x} {name} {y}")
+        tables.append(_frozen(cls[reps[:, None], reps]))
+    labels = tuple(f"[{lat.labels[r]}]" for r in reps)
+    return Lattice(Poset(labels, tables[0] == np.arange(len(reps))), *tables)

@@ -173,17 +173,19 @@ def all_posets(n):
     """All posets on n elements up to isomorphism, in canonical order."""
     if not is_integer_in(n, 1, 8):
         raise BadParameter("n must be an integer between 1 and 8")
-    labels = _LABELS[:n]
+    labels = tuple(_LABELS[:n])
     return [Poset(labels, leq) for leq in _level(n)]
 
 
 def plos_lattices(posets):
     """``from_plos`` of each plos among same-size ``posets``, in their order,
     from one ``extrema_stack`` over all their orders: a poset is kept exactly
-    when no pair misses its sup or inf, and its tables are that scan's."""
+    when no pair misses its sup or inf, and its tables are that scan's. The
+    kept tables are one frozen copy, which the partial lattices share."""
     tables, missing = extrema_stack(np.stack([p.leq for p in posets]))
-    for i in np.flatnonzero(~missing.any((0, 2, 3))):
-        yield PartialLattice(posets[i].labels, tables[0, i], tables[1, i])
+    kept = np.flatnonzero(~missing.any((0, 2, 3)))
+    for k, join, meet in zip(kept, *_frozen(tables.take(kept, axis=1))):
+        yield PartialLattice(posets[k].labels, join, meet)
 
 
 def enumerate_partial_lattices(n_max):

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotALattice
-from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Lattice, Poset, _frozen, extrema_stack,
-                    first_true, sink_table)
+from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Carrier, Lattice, Poset, _frozen,
+                    extrema_stack, first_true, sink_table)
 from .plattice import BOTH_TOTAL, PartialLattice, is_total
 
 ONE_POINT_LABEL = "c*"
@@ -91,7 +91,7 @@ def extension_stack(join, meet, sizes):
         if high:
             top[i] = star - 1
             leq[i, :star, star - 1] = True
-    tables, _ = extrema_stack(leq)
+    tables = _frozen(extrema_stack(leq)[0])  # each star shares its rows of it
     # Each row's gaps are symmetric, so the first lies on or above the diagonal.
     gaps = [first_true(gap[:n, :n])
             for gap, n in zip((tables == UNDEF).any(0), star_sizes.tolist())]
@@ -100,7 +100,7 @@ def extension_stack(join, meet, sizes):
 
 
 @dataclass(frozen=True, eq=False)
-class OnePointAlgebra:
+class OnePointAlgebra(Carrier):
     """Totalization that routes every undefined cell to a single fresh element.
 
     Useful only as a counterexample: the result usually breaks the partial
@@ -111,10 +111,6 @@ class OnePointAlgebra:
     join: np.ndarray
     meet: np.ndarray
     new_element: int | None
-
-    @property
-    def n(self):
-        return len(self.labels)
 
 
 def one_point_extension(lat):

@@ -24,8 +24,8 @@ import numpy as np
 
 from .congruence import Partition
 from .errors import ParseError, SemanticError
-from .order import Lattice, Poset, make_poset
-from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
+from .order import Poset, make_poset
+from .plattice import UNDEF, PartialLattice, validate_partial_lattice
 
 _NAME = "[A-Za-z0-9_]+"
 
@@ -178,8 +178,6 @@ def to_document(structure):
             if cov[i, j]
         )
         return Document("poset", structure.labels, rels=rels)
-    if isinstance(structure, Lattice):
-        structure = from_lattice(structure)
     cells = []
     for op, table in (("join", structure.join), ("meet", structure.meet)):
         for i in range(structure.n):
@@ -207,12 +205,7 @@ def emit_dot(structure):
     Nodes appear in index order with their labels attached, so output is
     deterministic for equal structures.
     """
-    if isinstance(structure, PartialLattice):
-        p = structure.order
-    elif isinstance(structure, Lattice):
-        p = structure.poset
-    else:
-        p = structure
+    p = structure.order if isinstance(structure, PartialLattice) else structure
 
     def esc(s):
         return s.replace("\\", "\\\\").replace('"', '\\"')

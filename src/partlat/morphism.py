@@ -25,7 +25,7 @@ from .errors import (
     ensure,
 )
 from .order import first_true
-from .plattice import UNDEF, PartialLattice, from_lattice, validate_partial_lattice
+from .plattice import UNDEF, PartialLattice, validate_partial_lattice
 
 NOT_HOM = "not_hom"
 HOM = "hom"
@@ -146,7 +146,7 @@ def extend_hom(h):
     if x1.added_top is not None:
         ensure(x2.added_top is not None, "closedness forces a target top")
         mapping.append(x2.added_top)
-    hstar = Morphism(from_lattice(x1.star), from_lattice(x2.star), tuple(mapping))
+    hstar = Morphism(x1.star, x2.star, tuple(mapping))
     ensure(hstar.report.kind != NOT_HOM, "extended map must be a homomorphism")
     return hstar
 
@@ -262,7 +262,7 @@ def quotient_extension_iso(lat, e, witness=None):
     if qx.added_top is not None:
         ensure(ext.added_top is not None, "a quotient top needs a source top")
         mapping.append(w.theta.block_of[ext.added_top])
-    iso = _verify_iso(Morphism(from_lattice(qx.star), from_lattice(big), tuple(mapping)))
+    iso = _verify_iso(Morphism(qx.star, big, tuple(mapping)))
     ensure(iso is not None, "quotient extension exchange failed to verify")
     return iso
 
@@ -323,9 +323,9 @@ def find_isomorphism(a, b):
     An order isomorphism of lattices automatically preserves the operations;
     the returned witness is verified anyway.
     """
-    mapping = order_isomorphism(a.poset, b.poset)
+    mapping = order_isomorphism(a.order, b.order)
     if mapping is None:
         return None
-    iso = _verify_iso(Morphism(from_lattice(a), from_lattice(b), mapping))
+    iso = _verify_iso(Morphism(a, b, mapping))
     ensure(iso is not None, "order isomorphism of lattices must preserve operations")
     return iso

@@ -1,4 +1,4 @@
-"""Finite posets, bound sets, and total lattices.
+"""Finite posets, bound sets, partial lattices and lattices.
 
 Elements are dense indices 0..n-1 everywhere; labels exist for I/O only.
 Order data is a read-only boolean matrix ``leq`` with ``leq[i, j]`` meaning
@@ -115,8 +115,8 @@ class Poset(Carrier):
     def extrema(self):
         """Sup and inf of every pair: ``extrema_stack`` of this order alone.
         ``(tables, missing)``, each 2 x n x n."""
-        tables, missing = extrema_stack(self.leq[None])
-        return _frozen(tables[:, 0]), _frozen(missing[:, 0])
+        tables, missing = map(_frozen, extrema_stack(self.leq[None]))
+        return tables[:, 0], missing[:, 0]
 
     def __eq__(self, other):
         return (
@@ -183,14 +183,21 @@ def make_poset(labels, relation):
     return Poset(labels, reach)
 
 
+def _bounds(p, a, b, rows):
+    """Every x set in both row a and row b of ``rows``, once both are indices of p."""
+    if not (p.is_index(a) and p.is_index(b)):
+        raise BadParameter(f"pair ({a!r}, {b!r}) outside carrier of size {p.n}")
+    return frozenset(np.flatnonzero(rows[a] & rows[b]).tolist())
+
+
 def upper_bounds(p, a, b):
     """U(a, b): every x with a <= x and b <= x."""
-    return frozenset(np.flatnonzero(p.leq[a] & p.leq[b]).tolist())
+    return _bounds(p, a, b, p.leq)
 
 
 def lower_bounds(p, a, b):
     """L(a, b): every x with x <= a and x <= b."""
-    return frozenset(np.flatnonzero(p.leq[:, a] & p.leq[:, b]).tolist())
+    return _bounds(p, a, b, p.leq.T)
 
 
 @dataclass(frozen=True)
@@ -295,26 +302,93 @@ def down_sets(leq):
                          bitorder="little").view(bool)
 
 
+def _table(table):
+    """``table`` itself when it is int64 and neither it nor the array that
+    owns its memory is writable; otherwise a frozen int64 copy."""
+    owner = table
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    if (isinstance(owner, np.ndarray) and not owner.flags.writeable
+            and table.dtype == np.int64 and not table.flags.writeable):
+        return table
+    return _frozen(np.array(table, dtype=np.int64))
+
+
+class PartialLattice(Carrier):
+    """Partial algebra (L, v, ^) with strongly idempotent, commutative,
+    associative operations tied together by the duality conditions.
+
+    The induced order, the two-point extension and the congruence table
+    depend only on the tables, so each is built once, on first access, by
+    its module-level builder; the congruences and witnesses read the table.
+    A table that ``_table`` finds frozen is held, not copied.
+    """
+
+    def __init__(self, labels, join, meet):
+        self.labels = tuple(labels)
+        self.join = _table(join)
+        self.meet = _table(meet)
+
+    @cached_property
+    def order(self):
+        """The induced order, as built by ``plattice.induced_order``."""
+        from . import plattice
+
+        return plattice.induced_order(self)
+
+    @cached_property
+    def extension(self):
+        """The two-point extension, as built by ``two_point_extension``."""
+        from . import extension
+
+        return extension.two_point_extension(self)
+
+    @cached_property
+    def congruence_table(self):
+        """The congruences as arrays, as built by ``congruence_table``."""
+        from . import congruence
+
+        return congruence.congruence_table(self)
+
+    @cached_property
+    def congruence_witnesses(self):
+        """One witness per congruence, as read by ``congruence_witnesses``."""
+        from . import congruence
+
+        return congruence.congruence_witnesses(self)
+
+    @cached_property
+    def congruences(self):
+        """All congruences, as read by ``all_partial_congruences``."""
+        from . import congruence
+
+        return congruence.all_partial_congruences(self)
+
+    def __eq__(self, other):
+        return (isinstance(other, PartialLattice) and self.labels == other.labels
+                and np.array_equal(self.join, other.join) and np.array_equal(self.meet, other.meet))
+
+    def __repr__(self):
+        defined = int((self.join != UNDEF).sum() + (self.meet != UNDEF).sum())
+        return f"PartialLattice({' '.join(self.labels)}; {defined} defined cells)"
+
+
 # The join-irreducibles of a lattice (elements with one lower cover), their
 # lower covers, their ``leq`` rows, and below[p, q] iff con(p_*, p) <= con(q_*, q).
 Irreducibles = namedtuple("Irreducibles", "members lower rows below")
 
 
-class Lattice(Carrier):
-    """A finite lattice: a poset with total join and meet tables."""
+class Lattice(PartialLattice):
+    """A finite lattice: a partial lattice whose tables are total, and whose
+    ``order`` is the poset it was built from."""
 
     def __init__(self, poset, join, meet):
-        self.poset = poset
-        self.join = _frozen(np.array(join, dtype=np.int64))
-        self.meet = _frozen(np.array(meet, dtype=np.int64))
-
-    @property
-    def labels(self):
-        return self.poset.labels
+        super().__init__(poset.labels, join, meet)
+        self.order = poset
 
     @property
     def leq(self):
-        return self.poset.leq
+        return self.order.leq
 
     @cached_property
     def irreducibles(self):
@@ -322,7 +396,7 @@ class Lattice(Carrier):
         closure of D over positions in ``members``. p D q when some x has
         p <= q v x but p !<= q_* v x. Then con(p_*, p) <= con(q_*, q): if
         q_* theta q, then p = p ^ (q v x) theta p ^ (q_* v x) <= p_*."""
-        covers = self.poset.covers
+        covers = self.order.covers
         members = np.flatnonzero(covers.sum(0) == 1)
         lower = covers[:, members].argmax(0)
         rows = self.leq[members]
@@ -340,16 +414,8 @@ class Lattice(Carrier):
             below |= below[:, k : k + 1] & below[k : k + 1, :]
         return Irreducibles(*map(_frozen, (members, lower, rows, below)))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.poset == other.poset
-            and bool((self.join == other.join).all())
-            and bool((self.meet == other.meet).all())
-        )
-
     def __repr__(self):
-        return f"Lattice({self.poset!r})"
+        return f"Lattice({self.order!r})"
 
 
 def validate_lattice(p):
@@ -412,13 +478,6 @@ def sink_table(t):
     return sink
 
 
-def first_mismatch(n, lhs, rhs, strong=True):
-    """First (x, y, z) in row-major order where two compound terms differ:
-    ``first_mismatches`` of one row. ``lhs(x)`` and ``rhs(x)`` give n x n
-    values over (y, z) as sink indices."""
-    return first_mismatches(1, n, lhs, rhs, strong)[0]
-
-
 def first_mismatches(k, n, lhs, rhs, strong=True):
     """For each of k rows, the first (x, y, z) in row-major order where two
     compound terms differ, or None.
@@ -448,8 +507,8 @@ def distributive_mismatch(jn, mt, strong=True):
     """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ."""
     n = len(jn)
     js, ms = sink_table(jn), sink_table(mt)
-    return first_mismatch(n, lambda x: ms[x][js[:n, :n]],
-                          lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)
+    return first_mismatches(1, n, lambda x: ms[x][js[:n, :n]],
+                            lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)[0]
 
 
 def is_distributive(lat):
@@ -461,5 +520,5 @@ def is_modular(lat):
     """Check that x <= z implies x v (y ^ z) = (x v y) ^ z over all triples."""
     jn, mt, leq = lat.join, lat.meet, lat.leq
     # Both sides read 0 where x is not below z, so those positions agree.
-    return first_mismatch(lat.n, lambda x: np.where(leq[x], jn[x][mt], 0),
-                          lambda x: np.where(leq[x], mt[jn[x]], 0)) is None
+    return first_mismatches(1, lat.n, lambda x: np.where(leq[x], jn[x][mt], 0),
+                            lambda x: np.where(leq[x], mt[jn[x]], 0))[0] is None

@@ -3,18 +3,19 @@
 Operation tables are n x n integer arrays whose cells hold element indices,
 with ``UNDEF`` marking an undefined cell. A compound term such as
 ``(i v j) v k`` counts as defined only when every intermediate value is.
+The ``PartialLattice`` type itself lives in ``order``, beside ``Poset`` and
+its subclass ``Lattice``, and is re-exported here.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import AxiomViolation, BadParameter, NotPlos
 from .order import (
     UNDEF,
-    Carrier,
     Lattice,
+    PartialLattice,
     Poset,
     _check_labels,
     _frozen,
@@ -31,66 +32,6 @@ BOTH_TOTAL = "both_total"
 JOIN_PARTIAL = "join_partial"
 MEET_PARTIAL = "meet_partial"
 BOTH_PARTIAL = "both_partial"
-
-
-class PartialLattice(Carrier):
-    """Partial algebra (L, v, ^) with strongly idempotent, commutative,
-    associative operations tied together by the duality conditions.
-
-    The induced order, the two-point extension and the congruence table
-    depend only on the tables, so each is built once, on first access, by
-    its module-level builder; the congruences and witnesses read the table.
-    """
-
-    def __init__(self, labels, join, meet):
-        self.labels = tuple(labels)
-        self.join = _frozen(np.array(join, dtype=np.int64))
-        self.meet = _frozen(np.array(meet, dtype=np.int64))
-
-    @cached_property
-    def order(self):
-        """The induced order, as built by ``induced_order``."""
-        return induced_order(self)
-
-    @cached_property
-    def extension(self):
-        """The two-point extension, as built by ``two_point_extension``."""
-        from . import extension
-
-        return extension.two_point_extension(self)
-
-    @cached_property
-    def congruence_table(self):
-        """The congruences as arrays, as built by ``congruence_table``."""
-        from . import congruence
-
-        return congruence.congruence_table(self)
-
-    @cached_property
-    def congruence_witnesses(self):
-        """One witness per congruence, as read by ``congruence_witnesses``."""
-        from . import congruence
-
-        return congruence.congruence_witnesses(self)
-
-    @cached_property
-    def congruences(self):
-        """All congruences, as read by ``all_partial_congruences``."""
-        from . import congruence
-
-        return congruence.all_partial_congruences(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialLattice)
-            and self.labels == other.labels
-            and bool((self.join == other.join).all())
-            and bool((self.meet == other.meet).all())
-        )
-
-    def __repr__(self):
-        defined = int((self.join != UNDEF).sum() + (self.meet != UNDEF).sum())
-        return f"PartialLattice({' '.join(self.labels)}; {defined} defined cells)"
 
 
 def _as_table(n, table, name):
@@ -131,7 +72,7 @@ def validate_partial_lattice(labels, join, meet):
     error = axiom_violations(lambda i, x: labels[x], jt[None], mt[None], np.array([n]))[0]
     if error is not None:
         raise error
-    return PartialLattice(labels, jt, mt)
+    return PartialLattice(labels, _frozen(jt), _frozen(mt))
 
 
 def axiom_violations(label, join, meet, sizes):
@@ -277,11 +218,6 @@ def is_total(lat):
     if meet_partial:
         return MEET_PARTIAL
     return BOTH_TOTAL
-
-
-def from_lattice(k):
-    """View a total lattice as a partial lattice with everywhere-defined tables."""
-    return PartialLattice(k.labels, k.join, k.meet)
 
 
 def to_lattice(lat):

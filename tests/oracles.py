@@ -192,7 +192,7 @@ def all_congruences_closure(lat):
     n = lat.n
     found = {Partition.identity(n)}
     work = deque()
-    for a, b in zip(*np.nonzero(lat.poset.covers)):
+    for a, b in zip(*np.nonzero(lat.order.covers)):
         principal = generate_congruence_worklist(lat, Partition.from_blocks(n, [(a, b)]))
         if principal not in found:
             found.add(principal)
@@ -556,7 +556,7 @@ def congruence_law_per_witness(lat, e, w):
 def irreducibles_below_gather(lat):
     """``Lattice.irreducibles.below`` from one |J| x |J| x n gather, before
     the gather went over blocks of q."""
-    covers = lat.poset.covers
+    covers = lat.order.covers
     members = np.flatnonzero(covers.sum(0) == 1)
     lower = covers[:, members].argmax(0)
     rows = lat.leq[members]

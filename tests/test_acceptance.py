@@ -147,7 +147,7 @@ def test_criterion_4_congruence_closure_oracle():
         star = two_point_extension(lat).star
         if star.n > 6:
             continue
-        key, _ = canonical_form(star.poset.leq)
+        key, _ = canonical_form(star.order.leq)
         if key in seen:
             continue
         seen.add(key)

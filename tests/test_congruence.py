@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from partlat import (
+    NOT_HOM,
     UNDEF,
     BadParameter,
     CongruenceWitness,
@@ -12,24 +13,27 @@ from partlat import (
     all_congruences,
     all_partial_congruences,
     antichain,
+    check_hom,
     con_is_closed_under_meets,
     congruence_witnesses,
     enumerate_partial_lattices,
     generate_congruence,
     is_congruence_on_partial,
     is_total,
-    from_lattice,
     lattice_quotient,
     named_lattice,
     quotient,
     quotient_join_case,
     two_point_extension,
+    validate_lattice,
 )
 from partlat import figures as figs
 from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
 
 from oracles import (
     all_congruences_bruteforce,
+    all_partitions,
+    is_lattice_congruence,
     all_congruences_closure,
     generate_congruence_worklist,
     least_congruence_bruteforce,
@@ -323,7 +327,7 @@ class TestQuotient:
     def test_forged_witness_raises_invariant_error(self):
         # c1 and c3 share a block but c1 v c2 and c3 v c2 land in different
         # ones; a witness that skips the closure must not yield a quotient.
-        lat = from_lattice(named_lattice("chain", 3))
+        lat = named_lattice("chain", 3)
         e = Partition([0, 1, 0])
         forged = CongruenceWitness(e, e, True, lat.extension)
         with pytest.raises(InvariantError):
@@ -331,7 +335,7 @@ class TestQuotient:
 
     def test_forged_coarse_theta_raises_invariant_error(self):
         # One theta-class covering three blocks of e cannot name a class cell.
-        lat = from_lattice(named_lattice("chain", 3))
+        lat = named_lattice("chain", 3)
         e = Partition.identity(3)
         forged = CongruenceWitness(Partition.full(3), e, True, lat.extension)
         with pytest.raises(InvariantError, match="class must hit one block"):
@@ -398,7 +402,33 @@ class TestLatticeQuotient:
         lat = named_lattice("N5")
         q = lattice_quotient(lat, Partition.identity(lat.n))
         assert q.n == lat.n
-        assert (q.poset.leq == lat.poset.leq).all()
+        assert (q.order.leq == lat.order.leq).all()
+
+    @pytest.mark.parametrize("kind, size, blocks", [("chain", 3, [[0, 2]]),  # {c1 c3|c2}
+                                                    ("M", 3, [[1, 2]])])  # {a1 a2}
+    def test_rejects_a_partition_that_is_not_a_congruence(self, kind, size, blocks):
+        lat = named_lattice(kind, size)
+        with pytest.raises(BadParameter, match="not a congruence"):
+            lattice_quotient(lat, Partition.from_blocks(lat.n, blocks))
+
+    @pytest.mark.parametrize("kind, size", [("chain", 4), ("M", 3), ("N5", None)])
+    def test_accepts_exactly_the_congruences(self, kind, size):
+        # Against the compatibility definition over every partition; an
+        # accepted one has the block map as a homomorphism onto the quotient.
+        lat = named_lattice(kind, size)
+        for blocks in all_partitions(lat.n):
+            theta = Partition.from_blocks(lat.n, blocks)
+            if not is_lattice_congruence(lat, blocks):
+                with pytest.raises(BadParameter):
+                    lattice_quotient(lat, theta)
+                continue
+            q = lattice_quotient(lat, theta)
+            assert check_hom(theta.block_of, lat, q).kind != NOT_HOM
+            assert q == validate_lattice(q.order)  # the tables are sup and inf
+
+    def test_rejects_another_carrier(self):
+        with pytest.raises(BadParameter, match="carrier"):
+            lattice_quotient(named_lattice("chain", 3), Partition.identity(4))
 
 
 def congruence_digest():

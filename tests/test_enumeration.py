@@ -239,6 +239,18 @@ class TestEnumerate:
         assert fresh[0] is not all_posets(6)[0]
         assert all(not leq.flags.writeable for leq in enumeration._level(6))
 
+    def test_a_level_shares_one_block_and_one_labels_tuple(self):
+        # The kept tables of a level are one frozen copy, and all its
+        # posets and partial lattices hold one labels tuple.
+        posets = all_posets(5)
+        lats = list(enumeration.plos_lattices(posets))
+        assert len(lats) == PLOS_COUNTS[5]
+        owners = {id(t.base) for lat in lats for t in (lat.join, lat.meet)}
+        assert len(owners) == 1
+        assert np.shares_memory(lats[0].join.base, lats[-1].meet)
+        assert not lats[0].join.base.flags.writeable
+        assert len({id(x.labels) for x in posets + lats}) == 1
+
     def test_deterministic(self):
         first = list(enumerate_partial_lattices(4))
         second = list(enumerate_partial_lattices(4))

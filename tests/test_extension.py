@@ -8,7 +8,6 @@ from partlat import (
     AxiomViolation,
     check_hom,
     find_isomorphism,
-    from_lattice,
     induced_order,
     named_lattice,
     one_point_extension,
@@ -33,7 +32,7 @@ class TestTwoPointExtension:
         for i, j in ((a, c), (bot, a), (bot, b), (bot, c), (bot, top),
                      (a, top), (b, top), (c, top)):
             expected[i, j] = True
-        assert (ext.star.poset.leq == expected).all()
+        assert (ext.star.order.leq == expected).all()
         assert find_isomorphism(ext.star, named_lattice("N5")) is not None
 
     def test_total_source_unchanged(self, fig3):
@@ -66,7 +65,7 @@ class TestTwoPointExtension:
     def test_embedding_is_weak_subalgebra(self, fig4, fig9):
         for lat in (fig4, fig9):
             ext = two_point_extension(lat)
-            report = check_hom(range(lat.n), lat, from_lattice(ext.star))
+            report = check_hom(range(lat.n), lat, ext.star)
             assert report.kind != NOT_HOM
 
 

@@ -301,7 +301,7 @@ def test_parse_matches_scanner_on_mutated_sources(name, data):
 ])
 def test_parse_equals_scanner_on_named_documents(kind, size):
     lat = named_lattice(kind, size)
-    for structure in (lat, lat.poset):
+    for structure in (lat, lat.order):
         text = format_document(to_document(structure))
         assert parse(text) == parse_scanner(text)
 

@@ -28,7 +28,6 @@ from partlat import (
     check_distributivity,
     con_is_closed_under_meets,
     enumerate_partial_lattices,
-    from_lattice,
     from_plos,
     generate_congruence,
     is_distributive,
@@ -160,8 +159,8 @@ def test_bound_kernel_matches_loops(p):
 
 
 @given(random_posets())
-@example(named_lattice("boolean", 6).poset)
-@example(named_lattice("M", 60).poset)
+@example(named_lattice("boolean", 6).order)
+@example(named_lattice("M", 60).order)
 @example(BOWTIE)
 @example(SUBSETS8)  # 256 elements: eight blocks of rows
 @settings(max_examples=300, deadline=None)
@@ -340,7 +339,7 @@ def test_irreducibles_below_matches_one_gather(lat):
 
 def test_irreducibles_memory_is_bounded_by_blocks():
     lat = parsed_lattice("chain", 300)  # 7 blocks short of one 27 MB gather
-    lat.poset.covers
+    lat.order.covers
     tracemalloc.start()
     try:
         below = lat.irreducibles.below
@@ -352,8 +351,8 @@ def test_irreducibles_memory_is_bounded_by_blocks():
 
 
 @given(st.one_of(boolean4_suborders(), random_posets()))
-@example(named_lattice("M", 3).poset)  # modular, not distributive
-@example(named_lattice("N5").poset)
+@example(named_lattice("M", 3).order)  # modular, not distributive
+@example(named_lattice("N5").order)
 @settings(max_examples=150, deadline=None)
 def test_lattice_laws_match_loops(p):
     lat = outcome(validate_lattice, p)
@@ -385,9 +384,8 @@ def test_identity_scans_match_loops(case, mode):
 def test_largest_named_lattice_goes_through_every_scan():
     lat = named_lattice("boolean", 7)
     assert lat.n == 128
-    plat = from_lattice(lat)
-    assert validate_partial_lattice(plat.labels, plat.join, plat.meet) == plat
-    assert check_distributivity(plat, "strong") and check_distributivity(plat, "weak")
+    assert validate_partial_lattice(lat.labels, lat.join, lat.meet) == lat
+    assert check_distributivity(lat, "strong") and check_distributivity(lat, "weak")
     assert is_modular(lat) and is_distributive(lat)
 
 
@@ -406,7 +404,7 @@ def maps_from(draw, source):
     of a random sub-order of ``boolean 4``, or into the source's own L*; the
     map and its target."""
     into_star = draw(st.booleans())
-    target = (from_lattice(source.extension.star) if into_star
+    target = (source.extension.star if into_star
               else draw(plos_structures(boolean4_suborders())))
     kind = draw(st.sampled_from(("random", "constant") + ("inclusion",) * into_star))
     if kind == "inclusion":
@@ -462,7 +460,7 @@ def test_undefined_image_breaks_every_cell_through_it():
     # The chain a < b into the one-element lattice, padded with an UNDEF row
     # and column, with b sent to UNDEF: a gather at UNDEF reads the pad, so
     # h(a) v h(b) and h(a v b) would both read UNDEF and agree.
-    source = from_lattice(named_lattice("chain", 2))
+    source = named_lattice("chain", 2)
     target = np.full((2, 1, 2, 2), UNDEF)
     target[:, 0, 0, 0] = 0
     broken, extra = hom_masks(np.array([[0, UNDEF]]), (source.join, source.meet), target)
@@ -615,7 +613,7 @@ def test_meet_closure_rejects_a_forged_set():
     for forged, closed in (((low, high, Partition.full(3)), False),
                            ((Partition.identity(3), low, high, Partition.full(3)), True)):
         # The chain is total, so L* is the chain itself and each theta is its e.
-        lat = from_lattice(named_lattice("chain", 3))
+        lat = named_lattice("chain", 3)
         rows = least_member_rows(forged, 3)
         lat.congruence_table = CongruenceTable(rows, rows)  # low ^ high is the identity
         assert con_is_closed_under_meets(lat) is con_is_closed_under_meets_partitions(lat) is closed

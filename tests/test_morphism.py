@@ -15,7 +15,6 @@ from partlat import (
     check_hom,
     extend_hom,
     find_isomorphism,
-    from_lattice,
     hom_theorem_check,
     is_congruence_on_partial,
     kernel,
@@ -45,7 +44,7 @@ class TestCheckHom:
         assert report.kind == CLOSED_HOM
 
     def test_constant_from_total_lattice_is_closed(self):
-        lat = from_lattice(named_lattice("boolean", 2))
+        lat = named_lattice("boolean", 2)
         report = check_hom([0] * lat.n, lat, lat)
         assert report.kind == CLOSED_HOM
 
@@ -72,12 +71,12 @@ class TestCheckHom:
 
     def test_bool_value_is_rejected(self):
         # bool subclasses int, so True would be read as element 1
-        c2 = from_lattice(named_lattice("chain", 2))
+        c2 = named_lattice("chain", 2)
         with pytest.raises(BadParameter):
             check_hom([True, True], c2, c2)
 
     def test_bool_value_is_rejected_by_morphism(self):
-        c2 = from_lattice(named_lattice("chain", 2))
+        c2 = named_lattice("chain", 2)
         with pytest.raises(BadParameter):
             Morphism(c2, c2, (False, True))
 
@@ -185,7 +184,7 @@ class TestExtendRestrict:
         big = iso.forward.target  # extension star of the quotient, quotiented view
         x1 = w.extension
         proj_star = Morphism(
-            from_lattice(x1.star), big, tuple(w.theta.block_of)
+            x1.star, big, tuple(w.theta.block_of)
         )
         composed = Morphism(
             proj_star.source,
@@ -200,8 +199,8 @@ class TestExtendRestrict:
         x1 = two_point_extension(two)
         x2 = two_point_extension(two)
         sink = Morphism(
-            from_lattice(x1.star),
-            from_lattice(x2.star),
+            x1.star,
+            x2.star,
             tuple([x2.added_bottom] * x1.star.n),
         )
         with pytest.raises(ImageEscapes):
@@ -210,8 +209,8 @@ class TestExtendRestrict:
     def test_restrict_requires_hom(self, fig4):
         x1 = two_point_extension(fig4)
         bad = Morphism(
-            from_lattice(x1.star),
-            from_lattice(x1.star),
+            x1.star,
+            x1.star,
             tuple([1] + [0] * (x1.star.n - 1)),
         )
         if check_hom(bad.mapping, bad.source, bad.target).kind == NOT_HOM:

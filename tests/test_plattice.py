@@ -13,7 +13,6 @@ from partlat import (
     antichain,
     check_absorption,
     check_distributivity,
-    from_lattice,
     from_plos,
     induced_order,
     is_total,
@@ -42,7 +41,7 @@ class TestValidate:
     def test_total_lattice_tables_pass(self):
         lat = named_lattice("boolean", 2)
         out = validate_partial_lattice(lat.labels, lat.join, lat.meet)
-        assert out == from_lattice(lat)
+        assert out == lat
 
     def test_missing_dual_cell_is_duality_violation(self, fig4):
         jt, mt = tables_of(fig4)
@@ -109,7 +108,7 @@ class TestInducedOrder:
 
     def test_total_lattice(self):
         lat = named_lattice("N5")
-        assert induced_order(from_lattice(lat)) == lat.poset
+        assert induced_order(lat) == lat.order
 
     def test_fig9(self, fig9):
         p = induced_order(fig9)
@@ -139,7 +138,7 @@ class TestFromPlos:
         assert err.value.report.witness == (fig1.index("a"), fig1.index("b"))
 
     def test_chain_total(self):
-        lat = from_plos(named_lattice("chain", 3).poset)
+        lat = from_plos(named_lattice("chain", 3).order)
         assert is_total(lat) == BOTH_TOTAL
 
     def test_fig9_cells_match_bound_scans(self, fig9):
@@ -186,7 +185,7 @@ class TestAbsorption:
         assert report.witness == (fig4.index("a"), fig4.index("b"))
 
     def test_total_strong_holds(self):
-        lat = from_lattice(named_lattice("M", 3))
+        lat = named_lattice("M", 3)
         assert check_absorption(lat, "strong").holds
 
     def test_strong_iff_total(self, corpus4):
@@ -200,7 +199,7 @@ class TestDistributivity:
             assert check_distributivity(antichain(n), "strong").holds
 
     def test_pentagon_fails_weak(self):
-        lat = from_lattice(named_lattice("N5"))
+        lat = named_lattice("N5")
         assert not check_distributivity(lat, "weak").holds
 
 
@@ -212,13 +211,13 @@ class TestIsTotal:
         assert is_total(kite) == JOIN_PARTIAL
 
     def test_total(self):
-        assert is_total(from_lattice(named_lattice("chain", 2))) == BOTH_TOTAL
+        assert is_total(named_lattice("chain", 2)) == BOTH_TOTAL
 
 
 class TestConversions:
     def test_to_lattice_roundtrip(self):
         lat = named_lattice("boolean", 2)
-        assert to_lattice(from_lattice(lat)) == lat
+        assert to_lattice(lat) == lat
 
     def test_to_lattice_rejects_partial(self, fig4):
         from partlat import BadParameter

@@ -113,3 +113,17 @@ def test_sweep_reads_the_congruence_table():
     # are the library's API edge and the tests' reference, not its route.
     assert module_names("verify") & {"Partition", "congruence_witnesses", "restrict",
                                      "takewhile"} == set()
+
+
+def test_one_table_type():
+    # A lattice is a partial lattice whose tables are total, so it needs no
+    # converter and no second name for its order.
+    from partlat.order import Lattice, PartialLattice
+
+    assert issubclass(Lattice, PartialLattice)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert "from_lattice" not in defined | module_names(path.stem), path.name
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "poset" not in read, path.name

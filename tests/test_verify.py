@@ -27,7 +27,6 @@ from partlat import (
     congruence,
     enumerate_partial_lattices,
     extension,
-    from_lattice,
     morphism,
     named_lattice,
     order,
@@ -147,7 +146,7 @@ def test_generated_witness_is_recognized():
     (antichain(2), Partition([0, 1, 2, 2]), Partition.identity(2)),
     # The congruence {a, c} generates on the chain a < b < c, but it does not
     # restrict to {a, c}.
-    (from_lattice(named_lattice("chain", 3)), Partition.full(3),
+    (named_lattice("chain", 3), Partition.full(3),
      Partition.from_blocks(3, [(0, 2)])),
 ])
 def test_forged_witness_is_not_recognized(lat, theta, e):
@@ -166,7 +165,7 @@ def test_forged_witness_is_not_recognized(lat, theta, e):
 ])
 def test_assigned_congruences_reach_both_halves_of_the_sweep(forged, detail):
     # The chain is total, so L* is the chain itself and each theta is its e.
-    lat = forge_table(from_lattice(named_lattice("chain", 3)), forged, forged)
+    lat = forge_table(named_lattice("chain", 3), forged, forged)
     results = {name: (ok, detail) for name, ok, detail in structure_checks(lat)}
     assert results["congruences"] == (False, detail)
 
@@ -266,7 +265,7 @@ def with_dual_extension(quot):
     """``quot`` with the join and meet of its (L/E)* swapped."""
     star = quot.extension.star
     quot.__dict__["extension"] = dataclasses.replace(
-        quot.extension, star=Lattice(star.poset, star.meet, star.join))
+        quot.extension, star=Lattice(star.order, star.meet, star.join))
     return quot
 
 
@@ -405,7 +404,7 @@ def test_lost_upper_bound_is_reported():
     # meet, loses the upper bounds of c1 < c2. On a partial lattice the
     # join cases imply the check: duality makes the orders read from join
     # and meet agree, and the join cases give [a] v [c] = [c] for a <= c.
-    lat = from_lattice(named_lattice("chain", 3))
+    lat = named_lattice("chain", 3)
     theta = lat.congruence_table.theta[-1:]  # the identity sorts last
     block_of = np.array([lat.congruences[-1].block_of])
     assert block_of.tolist() == [[0, 1, 2]]

@@ -40,20 +40,6 @@ def first_true(mask):
     return tuple(int(v) for v in np.unravel_index(flat, mask.shape))
 
 
-def first_true_rows(mask):
-    """{row: index tuple of its first True cell in row-major order} for each
-    row of ``mask`` along its leading axis that has one: one ``first_true``
-    per such row, and one more."""
-    found, start = {}, 0
-    while start < len(mask):
-        cell = first_true(mask[start:])
-        if cell is None:
-            break
-        found[start + cell[0]] = cell[1:]
-        start += cell[0] + 1
-    return found
-
-
 def is_integer_in(value, low, high=None):
     """Whether ``value`` is an integer in low..high (no upper end when
     ``high`` is None) that numpy will not wrap, and not a bool."""
@@ -478,47 +464,34 @@ def sink_table(t):
     return sink
 
 
-def first_mismatches(k, n, lhs, rhs, strong=True):
-    """For each of k rows, the first (x, y, z) in row-major order where two
-    compound terms differ, or None.
-
-    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z) as sink
-    indices, k x n x n (n x n when k is 1), one x at a time, so each
-    temporary is O(k n^2). Weak mode compares only where both are defined;
-    strong mode also counts a difference in definedness. The scan stops
-    once every row has one.
-    """
-    found = [None] * k
-    for x in range(n):
-        if None not in found:
-            break
-        left, right = lhs(x), rhs(x)
-        differ = left != right
-        if not strong:
-            differ &= (left < n) & (right < n)
-        if first_true(differ) is None:  # no row differs at this x
-            continue
-        for i, cell in first_true_rows(differ.reshape(k, -1, differ.shape[-1])).items():
-            found[i] = found[i] or (x, *cell)
-    return found
-
-
-def distributive_mismatch(jn, mt, strong=True):
-    """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ."""
-    n = len(jn)
-    js, ms = sink_table(jn), sink_table(mt)
-    return first_mismatches(1, n, lambda x: ms[x][js[:n, :n]],
-                            lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)[0]
+def _total_order(lat):
+    """``lat.order``, once both tables of ``lat`` are total."""
+    if (lat.join == UNDEF).any() or (lat.meet == UNDEF).any():
+        raise BadParameter("operations are not total")
+    return lat.order
 
 
 def is_distributive(lat):
-    """Check x ^ (y v z) = (x ^ y) v (x ^ z) over all triples."""
-    return distributive_mismatch(lat.join, lat.meet) is None
+    """Whether every join-irreducible j (one lower cover) is join-prime:
+    j <= x v y only if j <= x or j <= y. That is distributivity (G. Birkhoff,
+    "Rings of sets", Duke Math. J. 3 (1937)): there j = j ^ (x v y) =
+    (j ^ x) v (j ^ y), and conversely every element is the join of the
+    join-irreducibles below it. j is join-prime exactly when the down-set
+    L - up(j) has a greatest element m, so, as down(m) lies inside it,
+    exactly when some m not above j has |down(m)| = n - |up(j)|."""
+    p = _total_order(lat)
+    rows = p.leq[p.covers.sum(0) == 1]  # rows[j, m]: j <= m
+    fits = p.leq.sum(0) == lat.n - rows.sum(1)[:, None]
+    return bool((fits & ~rows).any(1).all())
 
 
 def is_modular(lat):
-    """Check that x <= z implies x v (y ^ z) = (x v y) ^ z over all triples."""
-    jn, mt, leq = lat.join, lat.meet, lat.leq
-    # Both sides read 0 where x is not below z, so those positions agree.
-    return first_mismatches(1, lat.n, lambda x: np.where(leq[x], jn[x][mt], 0),
-                            lambda x: np.where(leq[x], mt[jn[x]], 0))[0] is None
+    """Whether x ^ y < x exactly when y < x v y, with < a cover: the lower and
+    the upper covering condition, which together are modularity in a finite
+    lattice (G. Birkhoff, Lattice Theory, 3rd ed. (1967), Ch. II). When it is
+    modular, a -> a v y maps [x ^ y, x] onto [y, x v y]. Conversely, both
+    conditions make the height a valuation, h(x) + h(y) = h(x v y) + h(x ^ y),
+    so no N5 a < c with a v b = c v b and a ^ b = c ^ b exists: h(a) = h(c)."""
+    covers = _total_order(lat).covers
+    at = np.arange(lat.n)[:, None]
+    return np.array_equal(covers[lat.meet, at], covers[at, lat.join].T)

@@ -19,10 +19,7 @@ from .order import (
     Poset,
     _check_labels,
     _frozen,
-    distributive_mismatch,
-    first_mismatches,
     first_true,
-    first_true_rows,
     is_integer_in,
     is_plos,
     sink_table,
@@ -32,6 +29,53 @@ BOTH_TOTAL = "both_total"
 JOIN_PARTIAL = "join_partial"
 MEET_PARTIAL = "meet_partial"
 BOTH_PARTIAL = "both_partial"
+
+
+def first_true_rows(mask):
+    """{row: index tuple of its first True cell in row-major order} for each
+    row of ``mask`` along its leading axis that has one: one ``first_true``
+    per such row, and one more."""
+    found, start = {}, 0
+    while start < len(mask):
+        cell = first_true(mask[start:])
+        if cell is None:
+            break
+        found[start + cell[0]] = cell[1:]
+        start += cell[0] + 1
+    return found
+
+
+def first_mismatches(k, n, lhs, rhs, strong=True):
+    """For each of k rows, the first (x, y, z) in row-major order where two
+    compound terms differ, or None.
+
+    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z) as sink
+    indices, k x n x n (n x n when k is 1), one x at a time, so each
+    temporary is O(k n^2). Weak mode compares only where both are defined;
+    strong mode also counts a difference in definedness. The scan stops
+    once every row has one.
+    """
+    found = [None] * k
+    for x in range(n):
+        if None not in found:
+            break
+        left, right = lhs(x), rhs(x)
+        differ = left != right
+        if not strong:
+            differ &= (left < n) & (right < n)
+        if first_true(differ) is None:  # no row differs at this x
+            continue
+        for i, cell in first_true_rows(differ.reshape(k, -1, differ.shape[-1])).items():
+            found[i] = found[i] or (x, *cell)
+    return found
+
+
+def distributive_mismatch(jn, mt, strong=True):
+    """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ."""
+    n = len(jn)
+    js, ms = sink_table(jn), sink_table(mt)
+    return first_mismatches(1, n, lambda x: ms[x][js[:n, :n]],
+                            lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)[0]
 
 
 def _as_table(n, table, name):

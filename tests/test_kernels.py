@@ -46,7 +46,7 @@ from partlat import (
     validate_partial_lattice,
 )
 from partlat.congruence import CongruenceTable, collapsed_irreducibles
-from partlat.enumeration import plos_lattices
+from partlat.enumeration import all_posets, plos_lattices
 from partlat.morphism import hom_masks
 from partlat.order import down_sets, extrema_stack, first_true
 
@@ -360,6 +360,43 @@ def test_lattice_laws_match_loops(p):
         return
     assert is_distributive(lat) == is_distributive_loops(lat)
     assert is_modular(lat) == is_modular_loops(lat)
+
+
+def test_lattice_laws_match_loops_on_every_lattice_to_8():
+    # 300 lattices, 36 distributive and 67 modular: OEIS A006966, A006982
+    # and A006981 summed over n = 1..8.
+    found = (outcome(validate_lattice, p) for n in range(1, 9) for p in all_posets(n))
+    lattices = [lat for lat in found if not isinstance(lat, tuple)]
+    laws = [(is_distributive(lat), is_modular(lat)) for lat in lattices]
+    assert laws == [(is_distributive_loops(lat), is_modular_loops(lat)) for lat in lattices]
+    assert (len(laws), sum(d for d, _ in laws), sum(m for _, m in laws)) == (300, 36, 67)
+
+
+@pytest.mark.parametrize("kind, size", [
+    *(("boolean", k) for k in (4, 5, 6)), *(("chain", k) for k in (6, 7, 8)),
+    *(("M", k) for k in (4, 8, 12)), ("N5", None),
+], ids=str)
+def test_lattice_laws_match_loops_relabelled(kind, size):
+    lat = named_lattice(kind, size)
+    perm = np.random.default_rng(20).permutation(lat.n)
+    lat = validate_lattice(Poset([lat.labels[i] for i in perm], lat.leq[np.ix_(perm, perm)]))
+    assert is_distributive(lat) == is_distributive_loops(lat) == (kind in ("boolean", "chain"))
+    assert is_modular(lat) == is_modular_loops(lat) == (kind != "N5")
+
+
+@pytest.mark.parametrize("law", [is_distributive, is_modular])
+def test_lattice_laws_memory_is_linear_in_cells(law):
+    # |J| = 299, so one |J| x n x n temporary would be 27 MB; the laws read
+    # |J| x n and n x n arrays.
+    lat = parsed_lattice("chain", 300)
+    lat.order.covers
+    tracemalloc.start()
+    try:
+        holds = law(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and peak < 2**20
 
 
 @given(symmetric_tables())

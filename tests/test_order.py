@@ -304,6 +304,18 @@ class TestDistributiveModular:
         assert is_modular(lat)
         assert not is_distributive(lat)
 
+    def test_total_partial_lattice(self, fig3):
+        # fig3 is the four-element Boolean lattice, parsed as a PartialLattice
+        assert type(fig3) is PartialLattice
+        assert is_distributive(fig3) and is_modular(fig3)
+
+    @pytest.mark.parametrize("law", [is_distributive, is_modular])
+    def test_undefined_cell(self, fig9, law):
+        # fig9 has undefined joins, its dual undefined meets
+        for lat in (fig9, PartialLattice(fig9.labels, fig9.meet, fig9.join)):
+            with pytest.raises(BadParameter, match="operations are not total"):
+                law(lat)
+
     def test_distributive_implies_modular(self):
         for kind, size in (("chain", 5), ("boolean", 3), ("M", 4), ("N5", None)):
             lat = named_lattice(kind, size)

@@ -127,3 +127,16 @@ def test_one_table_type():
         assert "from_lattice" not in defined | module_names(path.stem), path.name
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "poset" not in read, path.name
+
+
+def test_lattice_laws_scan_no_triples():
+    # is_distributive reads the join-irreducibles and is_modular the covers;
+    # neither goes through the n^3 compound-term scan.
+    tree = ast.parse((SRC / "order.py").read_text(encoding="utf-8"))
+    laws = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name in ("is_distributive", "is_modular")}
+    assert len(laws) == 2
+    for name, node in laws.items():
+        named = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+        assert named & {"first_mismatches", "distributive_mismatch"} == set(), name

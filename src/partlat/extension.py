@@ -5,9 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotALattice
-from .order import (BOTTOM_LABEL, TOP_LABEL, UNDEF, Carrier, Lattice, Poset, _frozen,
-                    extrema_stack, first_true, sink_table)
+from .order import BOTTOM_LABEL, TOP_LABEL, UNDEF, Carrier, Lattice, Poset, _frozen, sink_table
 from .plattice import BOTH_TOTAL, PartialLattice, is_total
 
 ONE_POINT_LABEL = "c*"
@@ -43,23 +41,25 @@ def two_point_extension(lat):
     """Extend a partial lattice to a total lattice with at most two new points.
 
     A bottom is adjoined exactly when the meet table has gaps and a top
-    exactly when the join table does; the star operations are sup and inf in
-    the extended order. This is ``extension_stack`` of ``lat`` alone.
+    exactly when the join table does. By the paper's case law, a v b in the
+    star is L's join where that is defined and the adjoined top otherwise,
+    and a ^ b is dually L's meet or the adjoined bottom; the paper proves
+    this a lattice (see ``extension_stack``). The star's order is read from
+    its join, x <= y when x v y = y. This is ``extension_stack`` of ``lat``
+    alone.
     """
     x = extension_stack(lat.join[None], lat.meet[None], np.array([lat.n]))
-    if x.errors[0] is not None:
-        raise x.errors[0]
     bottom, top = (None if bound == UNDEF else int(bound) for bound in (x.bottom[0], x.top[0]))
     labels = (lat.labels + (BOTTOM_LABEL,) * (bottom is not None)
               + (TOP_LABEL,) * (top is not None))
-    return Extension(lat, Lattice(Poset(labels, x.leq[0]), x.join[0], x.meet[0]), bottom, top)
+    leq = x.join[0] == np.arange(len(labels))
+    return Extension(lat, Lattice(Poset(labels, leq), x.join[0], x.meet[0]), bottom, top)
 
 
 # Two-point extensions of a stack of partial lattices, padded to one size:
-# their orders, sup and inf tables, sizes, the adjoined bottom and top of
-# each (UNDEF where none is adjoined), and for each the NotALattice that
-# its order raises, or None.
-ExtensionStack = namedtuple("ExtensionStack", "leq join meet sizes bottom top errors")
+# their sup and inf tables, sizes, and the adjoined bottom and top of each
+# (UNDEF where none is adjoined).
+ExtensionStack = namedtuple("ExtensionStack", "join meet sizes bottom top")
 
 
 def extension_stack(join, meet, sizes):
@@ -69,42 +69,49 @@ def extension_stack(join, meet, sizes):
     0..sizes[i]-1, and UNDEF in the cells past it. Its extension adjoins a
     bottom exactly when its meet has a gap, and a top exactly when its join
     has one, placed as ``two_point_extension`` places them: the carrier,
-    then the bottom, then the top. Each row is padded to the largest
-    extension with elements related only to themselves, so the sup and inf
-    of every other pair are those of the row's own extension.
+    then the bottom, then the top. The tables are filled by the case law:
+    a defined cell is L's own, an undefined join is the top and an undefined
+    meet the bottom, the bottom is the unit of v and absorbs ^, and the top
+    dually. This is a lattice, the paper's theorem: on a partial lattice a
+    join is undefined exactly when U(a, b) is empty and is else its least
+    element, so the top is the sup of a pair with no upper bound in L and L's
+    join stays the sup of the others; meets are dual. Each row is padded to
+    the largest extension with elements that are their own sup and inf and
+    have none with another element.
     """
     k, s = join.shape[:2]
-    # A table has a gap when fewer than sizes^2 of its cells are defined.
-    has_bottom, has_top = ((np.concatenate((meet, join)) != UNDEF).reshape(2, k, -1).sum(2)
-                           < sizes * sizes)
-    star_sizes = sizes + has_bottom + has_top
+    # A table has a gap when fewer than sizes^2 of its cells are defined:
+    # the meet's gaps adjoin a bottom, the join's a top.
+    gaps = (np.concatenate((meet, join)) != UNDEF).reshape(2, k, -1).sum(2) < sizes * sizes
+    star_sizes = sizes + gaps.sum(0)
+    bottom, top = bounds = np.where(gaps, (sizes, star_sizes - 1), UNDEF)
     m = max(s, int(star_sizes.max()))
-    leq = np.zeros((k, m, m), dtype=bool)
-    leq[:, :s, :s] = join == np.arange(s)  # the induced order: x v y = y
-    leq.reshape(k, -1)[:, :: m + 1] = True
-    bottom, top = np.full(k, UNDEF), np.full(k, UNDEF)
-    rows = zip(sizes.tolist(), star_sizes.tolist(), has_bottom.tolist(), has_top.tolist())
-    for i, (n, star, low, high) in enumerate(rows):
-        if low:
-            bottom[i] = n
-            leq[i, n, :star] = True
-        if high:
-            top[i] = star - 1
-            leq[i, :star, star - 1] = True
-    tables = _frozen(extrema_stack(leq)[0])  # each star shares its rows of it
-    # Each row's gaps are symmetric, so the first lies on or above the diagonal.
-    gaps = [first_true(gap[:n, :n])
-            for gap, n in zip((tables == UNDEF).any(0), star_sizes.tolist())]
-    errors = [None if pair is None else NotALattice(pair) for pair in gaps]
-    return ExtensionStack(leq, *tables, star_sizes, bottom, top, errors)
+    pos = np.arange(m)
+    carrier, inside = (pos < size[:, None] for size in (sizes, star_sizes))
+    # [side, i, a, b]: a, or b, is the unit of the side's operation (v, then
+    # ^). The other side's unit is the side's zero: it absorbs the operation,
+    # and an undefined cell of the carrier takes it. UNDEF is no position.
+    unit = pos == bounds[:, :, None]
+    at_a, at_b = unit[..., None], unit[:, :, None]
+    zero = bounds[::-1, :, None, None]
+    tables = np.full((2, k, m, m), UNDEF)
+    tables[:, :, :s, :s] = join, meet
+    gap = (tables == UNDEF) & carrier[:, :, None] & carrier[:, None, :]
+    tables = np.where(gap | at_a[::-1] | at_b[::-1], zero, tables)
+    tables = np.where(at_a, pos, np.where(at_b, pos[:, None], tables))
+    pads = np.where(np.eye(m, dtype=bool), pos, UNDEF)
+    tables = _frozen(np.where(inside[:, :, None] & inside[:, None, :], tables, pads))
+    return ExtensionStack(*tables, star_sizes, bottom, top)
 
 
 @dataclass(frozen=True, eq=False)
 class OnePointAlgebra(Carrier):
     """Totalization that routes every undefined cell to a single fresh element.
 
-    Useful only as a counterexample: the result usually breaks the partial
-    lattice axioms, which is the reason the two-point extension exists.
+    Useful only as a counterexample: unless the source is total, the result
+    is never a partial lattice, which is the reason the two-point extension
+    exists. The sink tables give c* ^ x = c* for every element x, so duality
+    needs c* v x = x, but the join table gives c* v x = c*.
     """
 
     labels: tuple

@@ -93,9 +93,12 @@ class Poset(Carrier):
 
     @cached_property
     def covers(self):
-        """covers[i, j] iff j covers i: i < j with nothing strictly between."""
+        """covers[i, j] iff j covers i: i < j with nothing strictly between.
+        The elements between are counted by a float32 product, which BLAS
+        runs and which is exact up to 2^24."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return _frozen(strict & ~(strict @ strict))
+        between = strict.astype(np.float32)
+        return _frozen(strict & (between @ between == 0))
 
     @cached_property
     def extrema(self):

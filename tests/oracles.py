@@ -24,14 +24,16 @@ every relation mask. ``con_is_closed_under_meets_partitions`` builds every
 keeps one witness per congruence in a dict keyed by ``Partition``, as the
 library did before the congruences became one array table per structure;
 ``least_member_rows`` writes partitions in that table's row form. ``extrema_rows`` is the sup/inf
-kernel one carrier row at a time, before it became one broadcast, and
+kernel one carrier row at a time, before it became one broadcast,
+``covers_loops`` the covering relation one triple at a time, and
 ``quotient_join_case_branches`` classifies one pair by the branches the
 join-case table replaced. ``parse_scanner`` is the text parser that walked
 each line one character at a time, before one anchored match read it.
 
 ``two_point_extension_loops`` builds the star order of the extension one
 pair at a time and reads its lattice with ``validate_lattice_loops``, before
-the extensions of many partial lattices became one padded stack.
+the extensions of many partial lattices became one padded stack filled by
+the case law.
 
 ``irreducibles_below_gather`` is the dependency order of the
 join-irreducibles read from one gather over all pairs, before that gather
@@ -691,6 +693,18 @@ def con_is_closed_under_meets_partitions(lat):
     """Every ``Partition.meet`` of two congruences is again a congruence."""
     cons = set(lat.congruences)
     return all(p.meet(q) in cons for p in cons for q in cons)
+
+
+def covers_loops(p):
+    """covers[i, j] iff i < j and no k has i < k < j, one triple at a time,
+    before the elements between became a matrix product."""
+    n = p.n
+    covers = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            covers[i, j] = i != j and p.leq[i, j] and not any(
+                k not in (i, j) and p.leq[i, k] and p.leq[k, j] for k in range(n))
+    return covers
 
 
 def extrema_rows(p):

@@ -56,6 +56,7 @@ from oracles import (
     check_hom_loops,
     con_is_closed_under_meets_partitions,
     congruence_witnesses_partitions,
+    covers_loops,
     down_sets_filter,
     extrema_rows,
     from_plos_loops,
@@ -169,6 +170,16 @@ def test_extrema_broadcast_matches_rows(p):
     want_tables, want_missing = extrema_rows(p)
     assert tables.dtype == want_tables.dtype
     assert np.array_equal(tables, want_tables) and np.array_equal(missing, want_missing)
+
+
+@given(st.one_of(boolean4_suborders(), random_posets()))
+@example(named_lattice("boolean", 6).order)
+@example(named_lattice("chain", 40).order)
+@example(BOWTIE)
+@settings(max_examples=300, deadline=None)
+def test_covers_match_loops(p):
+    assert p.covers.dtype == bool
+    assert np.array_equal(p.covers, covers_loops(p))
 
 
 @st.composite

@@ -94,16 +94,17 @@ def test_one_down_set_lister():
 
 
 def test_one_scan_per_order():
-    # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos
-    # and validate_lattice read; extension_stack and the enumeration levels
-    # scan their stacks themselves. No module keeps a one-order wrapper that
-    # scans again, and no other module calls the scan.
+    # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos,
+    # validate_lattice and the sweep's extension law read; the enumeration
+    # levels scan their stacks themselves, and extension_stack fills its
+    # tables by the case law without a scan. No module keeps a one-order
+    # wrapper that scans again, and no other module calls the scan.
     wrappers = {"extrema", "plos_report", "lattice_stack"}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert defined & wrappers == set(), path.name
-        if path.stem not in ("order", "extension", "enumeration"):
+        if path.stem not in ("order", "enumeration"):
             assert "extrema_stack" not in module_names(path.stem), path.name
 
 

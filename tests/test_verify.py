@@ -40,6 +40,7 @@ from partlat import (
 from partlat.congruence import CongruenceTable
 from partlat.errors import InvariantError
 from partlat.extension import extension_stack
+from partlat.order import first_true
 from partlat.verify import congruence_law, structure_checks
 
 
@@ -58,22 +59,21 @@ def test_raising_law_keeps_its_traceback(monkeypatch, fig4):
 
 
 def test_each_order_is_scanned_once(monkeypatch):
-    # lat.order once, shared by both roundtrips and the plos law; L*; and
-    # the stacked (L/E)* of the congruence law.
+    # lat.order once, shared by both roundtrips and the plos law, and L*'s
+    # order once, by the extension law. The stacked (L/E)* of the congruence
+    # law is filled by the case law and scans nothing.
     lats = list(enumerate_partial_lattices(4))
     calls = []
+    scan = order.extrema_stack
 
-    def counting(scan):
-        def counted(leq):
-            calls.append(len(leq))
-            return scan(leq)
-        return counted
+    def counted(leq):
+        calls.append(len(leq))
+        return scan(leq)
 
-    for module in (order, extension):
-        monkeypatch.setattr(module, "extrema_stack", counting(module.extrema_stack))
+    monkeypatch.setattr(order, "extrema_stack", counted)
     for lat in lats:
         assert all(ok for _, ok, _ in structure_checks(lat))
-    assert len(calls) == 3 * len(lats) == 69
+    assert len(calls) == 2 * len(lats) == 46
 
 
 def forged_bowtie():
@@ -387,8 +387,7 @@ def test_lifted_map_into_a_missing_bound_is_no_homomorphism():
     tables = np.full((2, 1, 4, 4), UNDEF)
     for table, source in zip(tables, (star.join, star.meet)):
         table[0][lifted[:, None], lifted] = lifted[source]
-    x = extension.ExtensionStack(np.eye(4, dtype=bool)[None], *tables, np.array([3]),
-                                 np.array([UNDEF]), np.array([2]), [None])
+    x = extension.ExtensionStack(*tables, np.array([3]), np.array([UNDEF]), np.array([2]))
     broken, _ = morphism.hom_masks(lifted[None], (star.join, star.meet), tables)
     through_bottom = (lifted == UNDEF)[:, None] | (lifted == UNDEF)
     assert np.array_equal(broken.any((0, 1)), through_bottom)
@@ -419,17 +418,71 @@ def test_lost_upper_bound_is_reported():
 @pytest.mark.parametrize("op", ["join", "meet"])
 def test_weak_subalgebra_of_the_extension_is_checked(op):
     # Unvalidated tables with one off-diagonal cell, a v b = c or a ^ b = c:
-    # the induced order is an antichain, so every case law holds, but the
-    # extension sends a and b to an adjoined bound, not to c.
+    # the induced order is an antichain, so L*'s order is M3's, where a and b
+    # go to an adjoined bound. The star keeps the source's cell, a v b = c or
+    # a ^ b = c, and so is not M3: the scan of its order finds another sup
+    # or inf at (a, b).
     diagonal = np.where(np.eye(3, dtype=bool), np.arange(3), UNDEF)
     cell = diagonal.copy()
     cell[0, 1] = 2
     lat = PartialLattice("abc", *((cell, diagonal) if op == "join" else (diagonal, cell)))
     assert np.array_equal(lat.order.leq, np.eye(3, dtype=bool))
-    assert morphism.find_isomorphism(lat.extension.star, named_lattice("M", 3)) is not None
-    verdict = (False, "carrier is not a weak subalgebra of the extension")
+    star = lat.extension.star
+    assert morphism.order_isomorphism(star.order, named_lattice("M", 3).order) is not None
+    assert getattr(star, op)[0, 1] == 2
+    verdict = (False, f"extension {op} is not the order's at (0, 1)")
     assert verify._check_extension(lat) == verdict
     assert {name: (ok, detail) for name, ok, detail in structure_checks(lat)}["extension"] == verdict
+
+
+def wrong_bound_row(tables, bottom, top):
+    """The adjoined top absorbs the meet: top ^ x = top."""
+    if top == UNDEF:
+        return False
+    tables[1, top, :] = tables[1, :, top] = top
+    return True
+
+
+def swapped_bounds(tables, bottom, top):
+    """Every cell holding the adjoined bottom holds the top, and back."""
+    if UNDEF in (bottom, top):
+        return False
+    tables[:] = np.where(tables == bottom, top, np.where(tables == top, bottom, tables))
+    return True
+
+
+def undefined_cell_to_the_wrong_bound(tables, bottom, top):
+    """The first pair without a join in the carrier joins to the bottom."""
+    if UNDEF in (bottom, top):
+        return False
+    a, b = first_true(tables[0] == top)
+    tables[0, a, b] = tables[0, b, a] = bottom
+    return True
+
+
+@pytest.mark.parametrize("mutate, applies", [
+    # 52 structures of corpus 5 adjoin a top, 38 of them a bottom too.
+    (wrong_bound_row, 52), (swapped_bounds, 38), (undefined_cell_to_the_wrong_bound, 38)])
+def test_mutant_fills_fail_the_extension_law(monkeypatch, corpus5, mutate, applies):
+    # L* is filled by the case law, so the extension law is the one check
+    # that it is a lattice: each structure whose fill a mutant changes fails
+    # it, and every other structure passes it.
+    real = extension.extension_stack
+    mutated = []
+
+    def mutant(join, meet, sizes):
+        x = real(join, meet, sizes)
+        tables = np.stack((x.join, x.meet))
+        mutated.append(mutate(tables[:, 0], x.bottom[0], x.top[0]))
+        return x._replace(join=tables[0], meet=tables[1])
+
+    monkeypatch.setattr(extension, "extension_stack", mutant)
+    for lat in corpus5:
+        results = {name: (ok, detail) for name, ok, detail
+                   in structure_checks(PartialLattice(lat.labels, lat.join, lat.meet))}
+        ok, detail = results["extension"]
+        assert ok != mutated[-1], detail
+    assert sum(mutated) == applies
 
 
 def test_empty_congruence_list_is_vacuously_closed():

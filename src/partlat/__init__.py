@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     PartlatError,
     SemanticError,
-    SideConditionFails,
     UnknownLabel,
 )
 from .order import (

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, InvariantError, NotACongruence, ensure
+from .errors import BadParameter, InvariantError, NotACongruence
 from .order import Lattice, Poset, _frozen, down_sets, first_true, is_integer_in
 from .plattice import UNDEF, validate_partial_lattice
 
@@ -278,10 +278,16 @@ class JoinCase:
 
 
 def _require_congruence(lat, e, witness):
-    w = witness if witness is not None else is_congruence_on_partial(lat, e)
-    if not w.is_congruence:
-        raise NotACongruence(w)
-    return w
+    """The congruence witness of ``e`` on ``lat``: ``witness`` when given,
+    else a new one. Raises BadParameter when ``witness`` was made for another
+    relation or structure, and NotACongruence unless ``e`` is a congruence."""
+    if witness is None:
+        witness = is_congruence_on_partial(lat, e)
+    elif witness.restriction != e or witness.extension.source != lat:
+        raise BadParameter("witness is for another relation or structure")
+    if not witness.is_congruence:
+        raise NotACongruence(witness)
+    return witness
 
 
 def quotient(lat, e, witness=None):
@@ -344,14 +350,12 @@ def quotient_join_cases(lat, e, witness=None):
 
     Where the join is defined the cell holds [a v b]. Elsewhere it holds
     the block of the least carrier element identified with the adjoined
-    top, or UNDEF when the top forms a singleton class.
+    top, or UNDEF when the top forms a singleton class. A top is adjoined
+    exactly when the join has a gap, so without one no cell reads it.
     """
     w = _require_congruence(lat, e, witness)
-    alpha = lat.n
-    if (lat.join == UNDEF).any():
-        ext = w.extension
-        ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
-        alpha = w.theta.block_containing(ext.added_top)[0]
+    top = w.extension.added_top
+    alpha = lat.n if top is None else w.theta.block_containing(top)[0]
     return join_case_stack(lat, np.array([e.block_of]), np.array([alpha]))[0]
 
 
@@ -375,16 +379,20 @@ def quotient_join_case(lat, e, a, b, witness=None):
     the adjoined top forms a singleton class, or the class of the least
     carrier element identified with the top. Raises BadParameter unless a
     and b are carrier elements.
+
+    That element is the least member of the block: the generated congruence
+    restricts to e, so the top's class meets the carrier in one block of e,
+    and the carrier is the prefix of the star, so the least member of the
+    class is the least member of that block.
     """
     if not (lat.is_index(a) and lat.is_index(b)):
         raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
-    w = _require_congruence(lat, e, witness)
-    block = int(quotient_join_cases(lat, e, witness=w)[a, b])
+    block = int(quotient_join_cases(lat, e, witness)[a, b])
     if lat.join[a, b] != UNDEF:
         return JoinCase(DEFINED, block)
     if block == UNDEF:
         return JoinCase(UNDEFINED_TOP_SINGLETON)
-    return JoinCase(ALPHA, block, w.theta.block_containing(w.extension.added_top)[0])
+    return JoinCase(ALPHA, block, e.blocks[block][0])
 
 
 def lattice_quotient(lat, theta):

@@ -12,7 +12,6 @@ __all__ = [
     "NotACongruence",
     "NotClosed",
     "ImageEscapes",
-    "SideConditionFails",
     "ParseError",
     "SemanticError",
     "InvariantError",
@@ -88,12 +87,6 @@ class ImageEscapes(PartlatError):
     def __init__(self, pair):
         self.pair = tuple(pair)
         super().__init__(f"element {self.pair[0]} maps to adjoined bound {self.pair[1]}")
-
-
-class SideConditionFails(PartlatError):
-    def __init__(self, bound):
-        self.bound = bound
-        super().__init__(f"adjoined {bound} lies in a non-singleton class")
 
 
 class ParseError(PartlatError):

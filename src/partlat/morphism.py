@@ -17,13 +17,7 @@ from .congruence import (
     is_congruence_on_partial,
     lattice_quotient,
 )
-from .errors import (
-    BadParameter,
-    ImageEscapes,
-    NotClosed,
-    SideConditionFails,
-    ensure,
-)
+from .errors import BadParameter, ImageEscapes, NotClosed, ensure
 from .order import first_true
 from .plattice import UNDEF, PartialLattice, validate_partial_lattice
 
@@ -51,9 +45,6 @@ class Morphism:
 
     def __post_init__(self):
         _require_map(self.mapping, self.source, self.target)
-
-    def __call__(self, i):
-        return self.mapping[i]
 
     @cached_property
     def report(self):
@@ -130,9 +121,12 @@ def extend_hom(h):
     """Extend a closed homomorphism to the two-point extensions.
 
     Carrier elements go through the original map; an adjoined bound goes to
-    the corresponding adjoined bound of the target, whose existence is forced
-    by closedness. The restriction of the result back to the source carrier
-    is the original map.
+    the corresponding adjoined bound of the target. The restriction of the
+    result back to the source carrier is the original map.
+
+    Closedness forces that target bound. L* adjoins a bottom exactly when
+    some a ^ b is undefined in L; as h is closed, h(a) ^ h(b) is then
+    undefined in K, so K* adjoins a bottom too. The top is dual.
     """
     if h.report.kind != CLOSED_HOM:
         raise NotClosed(h.report)
@@ -141,10 +135,8 @@ def extend_hom(h):
     # Both carriers are star prefixes, followed by the bottom, then the top.
     mapping = list(h.mapping)
     if x1.added_bottom is not None:
-        ensure(x2.added_bottom is not None, "closedness forces a target bottom")
         mapping.append(x2.added_bottom)
     if x1.added_top is not None:
-        ensure(x2.added_top is not None, "closedness forces a target top")
         mapping.append(x2.added_top)
     hstar = Morphism(x1.star, x2.star, tuple(mapping))
     ensure(hstar.report.kind != NOT_HOM, "extended map must be a homomorphism")
@@ -220,19 +212,20 @@ def _image_sublattice(h):
 def hom_theorem_check(h):
     """Image of a closed homomorphism versus the quotient by its kernel.
 
-    Verifies the kernel is a congruence, requires every adjoined bound of the
-    source extension to form a singleton class of the generated congruence,
-    and returns the verified isomorphism pair between image and quotient.
+    Verifies the kernel is a congruence and returns the verified isomorphism
+    pair between image and quotient.
+
+    Each adjoined bound of L* is a singleton class of theta(ker h), the
+    congruence ker h generates on L*, so the projection onto the quotient
+    is closed: h* = ``extend_hom(h)`` sends each adjoined bound of L* to K*'s
+    matching bound and no carrier element there, so the congruence ker h*
+    has singleton bounds and contains ker h, hence theta(ker h).
     """
     if h.report.kind != CLOSED_HOM:
         raise NotClosed(h.report)
     ker = kernel(h)
     w = is_congruence_on_partial(h.source, ker)
     ensure(w.is_congruence, "kernel of a closed homomorphism must be a congruence")
-    ext = w.extension
-    for bound, name in ((ext.added_bottom, "bottom"), (ext.added_top, "top")):
-        if bound is not None and len(w.theta.block_containing(bound)) != 1:
-            raise SideConditionFails(name)
     image, pos = _image_sublattice(h)
     quot = w.quot
     fwd_map = np.empty(image.n, dtype=np.int64)
@@ -249,6 +242,11 @@ def quotient_extension_iso(lat, e, witness=None):
     extension by the generated congruence, then verifies the block map that
     identifies them. A verification failure would be a library bug, so it
     aborts loudly instead of returning a value.
+
+    (L/E)* adjoins a bound only where L* does. A defined a ^ b of L is a
+    carrier element, so [a] ^ [b] is its class and defined; an undefined
+    [a] ^ [b] thus needs an undefined a ^ b, which adjoins a bottom to L*.
+    The top is dual.
     """
     w = _require_congruence(lat, e, witness)
     ext = w.extension
@@ -257,10 +255,8 @@ def quotient_extension_iso(lat, e, witness=None):
     # Star prefixes again: block k of e, then the bottom, then the top.
     mapping = [w.theta.block_of[block[0]] for block in e.blocks]
     if qx.added_bottom is not None:
-        ensure(ext.added_bottom is not None, "a quotient bottom needs a source bottom")
         mapping.append(w.theta.block_of[ext.added_bottom])
     if qx.added_top is not None:
-        ensure(ext.added_top is not None, "a quotient top needs a source top")
         mapping.append(w.theta.block_of[ext.added_top])
     iso = _verify_iso(Morphism(qx.star, big, tuple(mapping)))
     ensure(iso is not None, "quotient extension exchange failed to verify")

@@ -125,21 +125,23 @@ class Poset(Carrier):
 
 
 def _arc_path(arcs, src, dst):
+    """A shortest path of ``arcs`` from src to dst, by breadth-first search.
+
+    ``make_poset`` asks only for pairs that its closure of ``arcs`` relates,
+    so a path exists and the search finds dst before the queue runs dry.
+    """
     prev = {src: None}
     queue = deque([src])
-    while queue:
+    while dst not in prev:
         u = queue.popleft()
-        if u == dst:
-            path = [u]
-            while prev[u] is not None:
-                u = prev[u]
-                path.append(u)
-            return path[::-1]
         for a, b in arcs:
             if a == u and b not in prev:
                 prev[b] = u
                 queue.append(b)
-    return [src, dst]
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def make_poset(labels, relation):

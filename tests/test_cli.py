@@ -41,6 +41,19 @@ class TestValidate:
         assert cli(["validate", str(path)]) == 0
         assert "no extremum" in capsys.readouterr().out
 
+    def test_dash_reads_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(figs.FIG4_TEXT))
+        assert cli(["validate", "-"]) == 0
+        assert "axioms hold" in capsys.readouterr().out
+
+    def test_plos_poset_is_reported_and_extended(self, tmp_path, capsys):
+        path = tmp_path / "vee.p"
+        path.write_text("poset\nelements a b c\nrel a<c\nrel b<c\n")
+        assert cli(["validate", str(path)]) == 0
+        assert "bound properties: satisfied (partially lattice-ordered)" in capsys.readouterr().out
+        assert cli(["extend", str(path)]) == 0
+        assert "added ⊥*" in capsys.readouterr().err
+
     def test_invalid_plattice_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.pl"
         path.write_text("plattice\nelements a b\njoin a b = a\n")  # duality broken
@@ -180,6 +193,12 @@ class TestIso:
         assert cli(["iso", str(pentagon), "N5"]) == 0
         out = capsys.readouterr().out
         assert "->" in out
+
+    def test_total_plattice_document_vs_named(self, tmp_path, capsys):
+        path = tmp_path / "fig3.pl"
+        path.write_text(figs.FIG3_TEXT)
+        assert cli(["iso", str(path), "boolean2"]) == 0
+        assert capsys.readouterr().out == "o -> 00\nl -> 01\nr -> 10\nt -> 11\n"
 
     def test_not_isomorphic(self, capsys):
         assert cli(["iso", "chain2", "chain3"]) == 1

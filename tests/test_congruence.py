@@ -13,6 +13,7 @@ from partlat import (
     all_congruences,
     all_partial_congruences,
     antichain,
+    canonical_projection,
     check_hom,
     con_is_closed_under_meets,
     congruence_witnesses,
@@ -23,7 +24,9 @@ from partlat import (
     lattice_quotient,
     named_lattice,
     quotient,
+    quotient_extension_iso,
     quotient_join_case,
+    quotient_join_cases,
     two_point_extension,
     validate_lattice,
 )
@@ -70,6 +73,7 @@ class TestPartition:
         assert p.meet(q) == Partition([0, 1, 2, 2])
         assert p.meet(q).refines(p)
         assert p.meet(q).refines(q)
+        assert not p.refines(p.meet(q))
 
     def test_union_closure(self):
         # Two seeds generate the join of their congruences in one closure.
@@ -81,6 +85,15 @@ class TestPartition:
     def test_refines_rejects_a_carrier_mismatch(self):
         with pytest.raises(BadParameter, match="carrier mismatch"):
             Partition.identity(2).refines(Partition.full(3))
+
+    @pytest.mark.parametrize("call", [
+        lambda: Partition.identity(2).meet(Partition.full(3)),
+        lambda: generate_congruence(named_lattice("chain", 3), Partition.identity(4)),
+        lambda: is_congruence_on_partial(named_lattice("chain", 3), Partition.identity(2)),
+    ], ids=["meet", "generate_congruence", "is_congruence_on_partial"])
+    def test_other_calls_reject_a_carrier_mismatch(self, call):
+        with pytest.raises(BadParameter, match="carrier"):
+            call()
 
     def test_render(self):
         p = Partition.from_blocks(3, [(0, 2)])
@@ -315,6 +328,22 @@ class TestQuotient:
         e = figs.congruence_of(fig9, "a b|c|d")
         with pytest.raises(NotACongruence):
             quotient(fig9, e)
+
+    @pytest.mark.parametrize("call", [quotient, quotient_join_cases, canonical_projection,
+                                      quotient_extension_iso])
+    @pytest.mark.parametrize("other", ["identity", "chain4"])
+    def test_witness_for_another_relation_or_structure_is_rejected(self, fig9, call, other):
+        # The identity's witness once made [a] v [d] UNDEF for a|b c|d, where
+        # it is block 2, projected into the identity's quotient and raised
+        # InvariantError from quotient, which reports a library bug.
+        e = figs.congruence_of(fig9, "a|b c|d")
+        a, d = fig9.index("a"), fig9.index("d")
+        assert quotient_join_cases(fig9, e, witness=is_congruence_on_partial(fig9, e))[a, d] == 2
+        wrong = (is_congruence_on_partial(fig9, Partition.identity(fig9.n)) if other == "identity"
+                 else is_congruence_on_partial(named_lattice("chain", 4), e))
+        assert wrong.is_congruence
+        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
+            call(fig9, e, witness=wrong)
 
     def test_witness_builds_its_quotient_once(self, fig9):
         w = is_congruence_on_partial(fig9, figs.congruence_of(fig9, "a|b d|c"))

@@ -75,6 +75,9 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("poset\n")
         assert "elements" in err.value.expected
+        with pytest.raises(ParseError) as err:
+            parse("poset\nrel a<b\n")
+        assert (err.value.line, err.value.expected) == (2, "'elements'")
 
     def test_missing_angle(self):
         with pytest.raises(ParseError) as err:
@@ -103,6 +106,11 @@ class TestParse:
             parse(text)
         assert "duplicate cell" in str(err.value)
         assert (err.value.line, err.value.col) == (4, 6)
+
+    def test_diagonal_cell_must_repeat_its_element(self):
+        with pytest.raises(SemanticError) as err:
+            parse("plattice\nelements a b\nmeet b b = a\n")
+        assert str(err.value) == "line 3, col 12: diagonal cell must repeat its element"
 
     def test_junk_after_line(self):
         with pytest.raises(ParseError) as err:

@@ -50,6 +50,23 @@ class TestMakePoset:
             make_poset(("a", "b"), (("a", "b"), ("b", "a")))
         assert set(err.value.cycle) == {"a", "b"}
 
+    def test_every_reported_cycle_follows_the_arcs(self):
+        # The witness is read from arcs of the relation, found by search
+        # between two elements its closure relates both ways; over every
+        # relation on four labels each step of the cycle is an arc.
+        labels = "abcd"
+        arcs = [(x, y) for x in labels for y in labels if x != y]
+        cycles = 0
+        for bits in range(2 ** len(arcs)):
+            relation = [arc for k, arc in enumerate(arcs) if bits >> k & 1]
+            try:
+                make_poset(labels, relation)
+            except CycleDetected as err:
+                cycles += 1
+                steps = set(zip(err.cycle, err.cycle[1:] + err.cycle[:1]))
+                assert steps <= set(relation), (relation, err.cycle)
+        assert cycles == 2 ** len(arcs) - 543  # 543 acyclic digraphs: OEIS A003024
+
     def test_transitive_closure(self):
         p = make_poset(("a", "b", "c"), (("a", "b"), ("b", "c")))
         assert p.leq[p.index("a"), p.index("c")]
@@ -61,6 +78,18 @@ class TestMakePoset:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             make_poset(("a",), (("a", "q"),))
+        with pytest.raises(UnknownLabel):
+            make_poset(("a",), (("q", "a"),))
+        with pytest.raises(UnknownLabel):
+            make_poset(("a",), ()).index("q")
+
+    def test_repr_lists_the_covers(self):
+        assert repr(make_poset("abc", ("ab", "bc"))) == "Poset(a b c; a<b b<c)"
+        assert repr(named_lattice("chain", 2)) == "Lattice(Poset(c1 c2; c1<c2))"
+
+    def test_order_matrix_must_match_the_labels(self):
+        with pytest.raises(BadParameter, match="order matrix shape"):
+            Poset(("a", "b"), np.eye(3, dtype=bool))
 
     def test_reserved_label(self):
         with pytest.raises(BadParameter):

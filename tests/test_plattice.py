@@ -52,6 +52,11 @@ class TestValidate:
         assert err.value.axiom == "duality"
         assert set(err.value.witness) == {a, c}
 
+    def test_missing_join_of_a_comparable_pair_is_duality_violation(self):
+        # a ^ b = a on the chain a < b, with a v b left undefined
+        with pytest.raises(AxiomViolation, match="meet gives i but join is not j"):
+            validate_partial_lattice(("a", "b"), [[0, None], [None, 1]], [[0, 0], [0, 1]])
+
     # A chain a < b has join [[0, 1], [1, 1]]; each join below is malformed.
     @pytest.mark.parametrize("join, message", [
         ([[0]], "join table shape does not match carrier"),
@@ -59,7 +64,10 @@ class TestValidate:
         ([[0, 1], ["x", 1]], "join[1,0] is not an element index"),
         ([[0, True], [1, 1]], "join[0,1] is not an element index"),
         (np.array([[0, 1], [1.7, 1]]), "join table has dtype float64, not an integer type"),
-    ], ids=["short", "float_cell", "str_cell", "bool_cell", "float_array"])
+        (np.array([[0]]), "join table shape does not match carrier"),
+        (np.array([[0, 2], [2, 1]]), "join[0,1] is not an element index"),
+    ], ids=["short", "float_cell", "str_cell", "bool_cell", "float_array", "short_array",
+            "out_of_range_array"])
     def test_malformed_table_is_rejected(self, join, message):
         with pytest.raises(BadParameter) as err:
             validate_partial_lattice(("a", "b"), join, [[0, 0], [0, 1]])
@@ -192,6 +200,10 @@ class TestAbsorption:
         for lat in corpus4:
             assert check_absorption(lat, "strong").holds == (is_total(lat) == BOTH_TOTAL)
 
+    def test_unknown_mode_is_rejected(self, fig4):
+        with pytest.raises(BadParameter, match="unknown identity mode 'medium'"):
+            check_absorption(fig4, "medium")
+
 
 class TestDistributivity:
     def test_antichain_strong_holds(self):
@@ -204,6 +216,9 @@ class TestDistributivity:
 
 
 class TestIsTotal:
+    def test_repr_counts_defined_cells(self, fig4):
+        assert repr(fig4) == "PartialLattice(a b c; 10 defined cells)"
+
     def test_fig4_both_partial(self, fig4):
         assert is_total(fig4) == BOTH_PARTIAL
 

@@ -141,3 +141,21 @@ def test_lattice_laws_scan_no_triples():
         named = {n.id if isinstance(n, ast.Name) else n.attr
                  for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
         assert named & {"first_mismatches", "distributive_mismatch"} == set(), name
+
+
+def test_every_exported_error_is_raised():
+    # An error class that no module raises is a guard nobody can trip. The
+    # stacked checks build one error per row and raise the first, so a class
+    # counts as raised where a module other than errors.py raises or builds it.
+    from partlat import errors
+
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            target = node.func if isinstance(node, ast.Call) else (
+                node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, (ast.Name, ast.Attribute)):
+                raised.add(target.id if isinstance(target, ast.Name) else target.attr)
+    assert sorted(set(errors.__all__) - {"PartlatError"} - raised) == []

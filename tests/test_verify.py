@@ -37,6 +37,7 @@ from partlat import (
     verify,
     verify_corpus,
 )
+from partlat.cli import cli
 from partlat.congruence import CongruenceTable
 from partlat.errors import InvariantError
 from partlat.extension import extension_stack
@@ -56,6 +57,21 @@ def test_raising_law_keeps_its_traceback(monkeypatch, fig4):
     assert "in broken" in detail
     assert detail.rstrip().endswith("RuntimeError: absorption exploded")
     assert results["roundtrip_structure"][0]  # the sweep went on
+
+
+def test_failing_law_is_reported_with_a_replayable_document(monkeypatch, capsys):
+    target = list(enumerate_partial_lattices(3))[5]
+    roundtrip = verify.lp_roundtrip
+    monkeypatch.setattr(verify, "lp_roundtrip", lambda lat: lat != target and roundtrip(lat))
+    checked, failures = verify_corpus(3)
+    assert (checked, len(failures)) == (8, 1)
+    head, _, document = failures[0].partition("\n")
+    assert head == "roundtrip_structure: structure roundtrip failed"
+    assert build(parse(document)) == target
+    assert cli(["verify", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "checked 8 partial lattices on up to 3 elements: 1 failures\n"
+    assert err == failures[0] + "\n"
 
 
 def test_each_order_is_scanned_once(monkeypatch):

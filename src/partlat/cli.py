@@ -27,17 +27,24 @@ _NAMED = re.compile(r"^(?:N5|(M|chain|boolean)(\d+))$")
 
 
 def _read(path):
-    """The text of ``path``, or of stdin for ``-``; a file must be UTF-8."""
+    """The text of ``path``, or of stdin for ``-``, decoded as UTF-8 whatever
+    the locale; a text stream set as stdin in process is read as it is."""
     if path == "-":
-        return sys.stdin.read()
-    if "\0" in path:  # open() raises ValueError; no file has such a name
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise OSError("stdin is closed")
+        if not hasattr(sys.stdin, "buffer"):
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    elif "\0" in path:  # open() raises ValueError; no file has such a name
         raise FileNotFoundError(f"no such file: {path!r}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            head = exc.object[:exc.start].decode("utf-8")
-            raise ParseError(*fmt.text_end(head), "UTF-8 text") from None
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise ParseError(*fmt.text_end(head), "UTF-8 text") from None
 
 
 def _load(path):

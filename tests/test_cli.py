@@ -46,6 +46,16 @@ class TestValidate:
         assert cli(["validate", "-"]) == 0
         assert "axioms hold" in capsys.readouterr().out
 
+    def test_closed_stdin_exits_2(self):
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "partlat", "validate", "-"],
+            capture_output=True, text=True, timeout=60, preexec_fn=lambda: os.close(0),
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: stdin is closed\n"
+
     def test_plos_poset_is_reported_and_extended(self, tmp_path, capsys):
         path = tmp_path / "vee.p"
         path.write_text("poset\nelements a b c\nrel a<c\nrel b<c\n")
@@ -108,6 +118,23 @@ class TestValidate:
         path.write_bytes(b"poset\r\nelements a\rb\x0bc \xff\n")
         assert cli(["validate", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 4, col 3: expected UTF-8 text\n"
+
+    @pytest.mark.parametrize("stdin_decoding", ["utf-8:surrogateescape", "utf-8:strict", "latin-1"])
+    @pytest.mark.parametrize("data, col", [
+        (b"plattice\nelements \xff\n", 10),  # in a label
+        (b"plattice\nelements a # \xff\n", 14),  # in a comment
+    ], ids=["label", "comment"])
+    def test_non_utf8_stdin_is_reported_like_a_file(self, tmp_path, stdin_decoding, data, col):
+        # Whatever decoding the interpreter gives stdin, "-" reads UTF-8 as a file does.
+        path = tmp_path / "bad.pl"
+        path.write_bytes(data)
+        src = Path(__file__).parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": stdin_decoding}
+        for arg, stdin in ((str(path), b""), ("-", data)):
+            result = subprocess.run([sys.executable, "-m", "partlat", "validate", arg],
+                                    input=stdin, capture_output=True, timeout=60, env=env)
+            assert (result.returncode, result.stdout) == (2, b""), arg
+            assert result.stderr == f"error: line 2, col {col}: expected UTF-8 text\n".encode()
 
     def test_nul_in_file_name_exits_2(self, capsys):
         assert cli(["validate", "fig\0.p"]) == 2

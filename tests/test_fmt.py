@@ -1,5 +1,5 @@
 import time
-from itertools import islice, product
+from itertools import combinations, islice, product
 from string import ascii_letters, digits
 
 import pytest
@@ -23,7 +23,7 @@ from partlat import (
 )
 from partlat import figures as figs
 from partlat.congruence import Partition
-from partlat.fmt import text_end
+from partlat.fmt import Document, text_end
 from partlat.order import named_lattice
 from oracles import parse_scanner
 
@@ -45,6 +45,15 @@ class TestParse:
     def test_singleton(self):
         doc = parse("poset\nelements x\n")
         assert doc.labels == ("x",)
+
+    @pytest.mark.parametrize("text, kind, labels", [
+        ("plattice\nelements a\n", "plattice", ("a",)),
+        ("plattice\nelements a b # no cells\n\n", "plattice", ("a", "b")),
+        ("poset\n  elements a b c", "poset", ("a", "b", "c")),
+    ])
+    def test_document_without_body(self, text, kind, labels):
+        # The scan of an empty body still matches once; that match is no line.
+        assert parse(text) == Document(kind, labels) == parse_scanner(text)
 
     def test_unknown_label_in_cell(self):
         with pytest.raises(SemanticError) as err:
@@ -106,6 +115,13 @@ class TestParse:
             parse(text)
         assert "duplicate cell" in str(err.value)
         assert (err.value.line, err.value.col) == (4, 6)
+        # A repeated diagonal cell is reported as a repeat, even when it also
+        # names another element.
+        text = "plattice\nelements a b\njoin a a = a\njoin a a = b\n"
+        with pytest.raises(SemanticError) as err:
+            parse(text)
+        assert str(err.value) == "line 4, col 6: duplicate cell join a a"
+        assert outcome(parse_scanner, text) == outcome(parse, text)
 
     def test_diagonal_cell_must_repeat_its_element(self):
         with pytest.raises(SemanticError) as err:
@@ -232,7 +248,8 @@ class TestParsePartition:
 
 
 class TestLineBreaks:
-    @pytest.mark.parametrize("br", ["\n", "\r", "\r\n", "\x0b", "\u2028"])
+    @pytest.mark.parametrize("br", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                    "\x85", "\u2028", "\u2029"])
     def test_missing_lines_are_numbered_by_any_line_break(self, br):
         with pytest.raises(ParseError) as err:
             parse("poset" + br)
@@ -255,8 +272,11 @@ def outcome(parser, text):
         return type(exc), exc.line, exc.col, str(exc)
 
 
-SPACE = st.sampled_from(("", " ", "\t", "\x0c", "\x1c", "\x1f", "\xa0"))  # "\x0c", "\x1c" break lines
-BREAK = st.sampled_from(("\n", "\n", "\r", "\r\n", "\x0b", "\u2028"))
+# "\x0c" and "\x1c" break lines; the other spaces do not.
+SPACE = st.sampled_from(("", " ", "\t", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\u3000"))
+# Every break of str.splitlines.
+BREAK = st.sampled_from(("\n", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                         "\u2028", "\u2029"))
 LABEL = st.sampled_from(("a", "b", "c1", "q"))
 TOKEN = st.sampled_from(("a", "b", "c1", "_", "poset", "plattice", "elements", "rel", "join",
                          "meet", "<", "=", "#", "$"))
@@ -314,6 +334,42 @@ def test_parse_equals_scanner_on_named_documents(kind, size):
         assert parse(text) == parse_scanner(text)
 
 
+def plant(data, lines, cells, labels):
+    """Plant one error at a drawn line after a document's first two: a bad
+    token, an unknown label or trailing junk; a missing '='; the mirror of
+    one of its ``cells``; or a diagonal cell that names another element."""
+    at = data.draw(st.integers(2, len(lines)), label="at")
+    how = data.draw(st.sampled_from(("token", "equals", "mirror", "diagonal")), label="how")
+    if how == "mirror":
+        op, x, y, _, z = data.draw(st.sampled_from(cells)).split()
+        lines.insert(at, f"{op} {y} {x} = {z}")
+    elif how == "diagonal":
+        x, z = data.draw(st.permutations(labels))[:2]
+        lines.insert(at, f"{data.draw(st.sampled_from(('join', 'meet')))} {x} {x} = {z}")
+    elif at < len(lines):
+        tokens = lines[at].split()
+        if how == "equals" and "=" in tokens:
+            tokens.remove("=")
+        else:
+            k = data.draw(st.integers(0, len(tokens)))
+            tokens[k:k + data.draw(st.integers(0, 1))] = [data.draw(st.sampled_from(
+                ("q", "$", "<", "=", "rel", "join", "x$y", tokens[0])))]
+        lines[at] = " ".join(tokens)
+
+
+@pytest.mark.parametrize("kind, size", [("boolean", 5), ("M", 12)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_planted_error_in_a_large_document_wins(kind, size, data):
+    lat = named_lattice(kind, size)
+    lines = format_document(to_document(lat)).splitlines()
+    cells = lines[2:]
+    for _ in range(data.draw(st.integers(1, 2), label="errors")):
+        plant(data, lines, cells, lat.labels)
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse, text) == outcome(parse_scanner, text)
+
+
 ALNUM = ascii_letters + digits + "_"
 MANY = " ".join("".join(t) for t in islice(product(ALNUM, repeat=3), 50_000))
 LONG = "x" * 200_000
@@ -337,6 +393,29 @@ def test_long_lines_match_scanner_in_linear_time(text):
     assert got == outcome(parse_scanner, text)
     # Linear reading takes milliseconds; a pattern that backtracks over a
     # 200,000-character name takes minutes.
+    assert elapsed < 2.0
+
+
+def many_cells(last):
+    """A plattice document of 100,172 short cell lines, every pair of 317
+    labels once per operation, then ``last``."""
+    labels = [f"e{k}" for k in range(317)]
+    lines = ["plattice", "elements " + " ".join(labels)]
+    lines += [f"{op} {x} {y} = {x}" for op in ("join", "meet") for x, y in combinations(labels, 2)]
+    return "\n".join([*lines, last]) + "\n"
+
+
+@pytest.mark.parametrize("last", ["", "meet e316 e315 = e316", "join e5 e5 = e5 $"],
+                         ids=["valid", "mirrored-duplicate", "junk"])
+def test_many_lines_match_scanner_in_linear_time(last):
+    text = many_cells(last)
+    start = time.perf_counter()
+    got = outcome(parse, text)
+    elapsed = time.perf_counter() - start
+    assert got == outcome(parse_scanner, text)
+    assert isinstance(got, Document) == (not last)
+    # One scan of the body and one pass over its rows take well under a
+    # second; work that grew with the square of the lines would take minutes.
     assert elapsed < 2.0
 
 

@@ -196,10 +196,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, file_arg=True, dot=False):
+    def add(name, func, help_text, dot=False):
         p = sub.add_parser(name, help=help_text)
-        if file_arg:
-            p.add_argument("file", help="input file, or - for stdin")
+        p.add_argument("file", help="input file, or - for stdin")
         if dot:
             p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
         p.set_defaults(func=func)

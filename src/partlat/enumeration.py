@@ -124,7 +124,7 @@ def _least(leq, colour):
 
 
 def canonical_form(leq):
-    """Canonical key and matrix of a relation on n <= 8 elements, or of each
+    """Canonical key and matrix of a relation on 1 to 8 elements, or of each
     relation of a k x n x n stack.
 
     The matrix is the least relabeling, by the row-major order matrix packed
@@ -133,12 +133,12 @@ def canonical_form(leq):
     matrices. For one n x n relation the key is those bytes; for a stack it
     is a length-k array of them, right-aligned in 64-bit words, which order
     numerically as the bytes order lexicographically. The stack is taken in
-    blocks of ``_CELLS`` cells. Raises BadParameter for n > 8.
+    blocks of ``_CELLS`` cells. Raises BadParameter for n = 0 or n > 8.
     """
     leq = np.asarray(leq, dtype=bool)
     n = leq.shape[-1]
-    if n > 8:
-        raise BadParameter("canonical_form needs at most 8 elements")
+    if not 1 <= n <= 8:
+        raise BadParameter("canonical_form needs 1 to 8 elements")
     stack = leq.reshape(-1, n, n)
     keys = np.empty(len(stack), dtype=np.uint64)
     step = max(1, _CELLS // max(1, n * n))

@@ -49,11 +49,12 @@ def first_mismatches(k, n, lhs, rhs, strong=True):
     """For each of k rows, the first (x, y, z) in row-major order where two
     compound terms differ, or None.
 
-    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z) as sink
-    indices, k x n x n (n x n when k is 1), one x at a time, so each
-    temporary is O(k n^2). Weak mode compares only where both are defined;
-    strong mode also counts a difference in definedness. The scan stops
-    once every row has one.
+    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z), k x n x n
+    (n x n when k is 1), one x at a time, so each temporary is O(k n^2).
+    Strong mode counts any difference, in definedness too, so an undefined
+    value may be UNDEF, as in the associativity gathers; weak mode compares
+    only where both are defined and needs the sink index n for undefined,
+    as distributivity passes it. The scan stops once every row has one.
     """
     found = [None] * k
     for x in range(n):

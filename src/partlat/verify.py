@@ -8,8 +8,10 @@ The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
 to L*/theta(E), is checked for all congruences of a structure at once: it
 reads the structure's congruence table, L/E and (L/E)* of all its rows are
 built as padded stacks of tables, and each check is one gather or broadcast
-over the stack. The per-congruence functions of ``congruence``,
-``extension`` and ``morphism`` stay the reference for it.
+over the stack. Every check runs on every row, and the failure reported is
+the first failing check of the first failing row. The per-congruence
+functions of ``congruence``, ``extension`` and ``morphism`` stay the
+reference for it.
 """
 
 import traceback
@@ -60,23 +62,22 @@ def _check_extension(lat):
     return True, ""
 
 
-def _until_error(*errors):
-    """(row, error) of the first row with an error in any of the per-row
-    ``errors`` lists, that row's first error, or None."""
-    return next(((i, e) for i, row in enumerate(zip(*errors)) for e in row if e is not None), None)
-
-
 def _first_failure(laws, lat):
     """(row, detail) of the first failing law of the first congruence that
-    fails one, or None. A law is a mask over [congruence, ...] and a detail:
-    a template filled with the first failing pair and the congruence ``e``
-    of ``lat.congruences``, or an InvariantError to raise."""
+    fails one, or None. A law is a per-row list of exceptions or None, each
+    row's exception its detail; or a mask over [congruence, ...] and a
+    detail: a template filled with the first failing pair and the
+    congruence ``e`` of ``lat.congruences``, or an InvariantError to raise."""
+    laws = [(np.array([error is not None for error in law]), law) if isinstance(law, list) else law
+            for law in laws]
     cell = first_true(np.stack([mask.reshape(len(mask), -1).any(1) for mask, _ in laws], axis=1))
     if cell is None:
         return None
     i, law = cell
     mask, detail = laws[law]
-    if isinstance(detail, str):
+    if isinstance(detail, list):
+        detail = detail[i]
+    elif isinstance(detail, str):
         detail = detail.format(*(first_true(mask[i]) if mask.ndim > 1 else ()),
                                e=lat.congruences[i])
     return i, detail
@@ -173,34 +174,28 @@ def congruence_law(lat):
     is one stack of class tables (``quotient_stack``), checked against the
     axioms as one stack (``axiom_violations``), and their (L/E)* one stack
     of tables (``extension_stack``); each law is one gather or broadcast
-    over the stack. Only rows that passed the axioms reach
-    ``extension_stack``, whose case law makes each a lattice. The exchange
-    law compares (L/E)*, built from the L/E tables alone, with the
-    theta-classes of L*. The checks run as stages, each on the rows before
-    the first failure found so far, so the failure left, a detail or an
-    error to raise, is the one that checking the congruences one at a time,
-    each check in turn, meets first.
+    over the stack, run on every row: no gather raises on a row that failed
+    an earlier law, and the case law makes a lattice of each row that passed
+    the axioms. The exchange law compares (L/E)*, built from the L/E tables
+    alone, with the theta-classes of L*. One pick then takes the first law,
+    in the call's order, that the first failing row fails: a detail or an
+    error to raise. Rows are independent, so that is the failure checking
+    the congruences one at a time, each check in turn, meets first.
     """
     least, theta = lat.congruence_table
     rank = np.cumsum(least == np.arange(lat.n), axis=1) - 1
     block_of = np.take_along_axis(rank, least, 1)  # blocks numbered as in Partition.block_of
-    k, failure = len(theta), None
-    if k:
-        k, failure = _first_failure(
-            ((~_generated(lat, least, theta), "enumerated congruence not recognized: {e!r}"),),
-            lat) or (k, failure)
-    if k:
-        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of[:k], theta[:k])
+    failure = None
+    if len(theta):  # only a forged table is empty, and quotient_stack needs a row
+        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of, theta)
         sizes = (reps != UNDEF).sum(1)
         axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", qjoin, qmeet, sizes)
-        k, failure = _until_error(errors, axioms) or (k, failure)
-    if k:
-        laws, closed = _quotient_laws(lat, qjoin[:k], qmeet[:k], block_of[:k], theta[:k])
-        k, failure = _first_failure(laws, lat) or (k, failure)
-    if k:
-        x = extension_stack(qjoin[:k], qmeet[:k], sizes[:k])
-        k, failure = _first_failure(_extension_laws(
-            lat, x, reps[:k], block_of[:k], theta[:k], closed[:k]), lat) or (k, failure)
+        laws, closed = _quotient_laws(lat, qjoin, qmeet, block_of, theta)
+        x = extension_stack(qjoin, qmeet, sizes)
+        _, failure = _first_failure((
+            (~_generated(lat, least, theta), "enumerated congruence not recognized: {e!r}"),
+            errors, axioms, *laws, *_extension_laws(lat, x, reps, block_of, theta, closed),
+        ), lat) or (0, None)
     if isinstance(failure, Exception):
         raise failure
     if failure is not None:

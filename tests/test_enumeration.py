@@ -116,6 +116,13 @@ def test_canonical_form_rejects_nine_elements():
         canonical_form(np.eye(9, dtype=bool))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+def test_canonical_form_rejects_no_elements(shape):
+    # A relation on no elements has no key; numpy would fail to reshape it.
+    with pytest.raises(BadParameter, match="1 to 8 elements"):
+        canonical_form(np.zeros(shape, dtype=bool))
+
+
 @pytest.mark.parametrize("build", [
     # the 8-element antichain: one colour class, 8! = 40,320 relabelings,
     # whose cell index table alone would be 20.6 MB unblocked

@@ -93,6 +93,18 @@ def test_one_down_set_lister():
         assert names & {"_down_sets", "under", "_congruence_reader"} == set(), module
 
 
+def test_congruence_law_picks_its_failure_once():
+    # Every law of the congruence law runs on every row of the table, and one
+    # pick over the (row, law) failures finds the first: congruence_law picks
+    # once, and verify.py keeps no second picker.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_until_error" not in defined
+    picks = [node for node in ast.walk(defined["congruence_law"])
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_first_failure"]
+    assert len(picks) == 1
+
+
 def test_one_scan_per_order():
     # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos,
     # validate_lattice and the sweep's extension law read; the enumeration

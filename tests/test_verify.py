@@ -39,7 +39,7 @@ from partlat import (
 )
 from partlat.cli import cli
 from partlat.congruence import CongruenceTable
-from partlat.errors import InvariantError
+from partlat.errors import AxiomViolation, InvariantError
 from partlat.extension import extension_stack
 from partlat.order import first_true
 from partlat.verify import congruence_law, structure_checks
@@ -349,22 +349,30 @@ def stacked_law(lat, quotients={}):
 def forge_quotients(lat, forgeries):
     """Forged quotients (see ``forged_builds``) of the rows of ``lat``'s
     congruence table at the listed positions: "swap" swaps the join and meet
-    of L/E, "dual" those of (L/E)*."""
+    of L/E, "break" sets [0] v [1] of a two-block L/E to the other block and
+    keeps [1] v [0], and "dual" swaps the join and meet of (L/E)*."""
     quotients = {}
     for i, kind in forgeries.items():
         quot = quotient(lat, lat.congruences[i])
-        quotients[i] = (((quot.meet, quot.join), False) if kind == "swap"
-                        else ((quot.join, quot.meet), True))
+        join, meet = quot.join.copy(), quot.meet
+        if kind == "break":
+            join[0, 1] = 1 - join[0, 1]
+        quotients[i] = ((meet, join) if kind == "swap" else (join, meet), kind == "dual")
     return quotients
 
 
 @pytest.mark.parametrize("forgeries, failure", [
     ({1: "dual", 2: "swap"}, (InvariantError, "quotient extension exchange failed to verify")),
     ({1: "swap", 2: "dual"}, (False, "join case disagrees with table at [0],[3]")),
+    ({1: "break", 2: "dual"}, (AxiomViolation, "commutativity violated at (0, 1)")),
+    ({1: "dual", 2: "break"}, (InvariantError, "quotient extension exchange failed to verify")),
 ])
 def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries, failure):
-    # The checks on L/E and on (L/E)* run as two stacked stages; the first
-    # congruence that fails either is still the one reported.
+    # Every law runs on every row of the stack, and one pick reports the
+    # first failing law of the first congruence that fails one. A row that
+    # fails the axioms ("break") is still built into (L/E)* and checked
+    # there, and the failure reported is the one that checking the
+    # congruences one at a time meets first.
     lat = PartialLattice(fig9.labels, fig9.join, fig9.meet)
     quotients = forge_quotients(lat, forgeries)
     assert (law_outcome(stacked_law, lat, quotients) == law_outcome(per_witness_law, lat, quotients)

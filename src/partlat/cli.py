@@ -94,8 +94,7 @@ def cmd_extend(args):
     lat = _as_plattice(_load(args.file))
     ext = lat.extension
     if ext.added:
-        labels = {"bottom": "⊥*", "top": "⊤*"}
-        print("added " + ", ".join(labels[a] for a in ext.added), file=sys.stderr)
+        print("added " + ", ".join(ext.star.labels[lat.n:]), file=sys.stderr)
     else:
         print("no bounds added", file=sys.stderr)
     _emit(ext.star, args.dot)

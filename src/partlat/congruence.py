@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, InvariantError, NotACongruence
+from .errors import BadParameter, NotACongruence
 from .order import Lattice, Poset, _frozen, down_sets, first_true, is_integer_in
 from .plattice import UNDEF, validate_partial_lattice
 
@@ -277,13 +277,39 @@ class JoinCase:
     alpha: int | None = None
 
 
+def _least_row(p):
+    """The partition in the least-member form of ``lat.congruence_table``."""
+    return np.array([block[0] for block in p.blocks])[list(p.block_of)]
+
+
+def generated_rows(lat, least, theta):
+    """Which rows of ``theta``, k x |L*|, hold the congruence that the
+    congruence e in the same row of ``least``, k x n, generates on L*, both
+    labelled by least members: theta is compatible with both star tables,
+    restricts to e, and collapses exactly the join-irreducibles that
+    ``collapsed_irreducibles`` finds for e. A congruence is fixed by the
+    join-irreducibles it collapses, so these three pin theta down."""
+    star = lat.extension.star
+    r = np.arange(len(theta))[:, None, None]
+    ok = (theta[:, :lat.n] == least).all(1)
+    for table in (star.join, star.meet):
+        ok &= (theta[r, table] == theta[r, table[theta[:, :, None], theta[:, None, :]]]).all((1, 2))
+    irr = star.irreducibles
+    collapsed = theta[:, irr.members] == theta[:, irr.lower]
+    return ok & (collapsed == collapsed_irreducibles(star, least)).all(1)
+
+
 def _require_congruence(lat, e, witness):
     """The congruence witness of ``e`` on ``lat``: ``witness`` when given,
     else a new one. Raises BadParameter when ``witness`` was made for another
-    relation or structure, and NotACongruence unless ``e`` is a congruence."""
+    relation or structure, or claims a congruence whose theta is not the one
+    e generates on L* (``generated_rows``), and NotACongruence unless ``e``
+    is a congruence."""
     if witness is None:
         witness = is_congruence_on_partial(lat, e)
-    elif witness.restriction != e or witness.extension.source != lat:
+    elif (witness.restriction != e or witness.extension.source != lat or witness.is_congruence
+          and (witness.theta.n != lat.extension.star.n
+               or not generated_rows(lat, *(_least_row(p)[None] for p in (e, witness.theta)))[0])):
         raise BadParameter("witness is for another relation or structure")
     if not witness.is_congruence:
         raise NotACongruence(witness)
@@ -296,14 +322,11 @@ def quotient(lat, e, witness=None):
     A class join is the generated-congruence class of a star join
     intersected with the carrier when that intersection is nonempty,
     undefined otherwise; meets dually. The tables are ``quotient_stack`` of
-    ``e`` alone, so well-definedness is checked rather than assumed, and the
-    result passes the axiom validator.
+    ``e`` alone, well defined as the witness is Theta(e), and the result
+    passes the axiom validator.
     """
     w = _require_congruence(lat, e, witness)
-    least = np.array([block[0] for block in w.theta.blocks])[list(w.theta.block_of)]
-    join, meet, reps, errors = quotient_stack(lat, np.array([e.block_of]), least[None])
-    if errors[0] is not None:
-        raise errors[0]
+    join, meet, reps = quotient_stack(lat, np.array([e.block_of]), _least_row(w.theta)[None])
     labels = tuple(f"[{lat.labels[r]}]" for r in reps[0])
     return validate_partial_lattice(labels, join[0], meet[0])
 
@@ -315,34 +338,29 @@ def quotient_stack(lat, block_of, least):
     ``least`` the least member of the class of each star element under the
     congruence each generates on the extension, k x |L*|. Returns the class
     join and meet tables, k x s x s for the largest block count s and UNDEF
-    past each row's blocks; the least member of each block, k x s and UNDEF
-    past them; and for each row the InvariantError that ``quotient`` raises,
-    or None. Every carrier pair is gathered, not only the representatives.
+    past each row's blocks, and the least member r_p of each block p, k x s
+    and UNDEF past them. [p] . [q] is the block that the class of r_p . r_q
+    meets, UNDEF if none. On a row that ``generated_rows`` recognises, any
+    representatives give the same, so nothing is checked: theta restricts
+    to e, so a class meets one block at most, and it is compatible with both
+    star tables, so a . b lies in the class of least(a) . least(b), where
+    least(a) is r_p for the block p of a, as the carrier is the star's prefix.
     """
     star = lat.extension.star
     n, k = lat.n, len(block_of)
-    r = np.arange(k)[:, None, None, None]
-    # The carrier is the prefix of the star, so a class meets it exactly when
-    # its least member lies in it; cls[i, x] is that member's block of e_i.
-    blocks = np.full((k, star.n), UNDEF)
-    blocks[:, :n] = block_of
-    cls = blocks[r[:, 0, 0], least]
-    hit = (cls[:, :n] == block_of).all(1)
-    # [i, op, a, b]: the block of e_i that a . b's class meets, with an extra
-    # last row and column of UNDEF, which the UNDEF of a missing block reads.
-    cell = np.full((k, 2, n + 1, n + 1), UNDEF)
-    for side, table in enumerate((star.join, star.meet)):
-        cell[:, side, :n, :n] = cls[r[:, 0], table[:n, :n]]
     members = block_of[:, None, :] == np.arange(block_of.max() + 1)[:, None]
     reps = np.where(members.any(2), members.argmax(2), UNDEF)
+    # cls[i, x]: the block of e_i holding the least member of x's class, else
+    # UNDEF, as in the extra last column, which a missing block reads.
+    cls = np.full((k, star.n + 1), UNDEF)
+    cls[:, :n] = block_of
+    cls[:, :-1] = np.take_along_axis(cls, least, 1)
+    cell = np.full((2, n + 1, n + 1), star.n)  # r_p . r_q in L*, star.n past the carrier
+    cell[:, :n, :n] = star.join[:n, :n], star.meet[:n, :n]
     op = np.arange(2)[:, None, None]
-    out = cell[r, op, reps[:, None, :, None], reps[:, None, None, :]]
-    depends = (cell[:, :, :n, :n]
-               != out[r, op, block_of[:, None, :, None], block_of[:, None, None, :]]).any((1, 2, 3))
-    errors = [InvariantError("class must hit one block") if not ok else
-              InvariantError("class operation depends on representatives") if bad else None
-              for ok, bad in zip(hit, depends)]
-    return out[:, 0], out[:, 1], reps, errors
+    out = cls[np.arange(k)[:, None, None, None],
+              cell[op, reps[:, None, :, None], reps[:, None, None, :]]]
+    return out[:, 0], out[:, 1], reps
 
 
 def quotient_join_cases(lat, e, witness=None):

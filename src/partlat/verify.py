@@ -9,7 +9,10 @@ to L*/theta(E), is checked for all congruences of a structure at once: it
 reads the structure's congruence table, L/E and (L/E)* of all its rows are
 built as padded stacks of tables, and each check is one gather or broadcast
 over the stack. Every check runs on every row, and the failure reported is
-the first failing check of the first failing row. The per-congruence
+the first failing check of the first failing row. A row is recognised by
+``congruence.generated_rows``, the test that a passed ``witness=`` meets
+too, and a check that earlier checks imply is left out, with its proof in
+the docstring of the laws it would join. The per-congruence
 functions of ``congruence``, ``extension`` and ``morphism`` stay the
 reference for it.
 """
@@ -19,12 +22,7 @@ import traceback
 import numpy as np
 
 from . import fmt
-from .congruence import (
-    collapsed_irreducibles,
-    con_is_closed_under_meets,
-    join_case_stack,
-    quotient_stack,
-)
+from .congruence import con_is_closed_under_meets, generated_rows, join_case_stack, quotient_stack
 from .enumeration import enumerate_partial_lattices
 from .errors import InvariantError
 from .extension import extension_stack
@@ -83,39 +81,20 @@ def _first_failure(laws, lat):
     return i, detail
 
 
-def _generated(lat, block_of, theta):
-    """Which table rows hold the congruence theta, labelled by least members,
-    that their e generates on L*: theta is compatible with both star tables,
-    restricts to e, and collapses exactly the join-irreducibles that
-    ``collapsed_irreducibles`` finds for e. A congruence is fixed by the
-    join-irreducibles it collapses, so these three pin theta down."""
-    star = lat.extension.star
-    r = np.arange(len(theta))[:, None, None]
-    ok = (theta[:, :lat.n] == block_of).all(1)
-    for table in (star.join, star.meet):
-        ok &= (theta[r, table] == theta[r, table[theta[:, :, None], theta[:, None, :]]]).all((1, 2))
-    irr = star.irreducibles
-    collapsed = theta[:, irr.members] == theta[:, irr.lower]
-    return ok & (collapsed == collapsed_irreducibles(star, block_of)).all(1)
-
-
 def _quotient_laws(lat, qjoin, qmeet, block_of, theta):
-    """The laws on the stacked L/E tables: join cases, upper bounds, and the
-    projection, which is a homomorphism, closed exactly when the adjoined
-    bounds are singleton classes. The projection is e's block map, so its
-    kernel is e.
+    """The laws on the stacked L/E tables: join cases, and the projection,
+    which is a homomorphism, closed exactly when the adjoined bounds are
+    singleton classes. The projection is e's block map, so its kernel is e.
 
-    The order of L/E is read from its meet table, the join cases from its
-    join table. On a partial lattice both give one order (duality), and
-    the join cases fix [a] v [c] = [c] for every a <= c of L, so an upper
-    bound of L stays one in L/E: the upper-bound law fails only on tables
-    that are not a partial lattice."""
+    No law asks whether L/E keeps the upper bounds of L, as the axioms and
+    the join cases imply it: on a partial lattice the orders read from the
+    join and from the meet agree (duality), and the join cases fix
+    [a] v [c] = [c] for every a <= c of L, so an upper bound of L stays
+    one in L/E."""
     ext = lat.extension
     n, k = lat.n, len(qjoin)
     classes = np.arange(k)[:, None, None], block_of[:, :, None], block_of[:, None, :]
     alpha = theta[:, ext.added_top] if ext.added_top is not None else np.full(k, n)
-    leq = lat.order.leq
-    qleq = qmeet == np.arange(qmeet.shape[1])[:, None]  # x ^ y = x
     broken, extra = hom_masks(block_of, (lat.join, lat.meet), (qjoin, qmeet))
     closed = ~(broken | extra).any((0, 2, 3))
     bounds = [b for b in (ext.added_bottom, ext.added_top) if b is not None]
@@ -123,46 +102,43 @@ def _quotient_laws(lat, qjoin, qmeet, block_of, theta):
     return (
         (join_case_stack(lat, block_of, alpha) != qjoin[classes],
          "join case disagrees with table at [{}],[{}]"),
-        ((leq @ leq.T) & ~(qleq @ qleq.transpose(0, 2, 1))[classes],
-         "quotient lost an upper bound at ({}, {})"),
         (broken.any((0, 2, 3)), "projection is not a homomorphism for {e!r}"),
         (closed != singleton, "projection closedness mismatches bound classes for {e!r}"),
     ), closed
 
 
-def _extension_laws(lat, x, reps, block_of, theta, closed):
-    """The laws on the stacked (L/E)* of ``x``, an ExtensionStack: a closed
-    projection extends to a homomorphism L* -> (L/E)*, which restricts back
-    to it by construction; and (L/E)* is isomorphic to L*/theta by the map
-    sending block j to the class of its least member ``reps[:, j]`` and each
-    adjoined bound to the class of L*'s."""
+def _extension_laws(lat, x, block_of, theta, closed):
+    """The laws on the stacked (L/E)* of ``x``, an ExtensionStack, through
+    one map L* -> (L/E)*: each carrier element to its block and each
+    adjoined bound to the matching bound of (L/E)*, UNDEF where it has
+    none, read at the least member of the theta-class.
+
+    On a row that passes the earlier laws theta is Theta(e), which puts each
+    carrier element's least member in its block, and a closed projection
+    has singleton bound classes: the map is then the extended projection,
+    which must be a homomorphism and restricts back to the projection by
+    construction. (L/E)* is isomorphic to L*/theta through the map exactly
+    when it is a homomorphism onto (L/E)* with kernel theta: the
+    homomorphism theorem, as a bijective lattice homomorphism is an
+    isomorphism. The map is constant on theta-classes, so its kernel is
+    theta when its image has as many elements as theta has classes."""
     ext = lat.extension
     star = ext.star
-    n, k = lat.n, len(block_of)
-    r = np.arange(k)[:, None, None]
-    size = x.join.shape[1]
-    pos = np.arange(size)
-    # Both maps as arrays, UNDEF where the bound they need is missing.
-    lifted = np.zeros((k, star.n), dtype=np.int64)
-    lifted[:, :n] = block_of
-    into = np.full((k, size), UNDEF)
-    into[:, : reps.shape[1]] = reps
+    lifted = np.zeros((len(block_of), star.n), dtype=np.int64)
+    lifted[:, :lat.n] = block_of
     for source, target in ((ext.added_bottom, x.bottom), (ext.added_top, x.top)):
         if source is not None:
             lifted[:, source] = target
-        into = np.where(pos == target[:, None], UNDEF if source is None else source, into)
-    valid = pos < x.sizes[:, None]
-    pairs = valid[:, :, None] & valid[:, None, :]
-    cls = theta[r[:, 0], into]  # the theta-class each element of (L/E)* is sent to
+    lifted = np.take_along_axis(lifted, theta, 1)
     broken, _ = hom_masks(lifted, (star.join, star.meet), (x.join, x.meet))
-    iso = ((theta == np.arange(star.n)).sum(1) == x.sizes) & ~((into == UNDEF) & valid).any(1)
-    iso &= ~((cls[:, :, None] == cls[:, None, :]) & pairs & ~np.eye(size, dtype=bool)).any((1, 2))
-    for table, xtable in ((star.join, x.join), (star.meet, x.meet)):
-        iso &= ~((cls[r, xtable] != theta[r, table[into[:, :, None], into[:, None, :]]])
-                 & pairs).any((1, 2))
+    hom = ~broken.any((0, 2, 3))
+    pos = np.arange(x.join.shape[1])
+    onto = ((lifted[:, :, None] == pos).any(1) | (pos >= x.sizes[:, None])).all(1)
+    classes = (theta == np.arange(star.n)).sum(1)
     return (
-        (closed & broken.any((0, 2, 3)), InvariantError("extended map must be a homomorphism")),
-        (~iso, InvariantError("quotient extension exchange failed to verify")),
+        (closed & ~hom, InvariantError("extended map must be a homomorphism")),
+        (~(hom & onto & (classes == x.sizes)),
+         InvariantError("quotient extension exchange failed to verify")),
     )
 
 
@@ -170,31 +146,34 @@ def congruence_law(lat):
     """The quotient machinery over every congruence of ``lat`` in one stacked
     pass, then the closure of the congruence set under meets.
 
-    The rows of ``lat.congruence_table`` are the stack. L/E of all of them
-    is one stack of class tables (``quotient_stack``), checked against the
-    axioms as one stack (``axiom_violations``), and their (L/E)* one stack
-    of tables (``extension_stack``); each law is one gather or broadcast
-    over the stack, run on every row: no gather raises on a row that failed
-    an earlier law, and the case law makes a lattice of each row that passed
-    the axioms. The exchange law compares (L/E)*, built from the L/E tables
-    alone, with the theta-classes of L*. One pick then takes the first law,
-    in the call's order, that the first failing row fails: a detail or an
-    error to raise. Rows are independent, so that is the failure checking
-    the congruences one at a time, each check in turn, meets first.
+    The rows of ``lat.congruence_table`` are the stack, each recognised as
+    Theta(e) by ``generated_rows``, which makes its class tables well
+    defined. L/E of all of them is one stack of class tables
+    (``quotient_stack``), checked against the axioms as one stack
+    (``axiom_violations``), and their (L/E)* one stack of tables
+    (``extension_stack``); each law is one gather or broadcast over the
+    stack, run on every row: no gather raises on a row that failed an
+    earlier law, and the case law makes a lattice of each row that passed
+    the axioms. The exchange law checks (L/E)*, built from the L/E tables
+    alone, through one map from L* that is constant on theta-classes. One
+    pick then takes the first law, in the call's order, that the first
+    failing row fails: a detail or an error to raise. Rows are independent,
+    so that is the failure checking the congruences one at a time, each
+    check in turn, meets first.
     """
     least, theta = lat.congruence_table
     rank = np.cumsum(least == np.arange(lat.n), axis=1) - 1
     block_of = np.take_along_axis(rank, least, 1)  # blocks numbered as in Partition.block_of
     failure = None
     if len(theta):  # only a forged table is empty, and quotient_stack needs a row
-        qjoin, qmeet, reps, errors = quotient_stack(lat, block_of, theta)
+        qjoin, qmeet, reps = quotient_stack(lat, block_of, theta)
         sizes = (reps != UNDEF).sum(1)
         axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", qjoin, qmeet, sizes)
         laws, closed = _quotient_laws(lat, qjoin, qmeet, block_of, theta)
         x = extension_stack(qjoin, qmeet, sizes)
         _, failure = _first_failure((
-            (~_generated(lat, least, theta), "enumerated congruence not recognized: {e!r}"),
-            errors, axioms, *laws, *_extension_laws(lat, x, reps, block_of, theta, closed),
+            (~generated_rows(lat, least, theta), "enumerated congruence not recognized: {e!r}"),
+            axioms, *laws, *_extension_laws(lat, x, block_of, theta, closed),
         ), lat) or (0, None)
     if isinstance(failure, Exception):
         raise failure

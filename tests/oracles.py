@@ -42,7 +42,9 @@ the sweep checked it before one stacked pass checked them all: it
 recognizes the witness with ``is_generated_witness``, which compares theta
 with the worklist closure of the lifted e, and goes through the
 per-congruence ``canonical_projection``, ``extend_hom``, ``restrict_hom``
-and ``quotient_extension_iso``.
+and ``quotient_extension_iso``. It still asks, with ``lost_upper_bounds``
+(a scan over stacked tables), whether L/E keeps every upper bound of L; the
+sweep no longer does, as the axioms and the join cases imply it.
 
 ``order_isomorphism_signatures`` is the recursive isomorphism search, one
 stack frame per placed element, before an explicit stack of candidate
@@ -528,8 +530,7 @@ def congruence_law_per_witness(lat, e, w):
         return False, "join case disagrees with table at [{}],[{}]".format(*pair)
 
     # Undefined quotient joins come from undefined source joins.
-    leq, qleq = lat.order.leq, quot.order.leq
-    lost = first_true((leq @ leq.T) & ~(qleq @ qleq.T)[blocks[:, None], blocks])
+    lost = first_true(lost_upper_bounds(lat, quot.meet[None], blocks[None])[0])
     if lost is not None:
         return False, f"quotient lost an upper bound at {lost}"
 
@@ -553,6 +554,16 @@ def congruence_law_per_witness(lat, e, w):
             return False, f"extension does not restrict back for {e!r}"
     quotient_extension_iso(lat, e, witness=w)
     return True, ""
+
+
+def lost_upper_bounds(lat, qmeet, block_of):
+    """[i, a, b]: a and b have an upper bound in L but [a] and [b] none in
+    row i of the stacked L/E meet tables, whose order is x <= y when
+    x ^ y = x; ``block_of`` holds the block arrays of the rows, k x n."""
+    leq = lat.order.leq
+    qleq = qmeet == np.arange(qmeet.shape[1])[:, None]
+    classes = np.arange(len(qmeet))[:, None, None], block_of[:, :, None], block_of[:, None, :]
+    return (leq @ leq.T) & ~(qleq @ qleq.transpose(0, 2, 1))[classes]
 
 
 def irreducibles_below_gather(lat):

@@ -7,7 +7,6 @@ from partlat import (
     UNDEF,
     BadParameter,
     CongruenceWitness,
-    InvariantError,
     NotACongruence,
     Partition,
     all_congruences,
@@ -31,7 +30,8 @@ from partlat import (
     validate_lattice,
 )
 from partlat import figures as figs
-from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
+from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON, _read, generated_rows
+from partlat.order import down_sets
 
 from oracles import (
     all_congruences_bruteforce,
@@ -39,6 +39,9 @@ from oracles import (
     is_lattice_congruence,
     all_congruences_closure,
     generate_congruence_worklist,
+    is_generated_witness,
+    least_member_rows,
+    quotient_loops,
     least_congruence_bruteforce,
     partition_to_comparable,
 )
@@ -353,22 +356,71 @@ class TestQuotient:
         with pytest.raises(NotACongruence):
             bad.quot
 
-    def test_forged_witness_raises_invariant_error(self):
+    # A witness= comes from outside the library, so one whose theta is not
+    # Theta(e) is a bad parameter, as a witness of another relation is.
+    def test_forged_witness_is_rejected(self):
         # c1 and c3 share a block but c1 v c2 and c3 v c2 land in different
         # ones; a witness that skips the closure must not yield a quotient.
         lat = named_lattice("chain", 3)
         e = Partition([0, 1, 0])
         forged = CongruenceWitness(e, e, True, lat.extension)
-        with pytest.raises(InvariantError):
+        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
             quotient(lat, e, witness=forged)
 
-    def test_forged_coarse_theta_raises_invariant_error(self):
+    def test_forged_coarse_theta_is_rejected(self):
         # One theta-class covering three blocks of e cannot name a class cell.
         lat = named_lattice("chain", 3)
         e = Partition.identity(3)
         forged = CongruenceWitness(Partition.full(3), e, True, lat.extension)
-        with pytest.raises(InvariantError, match="class must hit one block"):
+        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
             quotient(lat, e, witness=forged)
+
+    @pytest.mark.parametrize("call", [quotient, quotient_join_cases, canonical_projection,
+                                      quotient_extension_iso])
+    def test_witness_that_is_not_generated_is_rejected(self, corpus4, call):
+        # A congruence of L* that restricts to a congruence e but is larger
+        # than Theta(e) once gave a quotient unlike quotient(lat, e) with no
+        # error: on the 2-antichain with e the identity, theta = {a, bottom}
+        # {b, top} gave the chain a < b, and a projection that was not closed.
+        found = [(lat, theta, e) for lat in corpus4 for theta, e in larger_congruences(lat)]
+        assert len(found) == 8
+        assert (Partition([0, 1, 0, 1]), Partition.identity(2)) in larger_congruences(antichain(2))
+        for lat, theta, e in found:
+            with pytest.raises(BadParameter, match="witness is for another relation or structure"):
+                call(lat, e, witness=CongruenceWitness(theta, e, True, lat.extension))
+
+    def test_recognition_and_class_tables_on_every_congruence_of_the_extension(self, corpus5):
+        # Each congruence theta of L*, with e its restriction: generated_rows
+        # recognises theta exactly when the worklist closure of e gives it,
+        # and since theta is a congruence restricting to e, the class
+        # operations of the reference quotient need no build check.
+        recognised = []
+        for lat in corpus5:
+            for theta, e in extension_congruences(lat):
+                w = CongruenceWitness(theta, e, True, lat.extension)
+                ok = generated_rows(lat, least_member_rows([e], lat.n),
+                                    least_member_rows([theta], theta.n))[0]
+                assert ok == is_generated_witness(w), (lat, theta)
+                recognised.append(ok)
+                quotient_loops(lat, e, witness=w)
+        assert (len(recognised), sum(recognised)) == (425, 411)
+
+
+def extension_congruences(lat):
+    """(theta, e) for every congruence theta of L*, e its restriction."""
+    star = lat.extension.star
+    for row in _read(star, down_sets(star.irreducibles.below)).tolist():
+        theta = Partition(row)
+        yield theta, Partition(theta.block_of[:lat.n])
+
+
+def larger_congruences(lat):
+    """(theta, e) for every congruence theta of L* that restricts to a
+    congruence e of ``lat`` but is not the one e generates."""
+    for theta, e in extension_congruences(lat):
+        w = is_congruence_on_partial(lat, e)
+        if w.is_congruence and theta != w.theta:
+            yield theta, e
 
 
 class TestQuotientJoinCase:

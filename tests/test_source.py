@@ -105,6 +105,23 @@ def test_congruence_law_picks_its_failure_once():
     assert len(picks) == 1
 
 
+def test_one_recognition():
+    # congruence.generated_rows is the one test that theta is the congruence
+    # e generates on L*: the sweep runs it on every row of the table and a
+    # passed witness= on its one row. A recognised theta cannot trip a
+    # quotient build, so congruence.py builds no InvariantError.
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8"))
+             for m in ("verify", "congruence")}
+    defined = {m: {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+               for m, tree in trees.items()}
+    assert "_generated" not in defined["verify"]
+    for m, name in (("verify", "congruence_law"), ("congruence", "_require_congruence")):
+        called = {getattr(node.func, "id", None) for node in ast.walk(defined[m][name])
+                  if isinstance(node, ast.Call)}
+        assert "generated_rows" in called, name
+    assert "InvariantError" not in module_names("congruence")
+
+
 def test_one_scan_per_order():
     # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos,
     # validate_lattice and the sweep's extension law read; the enumeration

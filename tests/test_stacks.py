@@ -32,16 +32,16 @@ CORPUS5 = list(enumerate_partial_lattices(5))
 
 
 def stacks(lat):
-    """The stacked L/E tables, block representatives and build errors, the
-    axiom verdicts and the (L/E)* of every kept witness of ``lat``."""
+    """The stacked L/E tables and block representatives, the axiom verdicts
+    and the (L/E)* of every kept witness of ``lat``."""
     witnesses = lat.congruence_witnesses
     block_of = np.array([w.restriction.block_of for w in witnesses])
     theta = np.array([w.theta.block_of for w in witnesses])
     least = (theta[:, :, None] == theta[:, None, :]).argmax(2)
-    join, meet, reps, errors = quotient_stack(lat, block_of, least)
+    join, meet, reps = quotient_stack(lat, block_of, least)
     sizes = (reps != UNDEF).sum(1)
     axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", join, meet, sizes)
-    return join, meet, reps, errors, axioms, extension_stack(join, meet, sizes)
+    return join, meet, reps, axioms, extension_stack(join, meet, sizes)
 
 
 def padded(table, size):
@@ -52,11 +52,11 @@ def padded(table, size):
 
 
 def assert_rows_match(lat):
-    join, meet, reps, errors, axioms, x = stacks(lat)
+    join, meet, reps, axioms, x = stacks(lat)
     s, m = join.shape[1], x.join.shape[1]
     for i, w in enumerate(lat.congruence_witnesses):
         q = quotient(lat, w.restriction, w)
-        assert errors[i] is None and axioms[i] is None
+        assert axioms[i] is None
         assert reps[i].tolist() == [b[0] for b in w.restriction.blocks] + [UNDEF] * (s - q.n)
         assert np.array_equal(join[i], padded(q.join, s))
         assert np.array_equal(meet[i], padded(q.meet, s))
@@ -116,7 +116,7 @@ def test_forged_stacks_raise_what_each_row_raises(data):
     # validate_partial_lattice gives its own tables, and every row that
     # passes the extension that two_point_extension gives it.
     lat = data.draw(st.sampled_from([lat for lat in CORPUS5 if len(lat.congruences) > 1]))
-    join, meet, reps, _, _, _ = stacks(lat)
+    join, meet, reps, _, _ = stacks(lat)
     sizes = (reps != UNDEF).sum(1)
     i = data.draw(st.integers(0, len(join) - 1))
     table = data.draw(st.sampled_from((join, meet)))

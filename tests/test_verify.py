@@ -13,6 +13,7 @@ from oracles import (
     congruence_law_per_witness,
     con_is_closed_under_meets_partitions,
     least_member_rows,
+    lost_upper_bounds,
 )
 
 from partlat import (
@@ -313,20 +314,19 @@ def forged_builds(quotients):
     """The sweep's stacked builds with forged quotients injected into their
     output: ``quotients`` maps a row of the congruence table to the class
     tables of its L/E and whether its (L/E)* has its join and meet swapped.
-    The row holds those tables and no build error. The per-witness law reads
-    the same forgeries through ``ForgedWitness.quot``."""
+    The per-witness law reads the same forgeries through
+    ``ForgedWitness.quot``."""
     rows = {}
 
     def quotient_stack(lat, block_of, least):
-        join, meet, reps, errors = congruence.quotient_stack(lat, block_of, least)
+        join, meet, reps = congruence.quotient_stack(lat, block_of, least)
         join, meet = join.copy(), meet.copy()
         for i, (tables, dual) in quotients.items():
             if i < len(block_of):
                 n = len(tables[0])
                 join[i, :n, :n], meet[i, :n, :n] = tables
-                errors[i] = None
                 rows[i] = dual
-        return join, meet, reps, errors
+        return join, meet, reps
 
     def dual_extension_stack(join, meet, sizes):
         x = extension_stack(join, meet, sizes)
@@ -391,9 +391,21 @@ def test_exchange_law_needs_a_bijection(lat, index, theta):
     w = lat.congruence_witnesses[index]
     q = w.quot
     x = extension_stack(q.join[None], q.meet[None], np.array([q.n]))
-    reps = np.array([[block[0] for block in w.restriction.blocks]])
-    laws = verify._extension_laws(lat, x, reps, np.array([w.restriction.block_of]),
+    laws = verify._extension_laws(lat, x, np.array([w.restriction.block_of]),
                                   least_member_rows([Partition(theta)], len(theta)),
+                                  np.array([False]))
+    assert [bool(mask[0]) for mask, _ in laws] == [False, True]
+
+
+def test_exchange_law_needs_an_onto_map():
+    # L* of the chain a < b is the chain. A forged (L/E)* of the full
+    # congruence adjoins a top to its one block. With theta the identity,
+    # the map sends a and b to the block: a homomorphism, and theta has as
+    # many classes as (L/E)* has elements, but the map misses the top.
+    lat = named_lattice("chain", 2)
+    x = extension.ExtensionStack(np.array([[[0, 1], [1, 1]]]), np.array([[[0, 0], [0, 1]]]),
+                                 np.array([2]), np.array([UNDEF]), np.array([1]))
+    laws = verify._extension_laws(lat, x, np.array([[0, 0]]), np.array([[0, 1]]),
                                   np.array([False]))
     assert [bool(mask[0]) for mask, _ in laws] == [False, True]
 
@@ -415,28 +427,48 @@ def test_lifted_map_into_a_missing_bound_is_no_homomorphism():
     broken, _ = morphism.hom_masks(lifted[None], (star.join, star.meet), tables)
     through_bottom = (lifted == UNDEF)[:, None] | (lifted == UNDEF)
     assert np.array_equal(broken.any((0, 1)), through_bottom)
-    laws = verify._extension_laws(lat, x, np.array([[0, 1]]), np.array([[0, 1]]),
-                                  np.array([np.arange(4)]), np.array([True]))
+    laws = verify._extension_laws(lat, x, np.array([[0, 1]]), np.array([np.arange(4)]),
+                                  np.array([True]))
     (hom, error), _ = laws
     assert hom.tolist() == [True] and str(error) == "extended map must be a homomorphism"
 
 
-def test_lost_upper_bound_is_reported():
-    # The quotient laws alone, on stacked tables that keep every join case
-    # but whose meet relates no two blocks: the order of L/E, read from its
-    # meet, loses the upper bounds of c1 < c2. On a partial lattice the
-    # join cases imply the check: duality makes the orders read from join
-    # and meet agree, and the join cases give [a] v [c] = [c] for a <= c.
-    lat = named_lattice("chain", 3)
-    theta = lat.congruence_table.theta[-1:]  # the identity sorts last
-    block_of = np.array([lat.congruences[-1].block_of])
-    assert block_of.tolist() == [[0, 1, 2]]
-    qjoin, qmeet, _, _ = congruence.quotient_stack(lat, block_of, theta)
+def test_lost_upper_bound_fails_the_projection_first():
+    # Stacked tables that keep every join case but whose meet relates no two
+    # blocks: the order of L/E, read from its meet, loses the upper bounds of
+    # c1 < c2. The sweep checks no lost upper bound, as the axioms and the
+    # join cases imply it; of the quotient laws alone, the projection fails.
+    identity = Partition.identity(3)
+    lat = forge_table(named_lattice("chain", 3), [identity], [identity])  # L* is the chain
+    theta = lat.congruence_table.theta
+    block_of = np.array([identity.block_of])
+    qjoin, qmeet, _ = congruence.quotient_stack(lat, block_of, theta)
     qmeet = np.where(np.eye(3, dtype=bool), np.arange(3), UNDEF)[None]
+    assert first_true(lost_upper_bounds(lat, qmeet, block_of)[0]) == (0, 1)
     laws, _ = verify._quotient_laws(lat, qjoin, qmeet, block_of, theta)
-    assert [bool(mask.any()) for mask, _ in laws[:2]] == [False, True]
     assert verify._first_failure(laws, lat) == (
-        0, "quotient lost an upper bound at (0, 1)")
+        0, f"projection is not a homomorphism for {identity!r}")
+
+
+def rows_past_the_join_cases(lat):
+    """How many rows of ``lat``'s congruence table pass the axioms and the
+    join cases on the stacks ``verify.quotient_stack`` builds, after
+    checking that none of them loses an upper bound of L."""
+    theta = lat.congruence_table.theta
+    if not len(theta):
+        return 0
+    block_of = np.array([e.block_of for e in lat.congruences])
+    qjoin, qmeet, reps = verify.quotient_stack(lat, block_of, theta)
+    sizes = (reps != UNDEF).sum(1)
+    axioms = plattice.axiom_violations(lambda i, x: x, qjoin, qmeet, sizes)
+    (join_cases, _), *_ = verify._quotient_laws(lat, qjoin, qmeet, block_of, theta)[0]
+    passing = np.array([error is None for error in axioms]) & ~join_cases.any((1, 2))
+    assert not lost_upper_bounds(lat, qmeet, block_of)[passing].any()
+    return passing.sum()
+
+
+def test_no_lost_upper_bound_past_the_join_cases(corpus5):
+    assert sum(rows_past_the_join_cases(lat) for lat in corpus5) == 411  # every congruence
 
 
 @pytest.mark.parametrize("op", ["join", "meet"])
@@ -586,3 +618,11 @@ def forged(draw, corpus):
 def test_stacked_law_matches_per_witness_loop(corpus5, data):
     lat, quotients = data.draw(forged(corpus5))
     assert law_outcome(stacked_law, lat, quotients) == law_outcome(per_witness_law, lat, quotients)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_forged_quotient_loses_an_upper_bound_past_the_join_cases(corpus5, data):
+    lat, quotients = data.draw(forged(corpus5))
+    with forged_builds(quotients):
+        rows_past_the_join_cases(lat)

@@ -7,13 +7,12 @@ quotient operations are computed through that extension.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParameter, NotACongruence
 from .order import Lattice, Poset, _frozen, down_sets, first_true, is_integer_in
-from .plattice import UNDEF, validate_partial_lattice
+from .plattice import UNDEF, to_lattice, validate_partial_lattice
 
 
 def _carrier_size(n):
@@ -127,7 +126,7 @@ def _read(lat, collapsed):
 
 
 def generate_congruence(lat, *seeds):
-    """Least congruence of a total lattice containing every seed partition.
+    """Least congruence of ``to_lattice(lat)`` containing every seed partition.
 
     Read off the dependency order on the join-irreducibles (Freese, Ježek &
     Nation, *Free Lattices*, AMS 1995, ch. 2; R. Freese, "Computing
@@ -136,6 +135,7 @@ def generate_congruence(lat, *seeds):
     finds for some seed, and the congruence is read from them. Two seeds
     give the join of two congruences.
     """
+    lat = to_lattice(lat)
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
     block_of = np.array([seed.block_of for seed in seeds], dtype=np.int64).reshape(-1, lat.n)
@@ -172,16 +172,6 @@ class CongruenceWitness:
     def __bool__(self):
         return self.is_congruence
 
-    # Not named ``quotient``: a profile keyed by file and function name would
-    # count this method as a second quotient build.
-    @cached_property
-    def quot(self):
-        """The quotient partial lattice, built once by ``quotient``.
-
-        Raises NotACongruence when the relation is not a congruence.
-        """
-        return quotient(self.extension.source, self.restriction, witness=self)
-
 
 def is_congruence_on_partial(lat, e):
     """Decide whether ``e`` is a congruence of the partial lattice.
@@ -201,7 +191,7 @@ def is_congruence_on_partial(lat, e):
 
 
 def all_congruences(lat):
-    """Every congruence of a total lattice, sorted.
+    """Every congruence of ``to_lattice(lat)``, sorted.
 
     Con L of a finite lattice is distributive, and its join-irreducibles are
     the congruences con(p_*, p) for the join-irreducibles p of L, each with
@@ -212,6 +202,7 @@ def all_congruences(lat):
     efficiently", Algebra Universalis 59 (2008) 337-343). So each down-set
     of that preorder gives one congruence, and all are read at once.
     """
+    lat = to_lattice(lat)
     return tuple(sorted(map(Partition, _read(lat, down_sets(lat.irreducibles.below)).tolist())))
 
 
@@ -277,18 +268,14 @@ class JoinCase:
     alpha: int | None = None
 
 
-def _least_row(p):
-    """The partition in the least-member form of ``lat.congruence_table``."""
-    return np.array([block[0] for block in p.blocks])[list(p.block_of)]
-
-
 def generated_rows(lat, least, theta):
     """Which rows of ``theta``, k x |L*|, hold the congruence that the
     congruence e in the same row of ``least``, k x n, generates on L*, both
     labelled by least members: theta is compatible with both star tables,
     restricts to e, and collapses exactly the join-irreducibles that
     ``collapsed_irreducibles`` finds for e. A congruence is fixed by the
-    join-irreducibles it collapses, so these three pin theta down."""
+    join-irreducibles it collapses, so these three pin theta down. Only the
+    sweep calls it: the quotient functions generate Theta(e) themselves."""
     star = lat.extension.star
     r = np.arange(len(theta))[:, None, None]
     ok = (theta[:, :lat.n] == least).all(1)
@@ -299,36 +286,35 @@ def generated_rows(lat, least, theta):
     return ok & (collapsed == collapsed_irreducibles(star, least)).all(1)
 
 
-def _require_congruence(lat, e, witness):
-    """The congruence witness of ``e`` on ``lat``: ``witness`` when given,
-    else a new one. Raises BadParameter when ``witness`` was made for another
-    relation or structure, or claims a congruence whose theta is not the one
-    e generates on L* (``generated_rows``), and NotACongruence unless ``e``
-    is a congruence."""
-    if witness is None:
-        witness = is_congruence_on_partial(lat, e)
-    elif (witness.restriction != e or witness.extension.source != lat or witness.is_congruence
-          and (witness.theta.n != lat.extension.star.n
-               or not generated_rows(lat, *(_least_row(p)[None] for p in (e, witness.theta)))[0])):
-        raise BadParameter("witness is for another relation or structure")
-    if not witness.is_congruence:
-        raise NotACongruence(witness)
-    return witness
+def _require_congruence(lat, e):
+    """The witness of ``e`` on ``lat``, Theta(e) generated once; raises
+    NotACongruence unless Theta(e) restricts to ``e``."""
+    w = is_congruence_on_partial(lat, e)
+    if not w.is_congruence:
+        raise NotACongruence(w)
+    return w
 
 
-def quotient(lat, e, witness=None):
+def _quotient(w):
+    """L/E from the witness of a congruence e: ``quotient_stack`` of e alone,
+    which passes the axiom validator."""
+    lat, e = w.extension.source, w.restriction
+    least = np.array([block[0] for block in w.theta.blocks])[list(w.theta.block_of)]
+    join, meet, reps = quotient_stack(lat, np.array([e.block_of]), least[None])
+    labels = tuple(f"[{lat.labels[r]}]" for r in reps[0])
+    return validate_partial_lattice(labels, join[0], meet[0])
+
+
+def quotient(lat, e):
     """Quotient partial lattice: blocks of ``e`` with class operations.
 
     A class join is the generated-congruence class of a star join
     intersected with the carrier when that intersection is nonempty,
-    undefined otherwise; meets dually. The tables are ``quotient_stack`` of
-    ``e`` alone, well defined as the witness is Theta(e), and the result
-    passes the axiom validator.
+    undefined otherwise; meets dually. Theta(e) is generated once, and the
+    tables are ``quotient_stack`` of ``e`` alone, well defined as Theta(e)
+    is a congruence of L* restricting to ``e``.
     """
-    w = _require_congruence(lat, e, witness)
-    join, meet, reps = quotient_stack(lat, np.array([e.block_of]), _least_row(w.theta)[None])
-    labels = tuple(f"[{lat.labels[r]}]" for r in reps[0])
-    return validate_partial_lattice(labels, join[0], meet[0])
+    return _quotient(_require_congruence(lat, e))
 
 
 def quotient_stack(lat, block_of, least):
@@ -340,11 +326,12 @@ def quotient_stack(lat, block_of, least):
     join and meet tables, k x s x s for the largest block count s and UNDEF
     past each row's blocks, and the least member r_p of each block p, k x s
     and UNDEF past them. [p] . [q] is the block that the class of r_p . r_q
-    meets, UNDEF if none. On a row that ``generated_rows`` recognises, any
-    representatives give the same, so nothing is checked: theta restricts
-    to e, so a class meets one block at most, and it is compatible with both
-    star tables, so a . b lies in the class of least(a) . least(b), where
-    least(a) is r_p for the block p of a, as the carrier is the star's prefix.
+    meets, UNDEF if none. On a row that holds Theta(e), generated or
+    recognised (``generated_rows``), any representatives give the same, so
+    nothing is checked: theta restricts to e, so a class meets one block at
+    most, and it is compatible with both star tables, so a . b lies in the
+    class of least(a) . least(b), where least(a) is r_p for the block p of
+    a, as the carrier is the star's prefix.
     """
     star = lat.extension.star
     n, k = lat.n, len(block_of)
@@ -363,7 +350,7 @@ def quotient_stack(lat, block_of, least):
     return out[:, 0], out[:, 1], reps
 
 
-def quotient_join_cases(lat, e, witness=None):
+def quotient_join_cases(lat, e):
     """The class join of [a] and [b] for every carrier pair, as a block of e.
 
     Where the join is defined the cell holds [a v b]. Elsewhere it holds
@@ -371,7 +358,7 @@ def quotient_join_cases(lat, e, witness=None):
     top, or UNDEF when the top forms a singleton class. A top is adjoined
     exactly when the join has a gap, so without one no cell reads it.
     """
-    w = _require_congruence(lat, e, witness)
+    w = _require_congruence(lat, e)
     top = w.extension.added_top
     alpha = lat.n if top is None else w.theta.block_containing(top)[0]
     return join_case_stack(lat, np.array([e.block_of]), np.array([alpha]))[0]
@@ -390,7 +377,7 @@ def join_case_stack(lat, block_of, alpha):
     return np.where(lat.join == UNDEF, top_block[:, None, None], block_of[:, lat.join])
 
 
-def quotient_join_case(lat, e, a, b, witness=None):
+def quotient_join_case(lat, e, a, b):
     """Classify the class join of [a] and [b], read from ``quotient_join_cases``.
 
     Defined with value [a v b] when the join exists; otherwise undefined when
@@ -405,7 +392,7 @@ def quotient_join_case(lat, e, a, b, witness=None):
     """
     if not (lat.is_index(a) and lat.is_index(b)):
         raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
-    block = int(quotient_join_cases(lat, e, witness)[a, b])
+    block = int(quotient_join_cases(lat, e)[a, b])
     if lat.join[a, b] != UNDEF:
         return JoinCase(DEFINED, block)
     if block == UNDEF:
@@ -417,10 +404,12 @@ def lattice_quotient(lat, theta):
     """Quotient of a total lattice by a congruence.
 
     Block i is the class of its least member r_i, and [r_i] . [r_j] is the
-    block of r_i . r_j. Raises BadParameter unless the block map is
-    compatible with both tables: with rep(x) the least member of the block
-    of x, a . b and rep(a) . rep(b) lie in one block; one gather per table.
+    block of r_i . r_j. Raises BadParameter unless ``to_lattice`` takes
+    ``lat`` and the block map is compatible with both tables: with rep(x) the
+    least member of the block of x, a . b and rep(a) . rep(b) lie in one
+    block; one gather per table.
     """
+    lat = to_lattice(lat)
     if theta.n != lat.n:
         raise BadParameter("partition carrier mismatch")
     block_of = np.array(theta.block_of)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .congruence import (
     Partition,
+    _quotient,
     _require_congruence,
     is_congruence_on_partial,
     lattice_quotient,
@@ -107,14 +108,13 @@ def kernel(h):
     return Partition(h.mapping)
 
 
-def canonical_projection(lat, e, witness=None):
+def canonical_projection(lat, e):
     """The block map x to [x] from a structure onto its quotient.
 
     Always a homomorphism; closed exactly when each adjoined bound of the
     extension forms a singleton class of the generated congruence.
     """
-    w = _require_congruence(lat, e, witness)
-    return Morphism(lat, w.quot, tuple(e.block_of))
+    return Morphism(lat, _quotient(_require_congruence(lat, e)), tuple(e.block_of))
 
 
 def extend_hom(h):
@@ -146,9 +146,12 @@ def extend_hom(h):
 def restrict_hom(hstar, source, target):
     """Restrict a homomorphism between the two extensions back to the carriers.
 
-    Raises ImageEscapes when some carrier element is sent to an adjoined
-    bound of the target extension.
+    Raises BadParameter unless ``hstar`` is a homomorphism from L* to K*,
+    the extensions of ``source`` and ``target``, and ImageEscapes when some
+    carrier element is sent to an adjoined bound of K*.
     """
+    if hstar.source != source.extension.star or hstar.target != target.extension.star:
+        raise BadParameter("star map is for other structures")
     if hstar.report.kind == NOT_HOM:
         raise BadParameter("star map is not a homomorphism")
     # Both carriers are star prefixes, so the restriction is a prefix too.
@@ -227,7 +230,7 @@ def hom_theorem_check(h):
     w = is_congruence_on_partial(h.source, ker)
     ensure(w.is_congruence, "kernel of a closed homomorphism must be a congruence")
     image, pos = _image_sublattice(h)
-    quot = w.quot
+    quot = _quotient(w)
     fwd_map = np.empty(image.n, dtype=np.int64)
     fwd_map[pos[list(h.mapping)]] = ker.block_of
     iso = _verify_iso(Morphism(image, quot, tuple(fwd_map.tolist())))
@@ -235,7 +238,7 @@ def hom_theorem_check(h):
     return HomTheoremReport(ker, image, quot, iso)
 
 
-def quotient_extension_iso(lat, e, witness=None):
+def quotient_extension_iso(lat, e):
     """Exchange law: extending the quotient agrees with quotienting the extension.
 
     Builds the extension of ``quotient(lat, e)`` and the quotient of the
@@ -248,9 +251,9 @@ def quotient_extension_iso(lat, e, witness=None):
     [a] ^ [b] thus needs an undefined a ^ b, which adjoins a bottom to L*.
     The top is dual.
     """
-    w = _require_congruence(lat, e, witness)
+    w = _require_congruence(lat, e)
     ext = w.extension
-    qx = w.quot.extension
+    qx = _quotient(w).extension
     big = lattice_quotient(ext.star, w.theta)
     # Star prefixes again: block k of e, then the bottom, then the top.
     mapping = [w.theta.block_of[block[0]] for block in e.blocks]

@@ -19,6 +19,7 @@ from .order import (
     Poset,
     _check_labels,
     _frozen,
+    _total_order,
     first_true,
     is_integer_in,
     is_plos,
@@ -266,10 +267,9 @@ def is_total(lat):
 
 
 def to_lattice(lat):
-    """Repackage a total partial lattice as a Lattice."""
-    if is_total(lat) != BOTH_TOTAL:
-        raise BadParameter("operations are not total")
-    return Lattice(lat.order, lat.join, lat.meet)
+    """``lat`` as a Lattice: itself when it is one, else repackaged once
+    ``order._total_order`` finds both tables total (BadParameter if not)."""
+    return lat if isinstance(lat, Lattice) else Lattice(_total_order(lat), lat.join, lat.meet)
 
 
 def antichain(n):

@@ -9,12 +9,12 @@ to L*/theta(E), is checked for all congruences of a structure at once: it
 reads the structure's congruence table, L/E and (L/E)* of all its rows are
 built as padded stacks of tables, and each check is one gather or broadcast
 over the stack. Every check runs on every row, and the failure reported is
-the first failing check of the first failing row. A row is recognised by
-``congruence.generated_rows``, the test that a passed ``witness=`` meets
-too, and a check that earlier checks imply is left out, with its proof in
-the docstring of the laws it would join. The per-congruence
-functions of ``congruence``, ``extension`` and ``morphism`` stay the
-reference for it.
+the first failing check of the first failing row. A row is recognised as
+Theta(e) by ``congruence.generated_rows``, which nothing else calls: the
+per-congruence functions generate Theta(e) themselves. A check that
+earlier checks imply is left out, with its proof in the docstring of the
+laws it would join. The per-congruence functions of ``congruence``,
+``extension`` and ``morphism`` stay the reference for it.
 """
 
 import traceback

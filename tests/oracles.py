@@ -92,6 +92,7 @@ from partlat import (
     is_congruence_on_partial,
     kernel,
     lower_bounds,
+    quotient,
     quotient_extension_iso,
     quotient_join_cases,
     restrict_hom,
@@ -517,14 +518,15 @@ def is_generated_witness(w):
 
 
 def congruence_law_per_witness(lat, e, w):
-    """Quotient machinery for a single congruence, from its kept witness."""
+    """Quotient machinery for a single congruence, once its kept witness is
+    recognised; the per-congruence functions generate Theta(e) again."""
     if not is_generated_witness(w):
         return False, f"enumerated congruence not recognized: {e!r}"
-    quot = w.quot
+    quot = quotient(lat, e)
 
     # Case analysis agrees with the quotient table on every carrier pair.
     blocks = np.array(e.block_of)
-    pair = first_true(quotient_join_cases(lat, e, witness=w)
+    pair = first_true(quotient_join_cases(lat, e)
                       != quot.join[blocks[:, None], blocks])
     if pair is not None:
         return False, "join case disagrees with table at [{}],[{}]".format(*pair)
@@ -534,7 +536,7 @@ def congruence_law_per_witness(lat, e, w):
     if lost is not None:
         return False, f"quotient lost an upper bound at {lost}"
 
-    proj = canonical_projection(lat, e, witness=w)
+    proj = canonical_projection(lat, e)
     rep = proj.report
     if rep.kind == NOT_HOM:
         return False, f"projection is not a homomorphism for {e!r}"
@@ -552,7 +554,7 @@ def congruence_law_per_witness(lat, e, w):
         hstar = extend_hom(proj)
         if restrict_hom(hstar, lat, quot).mapping != proj.mapping:
             return False, f"extension does not restrict back for {e!r}"
-    quotient_extension_iso(lat, e, witness=w)
+    quotient_extension_iso(lat, e)
     return True, ""
 
 
@@ -736,13 +738,13 @@ def extrema_rows(p):
     return tables, missing
 
 
-def quotient_join_case_branches(lat, e, a, b, witness=None):
+def quotient_join_case_branches(lat, e, a, b):
     """The class join of [a] and [b]: [a v b] when the join is defined, else
     the class of the least carrier element identified with the adjoined top,
     or undefined when the top forms a singleton class."""
     if not (lat.is_index(a) and lat.is_index(b)):
         raise BadParameter(f"pair ({a}, {b}) outside carrier of size {lat.n}")
-    w = witness if witness is not None else is_congruence_on_partial(lat, e)
+    w = is_congruence_on_partial(lat, e)
     if not w.is_congruence:
         raise NotACongruence(w)
     if lat.join[a, b] != UNDEF:

@@ -79,10 +79,10 @@ def test_criterion_1_figure_fixtures(fig1, fig2, fig3, fig4, fig9):
     w4, blocks4 = theta_blocks_by_label(fig4, figs.FIG4_CLASSES)
     assert blocks4 == {frozenset(s) for s in (("a", "c"), ("b",), (BOT,), (TOP,))}
     e4 = figs.congruence_of(fig4, figs.FIG4_CLASSES)
-    q4 = quotient(fig4, e4, witness=w4)
+    q4 = quotient(fig4, e4)
     assert q4.labels == ("[a]", "[b]")
     assert int(q4.join[0, 1]) == -1 and int(q4.meet[0, 1]) == -1
-    iso4 = quotient_extension_iso(fig4, e4, witness=w4)
+    iso4 = quotient_extension_iso(fig4, e4)
     assert find_isomorphism(to_lattice(iso4.forward.source), diamond) is not None
     assert find_isomorphism(to_lattice(iso4.forward.target), diamond) is not None
 
@@ -90,30 +90,29 @@ def test_criterion_1_figure_fixtures(fig1, fig2, fig3, fig4, fig9):
     w9, blocks9 = theta_blocks_by_label(fig9, figs.FIG9_CLASSES_BD)
     assert blocks9 == {frozenset(s) for s in (("a",), ("b", "d"), ("c", TOP), (BOT,))}
     e9 = figs.congruence_of(fig9, figs.FIG9_CLASSES_BD)
-    q9 = quotient(fig9, e9, witness=w9)
+    q9 = quotient(fig9, e9)
     assert q9.labels == ("[a]", "[b]", "[c]")
     assert int(q9.join[0, 1]) == 2 and int(q9.meet[0, 1]) == -1
     qx9 = two_point_extension(q9)
     assert qx9.added == ("bottom",)
-    quotient_extension_iso(fig9, e9, witness=w9)
+    quotient_extension_iso(fig9, e9)
 
     # figs 14 to 16
     w14, blocks14 = theta_blocks_by_label(fig9, figs.FIG9_CLASSES_AC)
     assert blocks14 == {frozenset(s) for s in (("a", "c"), ("b", BOT), ("d",), (TOP,))}
     e14 = figs.congruence_of(fig9, figs.FIG9_CLASSES_AC)
-    q14 = quotient(fig9, e14, witness=w14)
+    q14 = quotient(fig9, e14)
     assert two_point_extension(q14).added == ("top",)
-    quotient_extension_iso(fig9, e14, witness=w14)
+    quotient_extension_iso(fig9, e14)
 
     # figs 17 and 18: a total three-element chain equal to its own extension
     e17 = figs.congruence_of(fig9, figs.FIG9_CLASSES_BC)
-    w17 = is_congruence_on_partial(fig9, e17)
-    q17 = quotient(fig9, e17, witness=w17)
+    q17 = quotient(fig9, e17)
     chain = to_lattice(q17)
     assert find_isomorphism(chain, named_lattice("chain", 3)) is not None
     qx17 = two_point_extension(q17)
     assert qx17.added == () and qx17.star == chain
-    quotient_extension_iso(fig9, e17, witness=w17)
+    quotient_extension_iso(fig9, e17)
 
     report("1 (figure fixtures)", start, 1.0)
 

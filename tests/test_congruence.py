@@ -7,6 +7,7 @@ from partlat import (
     UNDEF,
     BadParameter,
     CongruenceWitness,
+    Lattice,
     NotACongruence,
     Partition,
     all_congruences,
@@ -26,11 +27,20 @@ from partlat import (
     quotient_extension_iso,
     quotient_join_case,
     quotient_join_cases,
+    to_lattice,
     two_point_extension,
     validate_lattice,
 )
 from partlat import figures as figs
-from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON, _read, generated_rows
+from partlat import plattice
+from partlat.congruence import (
+    ALPHA,
+    DEFINED,
+    UNDEFINED_TOP_SINGLETON,
+    JoinCase,
+    _read,
+    generated_rows,
+)
 from partlat.order import down_sets
 
 from oracles import (
@@ -210,6 +220,32 @@ class TestAllCongruences:
         lat = named_lattice("chain", 2)
         assert len(all_congruences(lat)) == 2
 
+    def test_total_partial_lattice_reads_as_its_lattice(self, fig3):
+        # fig3 built from its document is total but not a Lattice; both
+        # calls once raised AttributeError, as it has no irreducibles.
+        assert not isinstance(fig3, Lattice)
+        lat = to_lattice(fig3)
+        assert all_congruences(fig3) == all_congruences(lat)
+        seed = Partition.from_blocks(fig3.n, [(0, 1)])
+        assert generate_congruence(fig3, seed) == generate_congruence(lat, seed)
+
+    @pytest.mark.parametrize("call", [
+        all_congruences, lambda lat: generate_congruence(lat, Partition.identity(lat.n))],
+        ids=["all_congruences", "generate_congruence"])
+    def test_partial_lattice_is_rejected(self, fig9, call):
+        with pytest.raises(BadParameter, match="operations are not total"):
+            call(fig9)
+
+    def test_lattice_passes_the_guard_untouched(self, monkeypatch):
+        # A Lattice is neither scanned for totality nor copied.
+        def scan(lat):
+            raise AssertionError("a Lattice was scanned")
+
+        monkeypatch.setattr(plattice, "_total_order", scan)
+        lat = named_lattice("chain", 4)
+        assert to_lattice(lat) is lat
+        assert len(all_congruences(lat)) == 8
+
     def test_pentagon_star_matches_oracle(self, fig4):
         star = two_point_extension(fig4).star
         got = {partition_to_comparable(p) for p in all_congruences(star)}
@@ -334,60 +370,28 @@ class TestQuotient:
 
     @pytest.mark.parametrize("call", [quotient, quotient_join_cases, canonical_projection,
                                       quotient_extension_iso])
-    @pytest.mark.parametrize("other", ["identity", "chain4"])
-    def test_witness_for_another_relation_or_structure_is_rejected(self, fig9, call, other):
-        # The identity's witness once made [a] v [d] UNDEF for a|b c|d, where
-        # it is block 2, projected into the identity's quotient and raised
-        # InvariantError from quotient, which reports a library bug.
-        e = figs.congruence_of(fig9, "a|b c|d")
-        a, d = fig9.index("a"), fig9.index("d")
-        assert quotient_join_cases(fig9, e, witness=is_congruence_on_partial(fig9, e))[a, d] == 2
-        wrong = (is_congruence_on_partial(fig9, Partition.identity(fig9.n)) if other == "identity"
-                 else is_congruence_on_partial(named_lattice("chain", 4), e))
-        assert wrong.is_congruence
-        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
-            call(fig9, e, witness=wrong)
-
-    def test_witness_builds_its_quotient_once(self, fig9):
-        w = is_congruence_on_partial(fig9, figs.congruence_of(fig9, "a|b d|c"))
-        assert w.quot is w.quot
-        assert w.quot == quotient(fig9, w.restriction)
-        bad = is_congruence_on_partial(fig9, figs.congruence_of(fig9, "a b|c|d"))
+    def test_each_quotient_function_generates_and_checks_theta(self, fig9, call):
+        # Each takes e alone: NotACongruence for a relation that is not a
+        # congruence, BadParameter for a relation on another carrier.
         with pytest.raises(NotACongruence):
-            bad.quot
+            call(fig9, figs.congruence_of(fig9, "a b|c|d"))
+        with pytest.raises(BadParameter, match="carrier"):
+            call(fig9, Partition.identity(fig9.n + 1))
 
-    # A witness= comes from outside the library, so one whose theta is not
-    # Theta(e) is a bad parameter, as a witness of another relation is.
-    def test_forged_witness_is_rejected(self):
-        # c1 and c3 share a block but c1 v c2 and c3 v c2 land in different
-        # ones; a witness that skips the closure must not yield a quotient.
+    def test_forged_thetas_are_not_recognised(self):
+        # Two congruences of the chain c1 < c2 < c3, which is its own L*, that
+        # are not the one e generates: {c1, c3}{c2} skips the closure, as
+        # c1 v c2 and c3 v c2 land in different blocks, and the full relation
+        # is coarser than the identity it is paired with.
         lat = named_lattice("chain", 3)
-        e = Partition([0, 1, 0])
-        forged = CongruenceWitness(e, e, True, lat.extension)
-        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
-            quotient(lat, e, witness=forged)
-
-    def test_forged_coarse_theta_is_rejected(self):
-        # One theta-class covering three blocks of e cannot name a class cell.
-        lat = named_lattice("chain", 3)
-        e = Partition.identity(3)
-        forged = CongruenceWitness(Partition.full(3), e, True, lat.extension)
-        with pytest.raises(BadParameter, match="witness is for another relation or structure"):
-            quotient(lat, e, witness=forged)
-
-    @pytest.mark.parametrize("call", [quotient, quotient_join_cases, canonical_projection,
-                                      quotient_extension_iso])
-    def test_witness_that_is_not_generated_is_rejected(self, corpus4, call):
-        # A congruence of L* that restricts to a congruence e but is larger
-        # than Theta(e) once gave a quotient unlike quotient(lat, e) with no
-        # error: on the 2-antichain with e the identity, theta = {a, bottom}
-        # {b, top} gave the chain a < b, and a projection that was not closed.
-        found = [(lat, theta, e) for lat in corpus4 for theta, e in larger_congruences(lat)]
-        assert len(found) == 8
-        assert (Partition([0, 1, 0, 1]), Partition.identity(2)) in larger_congruences(antichain(2))
-        for lat, theta, e in found:
-            with pytest.raises(BadParameter, match="witness is for another relation or structure"):
-                call(lat, e, witness=CongruenceWitness(theta, e, True, lat.extension))
+        forged = [(Partition([0, 1, 0]), Partition([0, 1, 0])),
+                  (Partition.identity(3), Partition.full(3))]
+        for e, theta in forged:
+            assert not generated_rows(lat, least_member_rows([e], 3),
+                                      least_member_rows([theta], 3))[0]
+        identity = Partition.identity(3)
+        assert generated_rows(lat, least_member_rows([identity], 3),
+                              least_member_rows([identity], 3))[0]
 
     def test_recognition_and_class_tables_on_every_congruence_of_the_extension(self, corpus5):
         # Each congruence theta of L*, with e its restriction: generated_rows
@@ -412,15 +416,6 @@ def extension_congruences(lat):
     for row in _read(star, down_sets(star.irreducibles.below)).tolist():
         theta = Partition(row)
         yield theta, Partition(theta.block_of[:lat.n])
-
-
-def larger_congruences(lat):
-    """(theta, e) for every congruence theta of L* that restricts to a
-    congruence e of ``lat`` but is not the one e generates."""
-    for theta, e in extension_congruences(lat):
-        w = is_congruence_on_partial(lat, e)
-        if w.is_congruence and theta != w.theta:
-            yield theta, e
 
 
 class TestQuotientJoinCase:
@@ -459,6 +454,15 @@ class TestQuotientJoinCase:
 
         with pytest.raises(BadParameter):
             quotient_join_case(antichain(2), Partition.identity(2), True, False)
+
+    def test_fig9_bc_join_cases_read_the_top_block(self, fig9):
+        # a v d is undefined in fig9; for a|b c|d the top's class meets the
+        # carrier in block 2, {d}. A witness of the identity once made it
+        # UNDEF.
+        e = figs.congruence_of(fig9, "a|b c|d")
+        a, d = fig9.index("a"), fig9.index("d")
+        assert quotient_join_cases(fig9, e)[a, d] == 2
+        assert quotient_join_case(fig9, e, a, d) == JoinCase(ALPHA, 2, d)
 
     def test_branches_may_differ_but_blocks_agree(self, fig9):
         # (a, b) and (a, d) are representative pairs of the same classes
@@ -510,6 +514,12 @@ class TestLatticeQuotient:
     def test_rejects_another_carrier(self):
         with pytest.raises(BadParameter, match="carrier"):
             lattice_quotient(named_lattice("chain", 3), Partition.identity(4))
+
+    def test_rejects_partial_tables(self, fig9):
+        # An UNDEF cell once read as block_of[-1], which gave a ^ b = d and
+        # a v d = d on fig9 with no error.
+        with pytest.raises(BadParameter, match="operations are not total"):
+            lattice_quotient(fig9, Partition.identity(fig9.n))
 
 
 def congruence_digest():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "partlat"
@@ -107,19 +108,38 @@ def test_congruence_law_picks_its_failure_once():
 
 def test_one_recognition():
     # congruence.generated_rows is the one test that theta is the congruence
-    # e generates on L*: the sweep runs it on every row of the table and a
-    # passed witness= on its one row. A recognised theta cannot trip a
+    # e generates on L*, and the sweep, which runs it on every row of the
+    # table, is its one caller: the quotient functions generate Theta(e)
+    # and take no theta in. A generated or recognised theta cannot trip a
     # quotient build, so congruence.py builds no InvariantError.
-    trees = {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8"))
-             for m in ("verify", "congruence")}
-    defined = {m: {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-               for m, tree in trees.items()}
-    assert "_generated" not in defined["verify"]
-    for m, name in (("verify", "congruence_law"), ("congruence", "_require_congruence")):
-        called = {getattr(node.func, "id", None) for node in ast.walk(defined[m][name])
-                  if isinstance(node, ast.Call)}
-        assert "generated_rows" in called, name
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "generated_rows"
+                    for call in ast.walk(node)):
+                callers.add((path.stem, node.name))
+    assert callers == {("verify", "congruence_law")}
     assert "InvariantError" not in module_names("congruence")
+
+
+def test_no_witness_is_read_back():
+    # A congruence witness is only an output: no quotient function takes
+    # one, and a witness holds no quotient.
+    from partlat import (
+        CongruenceWitness,
+        canonical_projection,
+        quotient,
+        quotient_extension_iso,
+        quotient_join_case,
+        quotient_join_cases,
+    )
+
+    for fn in (quotient, quotient_join_cases, quotient_join_case, canonical_projection,
+               quotient_extension_iso):
+        assert "witness" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(CongruenceWitness, "quot")
 
 
 def test_one_scan_per_order():

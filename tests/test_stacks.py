@@ -55,7 +55,7 @@ def assert_rows_match(lat):
     join, meet, reps, axioms, x = stacks(lat)
     s, m = join.shape[1], x.join.shape[1]
     for i, w in enumerate(lat.congruence_witnesses):
-        q = quotient(lat, w.restriction, w)
+        q = quotient(lat, w.restriction)
         assert axioms[i] is None
         assert reps[i].tolist() == [b[0] for b in w.restriction.blocks] + [UNDEF] * (s - q.n)
         assert np.array_equal(join[i], padded(q.join, s))

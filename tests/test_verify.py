@@ -1,8 +1,7 @@
 import dataclasses
 import sys
 from collections import Counter
-from contextlib import contextmanager
-from functools import cached_property
+from contextlib import contextmanager, nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -18,7 +17,6 @@ from oracles import (
 
 from partlat import (
     UNDEF,
-    CongruenceWitness,
     Lattice,
     PartialLattice,
     Partition,
@@ -260,9 +258,8 @@ def per_witness_law(lat, quotients={}):
     the quotients of the rows listed in ``quotients`` are forged (see
     ``forged_builds``)."""
     for i, (e, w) in enumerate(zip(lat.congruences, lat.congruence_witnesses)):
-        if i in quotients:
-            w = forge(w, *quotients[i])
-        ok, detail = congruence_law_per_witness(lat, e, w)
+        with forged_quotient(lat, e, *quotients[i]) if i in quotients else nullcontext():
+            ok, detail = congruence_law_per_witness(lat, e, w)
         if not ok:
             return False, detail
     if not con_is_closed_under_meets(lat):
@@ -286,27 +283,23 @@ def with_dual_extension(quot):
     return quot
 
 
-@dataclasses.dataclass(frozen=True)
-class ForgedWitness(CongruenceWitness):
-    """A witness whose L/E is built from forged class tables, validated as
-    ``quotient`` validates its own, and whose (L/E)* may have its join and
-    meet swapped."""
+@contextmanager
+def forged_quotient(lat, e, tables, dual):
+    """The per-congruence functions with a forged L/E of ``e``: the private
+    build ``_quotient`` is patched where it is bound, and makes L/E once
+    from the class tables ``tables``, validated as ``quotient`` validates
+    its own, with the join and meet of its (L/E)* swapped when ``dual``."""
+    built = []
 
-    tables: tuple = None
-    dual: bool = False
+    def build(w):
+        if not built:
+            labels = tuple(f"[{lat.labels[block[0]]}]" for block in e.blocks)
+            quot = validate_partial_lattice(labels, *tables)
+            built.append(with_dual_extension(quot) if dual else quot)
+        return built[0]
 
-    @cached_property
-    def quot(self):
-        lat = self.extension.source
-        labels = tuple(f"[{lat.labels[block[0]]}]" for block in self.restriction.blocks)
-        quot = validate_partial_lattice(labels, *self.tables)
-        return with_dual_extension(quot) if self.dual else quot
-
-
-def forge(w, tables, dual=False):
-    """A copy of witness ``w`` whose class tables are ``tables``."""
-    fields = {f.name: getattr(w, f.name) for f in dataclasses.fields(CongruenceWitness)}
-    return ForgedWitness(**fields, tables=tables, dual=dual)
+    with patch.object(congruence, "_quotient", build), patch.object(morphism, "_quotient", build):
+        yield
 
 
 @contextmanager
@@ -315,7 +308,7 @@ def forged_builds(quotients):
     output: ``quotients`` maps a row of the congruence table to the class
     tables of its L/E and whether its (L/E)* has its join and meet swapped.
     The per-witness law reads the same forgeries through
-    ``ForgedWitness.quot``."""
+    ``forged_quotient``."""
     rows = {}
 
     def quotient_stack(lat, block_of, least):
@@ -389,7 +382,7 @@ def test_first_failing_congruence_is_reported_across_both_stages(fig9, forgeries
 def test_exchange_law_needs_a_bijection(lat, index, theta):
     # theta is no congruence here, so the exchange check is called alone.
     w = lat.congruence_witnesses[index]
-    q = w.quot
+    q = quotient(lat, w.restriction)
     x = extension_stack(q.join[None], q.meet[None], np.array([q.n]))
     laws = verify._extension_laws(lat, x, np.array([w.restriction.block_of]),
                                   least_member_rows([Partition(theta)], len(theta)),

@@ -149,6 +149,10 @@ def restrict_hom(hstar, source, target):
     Raises BadParameter unless ``hstar`` is a homomorphism from L* to K*,
     the extensions of ``source`` and ``target``, and ImageEscapes when some
     carrier element is sent to an adjoined bound of K*.
+
+    The restriction is a homomorphism unchecked: where a . b is defined in L,
+    hstar(a) . hstar(b) = hstar(a . b) in K* is a carrier element, and by the
+    case law K*'s cell at a carrier pair is K's where defined, else a bound.
     """
     if hstar.source != source.extension.star or hstar.target != target.extension.star:
         raise BadParameter("star map is for other structures")
@@ -159,9 +163,7 @@ def restrict_hom(hstar, source, target):
     escaped = first_true(np.array(mapping) >= target.n)
     if escaped is not None:
         raise ImageEscapes((escaped[0], mapping[escaped[0]]))
-    h = Morphism(source, target, tuple(mapping))
-    ensure(h.report.kind != NOT_HOM, "restricted map must be a homomorphism")
-    return h
+    return Morphism(source, target, tuple(mapping))
 
 
 @dataclass(frozen=True)
@@ -267,19 +269,16 @@ def quotient_extension_iso(lat, e):
 
 
 def _signatures(p):
-    down = p.leq.sum(axis=0)
-    up = p.leq.sum(axis=1)
-    cov_down = p.covers.sum(axis=0)
-    cov_up = p.covers.sum(axis=1)
-    return [tuple(int(v) for v in row) for row in zip(down, up, cov_down, cov_up)]
+    return list(zip(p.leq.sum(0).tolist(), p.leq.sum(1).tolist(),
+                    p.covers.sum(0).tolist(), p.covers.sum(1).tolist()))
 
 
 def order_isomorphism(a, b):
     """Backtracking search for an order isomorphism between two posets.
 
-    Candidates are pruned by per-element signatures (ideal and filter sizes,
-    cover degrees), which keeps the search trivial at small scale. A stack
-    of next-candidate positions, not recursion, holds the search, and a
+    Candidates, from one dict of b's per-element signatures (ideal and filter
+    sizes, cover degrees), keep the search trivial at small scale. A stack of
+    next-candidate positions, not recursion, holds the search, and a
     candidate is checked against the elements placed with one row compare.
     """
     if a.n != b.n:
@@ -287,7 +286,10 @@ def order_isomorphism(a, b):
     siga, sigb = _signatures(a), _signatures(b)
     if sorted(siga) != sorted(sigb):
         return None
-    candidates = [[j for j in range(b.n) if sigb[j] == siga[i]] for i in range(a.n)]
+    by_sig = {}
+    for j, sig in enumerate(sigb):
+        by_sig.setdefault(sig, []).append(j)
+    candidates = [by_sig[sig] for sig in siga]
     order = sorted(range(a.n), key=lambda i: len(candidates[i]))
     # [x, y]: 1 if x <= y, plus 2 if y <= x. want[k]: the k-th placed
     # element's row against those placed before it.

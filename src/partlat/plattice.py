@@ -46,38 +46,42 @@ def first_true_rows(mask):
     return found
 
 
-def first_mismatches(k, n, lhs, rhs, strong=True):
+def first_mismatches(k, n, m, lhs, rhs, strong=True):
     """For each of k rows, the first (x, y, z) in row-major order where two
     compound terms differ, or None.
 
-    ``lhs(x)`` and ``rhs(x)`` give a term's values over (y, z), k x n x n
-    (n x n when k is 1), one x at a time, so each temporary is O(k n^2).
-    Strong mode counts any difference, in definedness too, so an undefined
-    value may be UNDEF, as in the associativity gathers; weak mode compares
-    only where both are defined and needs the sink index n for undefined,
-    as distributivity passes it. The scan stops once every row has one.
+    ``lhs(xs)`` and ``rhs(xs)`` give a term's values over (y, z) for a slice
+    ``xs`` of the n values of x, k x b x m x m, as many x as keep k b m^2
+    within 2^12 cells and at least one. Strong mode counts any difference,
+    in definedness too, so an undefined value may be UNDEF, as in the
+    associativity gathers; weak mode compares only where both are defined
+    and needs the sink index n for undefined, as distributivity passes it.
+    The scan stops once every row has one.
     """
     found = [None] * k
-    for x in range(n):
+    step = max(1, 2**12 // max(k * m * m, 1))
+    for start in range(0, n, step):
         if None not in found:
             break
-        left, right = lhs(x), rhs(x)
+        xs = slice(start, start + step)
+        left, right = lhs(xs), rhs(xs)
         differ = left != right
         if not strong:
             differ &= (left < n) & (right < n)
-        if first_true(differ) is None:  # no row differs at this x
-            continue
-        for i, cell in first_true_rows(differ.reshape(k, -1, differ.shape[-1])).items():
-            found[i] = found[i] or (x, *cell)
+        if first_true(differ) is not None:  # else no row differs in this block
+            for i, (x, *cell) in first_true_rows(differ.reshape(k, -1, m, m)).items():
+                found[i] = found[i] or (start + x, *cell)
     return found
 
 
 def distributive_mismatch(jn, mt, strong=True):
-    """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ."""
+    """First (x, y, z) where x ^ (y v z) and (x ^ y) v (x ^ z) differ, both
+    read from ``sink_table``s by flat gathers."""
     n = len(jn)
     js, ms = sink_table(jn), sink_table(mt)
-    return first_mismatches(1, n, lambda x: ms[x][js[:n, :n]],
-                            lambda x: js[np.ix_(ms[x, :n], ms[x, :n])], strong)[0]
+    return first_mismatches(
+        1, n, n, lambda xs: ms[xs].take(js[:n, :n], axis=1),
+        lambda xs: js.take(ms[xs, :n, None] * (n + 1) + ms[xs, None, :n]), strong)[0]
 
 
 def _as_table(n, table, name):
@@ -131,7 +135,7 @@ def axiom_violations(label, join, meet, sizes):
     idempotency, strong commutativity, the duality conditions, then strong
     associativity of the join and of the meet. The first violated axiom is
     reported with a witness tuple; ``label(i, x)`` names x in row i.
-    Associativity scans one x at a time, and only the rows still passing.
+    Associativity scans blocks of x, and only the rows still passing.
     """
     k, s = join.shape[:2]
     idx = np.arange(s)
@@ -162,12 +166,16 @@ def axiom_violations(label, join, meet, sizes):
         # undefined cell stays UNDEF. The tables are read as one flat table
         # in which row y of table r is row r * (s + 1) + y; there UNDEF reads
         # the extra row or column of the table before, which is UNDEF too.
+        # x . (y . z) is read as (y . z) . x from the transpose, so a block of
+        # x needs no index arithmetic: rows here passed strong commutativity,
+        # so a . x = x . a, and an UNDEF y . z still reads an UNDEF padding row.
         ext = np.full((len(rows), s + 1, s + 1), UNDEF)
         ext[:, :s, :s] = t.take(rows, axis=0)
         flat = ext.reshape(-1, s + 1)
+        cols = flat.T.copy()
         at = ext + np.arange(0, len(flat), s + 1)[:, None, None]
-        triples = first_mismatches(len(rows), s, lambda x: flat.take(at[:, x], axis=0),
-                                   lambda x: ext[:, x].ravel().take(at))
+        triples = first_mismatches(len(rows), s, s + 1, lambda xs: flat.take(at[:, xs], axis=0),
+                                   lambda xs: cols[xs].take(at, axis=1).swapaxes(0, 1))
         for i, triple in zip(rows, triples):
             if triple is not None:
                 errors[i] = AxiomViolation("associativity", triple, name)

@@ -36,6 +36,7 @@ from partlat import (
     is_plos,
     make_poset,
     build,
+    morphism,
     named_lattice,
     order_isomorphism,
     parse,
@@ -301,8 +302,9 @@ def test_extrema_stack_memory_is_bounded_by_blocks(k, n):
 
 
 def test_validate_partial_lattice_memory_is_bounded_by_rows():
-    # Associativity is scanned one x at a time: a few n^2 temporaries, where
-    # one gather over every triple would take 512 MB.
+    # Associativity is scanned in blocks of x of at most 2^12 cells, one x at
+    # n = 400: a few n^2 temporaries, where one gather over every triple
+    # would take 512 MB.
     n = 400
     idx = np.arange(n)
     join, meet = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
@@ -427,6 +429,32 @@ def test_identity_scans_match_loops(case, mode):
         report = scan(lat, mode)
         assert report == loops(lat, mode)
         assert report.witness is None or all(type(v) is int for v in report.witness)
+
+
+@st.composite
+def planted_chains(draw):
+    """A chain on 12 to 40 elements with the meet of one pair a < b set to
+    another value or UNDEF. The meet over join schema reads that cell only
+    at x = a or b, both past the first block of the scan (2^12 // n^2 values
+    of x) from n = 17 on; at n = 12 to 16 the whole scan is one block."""
+    n = draw(st.integers(12, 40))
+    idx = np.arange(n)
+    join, meet = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    a = draw(st.integers(min(2**12 // n**2, n - 2), n - 2))
+    b = draw(st.integers(a + 1, n - 1))
+    meet[a, b] = meet[b, a] = draw(st.integers(UNDEF, n - 1))
+    return PartialLattice(tuple(f"c{i}" for i in range(n)), join, meet)
+
+
+@given(planted_chains(), st.sampled_from(("weak", "strong")))
+@example(named_lattice("boolean", 5), "strong")  # eight blocks of four x, all passing
+@example(named_lattice("boolean", 5), "weak")
+@settings(max_examples=30, deadline=None)
+def test_distributivity_blocks_match_loops(lat, mode):
+    report = check_distributivity(lat, mode)
+    assert report == check_distributivity_loops(lat, mode)
+    if report.schema == "distributive_meet_over_join":
+        assert report.witness[0] >= min(2**12 // lat.n**2, lat.n - 2)
 
 
 def test_largest_named_lattice_goes_through_every_scan():
@@ -634,6 +662,36 @@ def test_order_isomorphism_matches_recursive_search(case):
 def is_order_isomorphism(a, b, mapping):
     h = np.array(mapping)
     return sorted(mapping) == list(range(b.n)) and np.array_equal(a.leq, b.leq[np.ix_(h, h)])
+
+
+@pytest.mark.parametrize("kind, size", [("boolean", 5), ("boolean", 6), ("M", 12)], ids=str)
+def test_order_isomorphism_of_relabelled_named_lattices(kind, size):
+    p = named_lattice(kind, size).order
+    perm = np.random.default_rng(size).permutation(p.n)
+    q = Poset([p.labels[i] for i in perm], p.leq[np.ix_(perm, perm)])
+    mapping = order_isomorphism(p, q)
+    assert mapping == order_isomorphism_signatures(p, q)
+    assert is_order_isomorphism(p, q, mapping)
+
+
+def crowns(*sizes):
+    """Disjoint crowns: for each size m, minimal elements a_0..a_m-1 and
+    maximal b_0..b_m-1, with a_i below b_i and b_i+1 (mod m)."""
+    labels, arcs = [], []
+    for c, m in enumerate(sizes):
+        low, high = ([f"{v}{c}.{i}" for i in range(m)] for v in "ab")
+        labels += low + high
+        arcs += [(low[i], high[j]) for i in range(m) for j in (i, (i + 1) % m)]
+    return make_poset(labels, arcs)
+
+
+def test_equal_signatures_of_non_isomorphic_orders():
+    # One crown of 8 and two crowns of 4: every minimal element has two
+    # upper covers and every maximal one two lower covers in both, so the
+    # signature multisets are equal and only the search tells them apart.
+    p, q = crowns(8), crowns(4, 4)
+    assert sorted(morphism._signatures(p)) == sorted(morphism._signatures(q))
+    assert order_isomorphism(p, q) is order_isomorphism_signatures(p, q) is None
 
 
 def test_order_isomorphism_of_large_carriers():

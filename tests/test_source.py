@@ -64,6 +64,18 @@ def module_names(module):
     return named
 
 
+def callers(name):
+    """(module, function) of every function in the library that calls ``name``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                    for call in ast.walk(node)):
+                found.add((path.stem, node.name))
+    return found
+
+
 def test_sweep_uses_no_per_congruence_route():
     # The sweep checks every congruence of a structure in one stacked pass
     # and builds every L/E and (L/E)* as one stack; these per-congruence
@@ -112,15 +124,7 @@ def test_one_recognition():
     # table, is its one caller: the quotient functions generate Theta(e)
     # and take no theta in. A generated or recognised theta cannot trip a
     # quotient build, so congruence.py builds no InvariantError.
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and any(
-                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "generated_rows"
-                    for call in ast.walk(node)):
-                callers.add((path.stem, node.name))
-    assert callers == {("verify", "congruence_law")}
+    assert callers("generated_rows") == {("verify", "congruence_law")}
     assert "InvariantError" not in module_names("congruence")
 
 
@@ -190,6 +194,16 @@ def test_lattice_laws_scan_no_triples():
         named = {n.id if isinstance(n, ast.Name) else n.attr
                  for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
         assert named & {"first_mismatches", "distributive_mismatch"} == set(), name
+
+
+def test_one_triple_scan():
+    # plattice.first_mismatches is the one scan of compound terms over
+    # triples: the distributivity and associativity checks both call it, no
+    # other function does, and it reads its terms through flat gathers, with
+    # no np.ix_ left in plattice.py.
+    assert callers("first_mismatches") == {("plattice", "distributive_mismatch"),
+                                           ("plattice", "axiom_violations")}
+    assert "ix_" not in module_names("plattice")
 
 
 def test_every_exported_error_is_raised():

@@ -6,6 +6,7 @@ of ``extension_stack``, row by row against ``quotient`` and
 and on forged stacks."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,31 @@ def test_forged_stacks_raise_what_each_row_raises(data):
                                                     for b in (bottom, top))
             assert np.array_equal(x.join[k, : star.n, : star.n], star.join)
             assert np.array_equal(x.meet[k, : star.n, : star.n], star.meet)
+
+
+@pytest.mark.parametrize("k", [20, 60])
+def test_associativity_blocks_report_each_row(k):
+    # Rows of the chain on s = 8 with a v b and a ^ b made UNDEF for one pair
+    # a < b with a < 6, which strong associativity of the join first fails
+    # at x = a; row r takes a = r mod 6, and every ninth row is left whole.
+    # k (s + 1)^2 is 1,620 cells for 20 rows, so a block of 2^12 cells holds
+    # two x, and 4,860 for 60 rows, so a block holds one.
+    s, idx = 8, np.arange(8)
+    join = np.broadcast_to(np.maximum.outer(idx, idx), (k, s, s)).copy()
+    meet = np.broadcast_to(np.minimum.outer(idx, idx), (k, s, s)).copy()
+    for r in range(k):
+        if r % 9 != 8:
+            a = r % 6
+            b = a + 1 + r // 6 % (7 - a)
+            join[r, a, b] = join[r, b, a] = meet[r, a, b] = meet[r, b, a] = UNDEF
+    labels = tuple(f"c{i}" for i in range(s))
+    verdicts = axiom_violations(lambda r, x: labels[x], join, meet, np.full(k, s))
+    for r in range(k):
+        want = outcome(validate_partial_lattice_loops, labels, join[r], meet[r])
+        assert error_outcome(verdicts[r]) == (None if isinstance(want, PartialLattice) else want)
+        assert (verdicts[r] is None) == (r % 9 == 8)
+        if verdicts[r] is not None:
+            assert verdicts[r].witness[0] == r % 6 and str(verdicts[r]).endswith("join")
 
 
 def test_forged_row_reports_its_first_violation():

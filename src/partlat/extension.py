@@ -45,15 +45,34 @@ def two_point_extension(lat):
     star is L's join where that is defined and the adjoined top otherwise,
     and a ^ b is dually L's meet or the adjoined bottom; the paper proves
     this a lattice (see ``extension_stack``). The star's order is read from
-    its join, x <= y when x v y = y. This is ``extension_stack`` of ``lat``
-    alone.
+    its join, x <= y when x v y = y. This is ``two_point_extensions`` of
+    ``lat`` alone.
     """
-    x = extension_stack(lat.join[None], lat.meet[None], np.array([lat.n]))
-    bottom, top = (None if bound == UNDEF else int(bound) for bound in (x.bottom[0], x.top[0]))
-    labels = (lat.labels + (BOTTOM_LABEL,) * (bottom is not None)
-              + (TOP_LABEL,) * (top is not None))
-    leq = x.join[0] == np.arange(len(labels))
-    return Extension(lat, Lattice(Poset(labels, leq), x.join[0], x.meet[0]), bottom, top)
+    return two_point_extensions([lat])[0]
+
+
+def two_point_extensions(lats):
+    """``two_point_extension`` of each partial lattice of ``lats``, of any
+    sizes, from one ``extension_stack`` call over their tables padded with
+    UNDEF. Each star holds its row of the stack cropped to its own size, a
+    read-only view, and its order is read from that join."""
+    s = max((lat.n for lat in lats), default=0)
+    join, meet = np.full((2, len(lats), s, s), UNDEF)
+    for i, lat in enumerate(lats):
+        join[i, :lat.n, :lat.n] = lat.join
+        meet[i, :lat.n, :lat.n] = lat.meet
+    x = extension_stack(join, meet, np.array([lat.n for lat in lats], dtype=np.int64))
+    leq = x.join == np.arange(x.join.shape[-1])
+    out = []
+    for i, (lat, bottom, top) in enumerate(zip(lats, x.bottom.tolist(), x.top.tolist())):
+        bottom, top = (None if bound == UNDEF else bound for bound in (bottom, top))
+        labels = (lat.labels + (BOTTOM_LABEL,) * (bottom is not None)
+                  + (TOP_LABEL,) * (top is not None))
+        crop = slice(len(labels))
+        star = Lattice(Poset(labels, leq[i, crop, crop]), x.join[i, crop, crop],
+                       x.meet[i, crop, crop])
+        out.append(Extension(lat, star, bottom, top))
+    return out
 
 
 # Two-point extensions of a stack of partial lattices, padded to one size:
@@ -77,30 +96,33 @@ def extension_stack(join, meet, sizes):
     element, so the top is the sup of a pair with no upper bound in L and L's
     join stays the sup of the others; meets are dual. Each row is padded to
     the largest extension with elements that are their own sup and inf and
-    have none with another element.
+    have none with another element. An empty stack gives empty arrays.
     """
     k, s = join.shape[:2]
     # A table has a gap when fewer than sizes^2 of its cells are defined:
     # the meet's gaps adjoin a bottom, the join's a top.
-    gaps = (np.concatenate((meet, join)) != UNDEF).reshape(2, k, -1).sum(2) < sizes * sizes
+    gaps = (np.concatenate((meet, join)) != UNDEF).reshape(2, k, s * s).sum(2) < sizes * sizes
     star_sizes = sizes + gaps.sum(0)
     bottom, top = bounds = np.where(gaps, (sizes, star_sizes - 1), UNDEF)
-    m = max(s, int(star_sizes.max()))
+    m = max([s, *star_sizes.tolist()])
     pos = np.arange(m)
-    carrier, inside = (pos < size[:, None] for size in (sizes, star_sizes))
-    # [side, i, a, b]: a, or b, is the unit of the side's operation (v, then
-    # ^). The other side's unit is the side's zero: it absorbs the operation,
-    # and an undefined cell of the carrier takes it. UNDEF is no position.
-    unit = pos == bounds[:, :, None]
-    at_a, at_b = unit[..., None], unit[:, :, None]
-    zero = bounds[::-1, :, None, None]
+    inside = pos < star_sizes[:, None]
     tables = np.full((2, k, m, m), UNDEF)
-    tables[:, :, :s, :s] = join, meet
-    gap = (tables == UNDEF) & carrier[:, :, None] & carrier[:, None, :]
-    tables = np.where(gap | at_a[::-1] | at_b[::-1], zero, tables)
-    tables = np.where(at_a, pos, np.where(at_b, pos[:, None], tables))
-    pads = np.where(np.eye(m, dtype=bool), pos, UNDEF)
-    tables = _frozen(np.where(inside[:, :, None] & inside[:, None, :], tables, pads))
+    tables[0, :, :s, :s] = join
+    tables[1, :, :s, :s] = meet
+    # Each position past the carrier, a bound or a pad, is its own sup and
+    # inf; a pad's other cells stay UNDEF.
+    np.copyto(tables.reshape(2, k, m * m)[:, :, :: m + 1], pos, where=pos >= sizes[:, None])
+    # The UNDEF cells of the star are now the carrier's gaps and the bound
+    # rows and columns. [side, i, a, b]: the case law for them. b where a
+    # is the unit of the side's operation (v, then ^), a where b is, and
+    # else the other side's unit, the side's zero, which absorbs the
+    # operation and fills a gap. UNDEF is no position.
+    unit = pos == bounds[:, :, None]
+    law = np.where(unit[..., None], pos, np.where(unit[:, :, None], pos[:, None],
+                                                  bounds[::-1, :, None, None]))
+    star = inside[:, :, None] & inside[:, None, :]
+    tables = _frozen(np.where((tables == UNDEF) & star, law, tables))
     return ExtensionStack(*tables, star_sizes, bottom, top)
 
 

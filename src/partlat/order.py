@@ -85,6 +85,8 @@ class Poset(Carrier):
 
     def __init__(self, labels, leq):
         labels = tuple(labels)
+        if not labels:
+            raise BadParameter("carrier must be nonempty")
         leq = np.array(leq, dtype=bool)
         if leq.shape != (len(labels), len(labels)):
             raise BadParameter("order matrix shape does not match label count")
@@ -93,12 +95,8 @@ class Poset(Carrier):
 
     @cached_property
     def covers(self):
-        """covers[i, j] iff j covers i: i < j with nothing strictly between.
-        The elements between are counted by a float32 product, which BLAS
-        runs and which is exact up to 2^24."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        between = strict.astype(np.float32)
-        return _frozen(strict & (between @ between == 0))
+        """covers[i, j] iff j covers i: ``covers_stack`` of this order alone."""
+        return _frozen(covers_stack(self.leq[None])[0])
 
     @cached_property
     def extrema(self):
@@ -250,6 +248,44 @@ def extrema_stack(leq):
     return tables, missing
 
 
+def covers_stack(leq):
+    """covers[i, a, b] iff b covers a in order i of a k x n x n stack: a < b
+    with nothing strictly between. The elements between are counted by one
+    stacked float32 product, which BLAS runs and which is exact up to 2^24."""
+    k, n = leq.shape[:2]
+    strict = leq.copy()
+    strict.reshape(k, n * n)[:, :: n + 1] = False
+    between = strict.astype(np.float32)
+    return strict & (between @ between == 0)
+
+
+def scan_orders(posets):
+    """Fill ``p.extrema`` and ``p.covers`` of every poset of ``posets``, of
+    any sizes, from one ``extrema_stack`` and one ``covers_stack`` call.
+
+    The orders are padded to the largest size m: a pad is related only to
+    itself. Each poset's slots are the crop of its row to its own n x n, and
+    equal the scan of its order alone. A pad is above and below no carrier
+    element, so U(a, b) and L(a, b) of carrier elements a, b hold no pad and
+    are the bound sets of the order alone: the sup, the inf and the missing
+    flags of a carrier pair are its own. Between two carrier elements no pad
+    lies, as a pad is no strict pair's end, so a carrier pair is a cover of
+    the padded order exactly when it is one of the order alone. The crops
+    are read-only views of the frozen stacks.
+    """
+    m = max((p.n for p in posets), default=0)
+    leq = np.zeros((len(posets), m, m), dtype=bool)
+    leq[:, np.arange(m), np.arange(m)] = True
+    for row, p in zip(leq, posets):
+        row[:p.n, :p.n] = p.leq
+    tables, missing = map(_frozen, extrema_stack(leq))
+    covers = _frozen(covers_stack(leq))
+    for i, p in enumerate(posets):
+        crop = slice(p.n)
+        p.extrema = tables[:, i, crop, crop], missing[:, i, crop, crop]
+        p.covers = covers[i, crop, crop]
+
+
 def is_plos(p):
     """Check the lower and upper bound properties.
 
@@ -312,11 +348,15 @@ class PartialLattice(Carrier):
     The induced order, the two-point extension and the congruence table
     depend only on the tables, so each is built once, on first access, by
     its module-level builder; the congruences and witnesses read the table.
-    A table that ``_table`` finds frozen is held, not copied.
+    The corpus sweep assigns the extension, built for a block of structures
+    at once, before its first access. A table that ``_table`` finds frozen
+    is held, not copied.
     """
 
     def __init__(self, labels, join, meet):
         self.labels = tuple(labels)
+        if not self.labels:
+            raise BadParameter("carrier must be nonempty")
         self.join = _table(join)
         self.meet = _table(meet)
 

@@ -4,6 +4,11 @@ Runs every universally quantified claim over the enumerated corpus of small
 partial lattices. Failures carry the offending structure serialized in the
 input format so they can be replayed from the command line.
 
+The sweep takes each level of the corpus in blocks. A block's derived
+objects, L* and the scans of L's and L*'s orders, are built with one
+stacked call per kind into the structures' cached slots, and the laws then
+run on each structure alone.
+
 The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
 to L*/theta(E), is checked for all congruences of a structure at once: it
 reads the structure's congruence table, L/E and (L/E)* of all its rows are
@@ -18,6 +23,8 @@ laws it would join. The per-congruence functions of ``congruence``,
 """
 
 import traceback
+from collections import deque
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -25,9 +32,9 @@ from . import fmt
 from .congruence import con_is_closed_under_meets, generated_rows, join_case_stack, quotient_stack
 from .enumeration import enumerate_partial_lattices
 from .errors import InvariantError
-from .extension import extension_stack
+from .extension import extension_stack, two_point_extensions
 from .morphism import hom_masks
-from .order import first_true, is_plos
+from .order import first_true, is_plos, scan_orders
 from .plattice import (
     BOTH_TOTAL,
     UNDEF,
@@ -37,6 +44,9 @@ from .plattice import (
     lp_roundtrip,
     pl_roundtrip,
 )
+
+# Cells of L* tables, padded to n + 2 elements, per block of a level.
+_CELLS = 2**12
 
 
 def serialize(lat):
@@ -222,13 +232,41 @@ def structure_checks(lat):
     return results
 
 
+def _derive_block(lats):
+    """Give each structure of ``lats`` its L* and the sup/inf and cover
+    scans of its order and of L*'s, in their cached slots, from one
+    ``two_point_extensions`` call and one ``scan_orders`` call per order
+    kind. L's order is ``lat.order``, read from the structure's own join,
+    so the roundtrip laws still compare the join with the order it gives."""
+    for lat, ext in zip(lats, two_point_extensions(lats)):
+        lat.extension = ext
+    scan_orders([lat.order for lat in lats])
+    scan_orders([lat.extension.star.order for lat in lats])
+
+
 def verify_corpus(n_max):
-    """Sweep the enumerated corpus; returns (checked, failures)."""
+    """Sweep the enumerated corpus; returns (checked, failures).
+
+    The one enumeration stream is grouped by carrier size, and each level
+    is cut into blocks whose L* tables, padded to n + 2 elements, fit in
+    ``_CELLS`` cells. ``_derive_block`` builds a block's derived objects
+    with one stacked call per kind; then ``structure_checks``, looked up at
+    each call, runs on each structure in stream order, so failures are
+    listed as a sweep of one structure at a time lists them. A structure is
+    dropped once its laws are read, its L* first: L* holds its source, and
+    the cycle would keep the block's stacks until the collector ran.
+    """
     checked = 0
     failures = []
-    for lat in enumerate_partial_lattices(n_max):
-        checked += 1
-        for name, ok, detail in structure_checks(lat):
-            if not ok:
-                failures.append(f"{name}: {detail}\n{serialize(lat)}")
+    for n, level in groupby(enumerate_partial_lattices(n_max), key=lambda lat: lat.n):
+        size = max(1, _CELLS // (n + 2) ** 2)
+        while block := deque(islice(level, size)):
+            _derive_block(block)
+            while block:
+                lat = block.popleft()
+                checked += 1
+                for name, ok, detail in structure_checks(lat):
+                    if not ok:
+                        failures.append(f"{name}: {detail}\n{serialize(lat)}")
+                del lat.extension
     return checked, failures

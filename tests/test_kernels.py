@@ -49,7 +49,7 @@ from partlat import (
 from partlat.congruence import CongruenceTable, collapsed_irreducibles
 from partlat.enumeration import all_posets, plos_lattices
 from partlat.morphism import hom_masks
-from partlat.order import down_sets, extrema_stack, first_true
+from partlat.order import down_sets, extrema_stack, first_true, scan_orders
 
 from oracles import (
     check_absorption_loops,
@@ -181,6 +181,21 @@ def test_extrema_broadcast_matches_rows(p):
 def test_covers_match_loops(p):
     assert p.covers.dtype == bool
     assert np.array_equal(p.covers, covers_loops(p))
+
+
+@given(st.lists(random_posets(), max_size=6))
+@example([named_lattice("chain", 3).order, BOWTIE, make_poset("a", ())])
+@settings(max_examples=200, deadline=None)
+def test_scan_orders_crops_match_loops(posets):
+    # Orders of 1 to 9 elements padded to one size: each poset's slots are
+    # filled by the padded scans, and each crop is the scan of its order.
+    scan_orders(posets)
+    for p in posets:
+        assert {"extrema", "covers"} <= vars(p).keys()
+        for got, want in zip(p.extrema, extrema_rows(p)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert p.covers.dtype == bool and np.array_equal(p.covers, covers_loops(p))
+        assert not any(a.flags.writeable for a in (*p.extrema, p.covers))
 
 
 @st.composite

@@ -100,6 +100,33 @@ class TestMakePoset:
             make_poset((), ())
 
 
+# An empty carrier is refused where a structure is made, so no scan, which
+# would take the argmax of an empty array, and no extension ever sees one.
+EMPTY_ORDER = np.zeros((0, 0), dtype=bool)
+EMPTY_TABLE = np.zeros((0, 0), dtype=np.int64)
+
+
+def test_empty_poset_is_refused():
+    with pytest.raises(BadParameter, match="carrier must be nonempty"):
+        Poset((), EMPTY_ORDER)
+
+
+def test_empty_partial_lattice_is_refused():
+    with pytest.raises(BadParameter, match="carrier must be nonempty"):
+        PartialLattice((), EMPTY_TABLE, EMPTY_TABLE)
+
+
+@pytest.mark.parametrize("call", [is_plos, from_plos, validate_lattice])
+def test_no_scan_of_an_empty_order(call):
+    with pytest.raises(BadParameter, match="carrier must be nonempty"):
+        call(Poset((), EMPTY_ORDER))
+
+
+def test_no_extension_of_an_empty_carrier():
+    with pytest.raises(BadParameter, match="carrier must be nonempty"):
+        PartialLattice((), EMPTY_TABLE, EMPTY_TABLE).extension
+
+
 class TestBounds:
     def test_fig1_upper(self, fig1):
         a, b = fig1.index("a"), fig1.index("b")

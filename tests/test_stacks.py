@@ -7,7 +7,7 @@ and on forged stacks."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import extrema_rows, two_point_extension_loops, validate_partial_lattice_loops
@@ -16,16 +16,18 @@ from partlat import (
     UNDEF,
     PartialLattice,
     PartlatError,
+    antichain,
     enumerate_partial_lattices,
     from_plos,
     is_plos,
     make_poset,
+    named_lattice,
     quotient,
     two_point_extension,
     validate_partial_lattice,
 )
 from partlat.congruence import quotient_stack
-from partlat.extension import extension_stack
+from partlat.extension import extension_stack, two_point_extensions
 from partlat.order import extrema_stack
 from partlat.plattice import axiom_violations
 
@@ -185,13 +187,28 @@ def test_forged_row_reports_its_first_violation():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(random_partial_lattices(), min_size=1, max_size=4))
+@given(st.lists(random_partial_lattices(), max_size=4))
+@example([antichain(3), named_lattice("N5"), antichain(1), from_plos(make_poset("abc", ["ac"]))])
 def test_two_point_extension_matches_its_definition(lats):
-    for lat in lats:
-        ext = two_point_extension(lat)
+    # Each lattice alone, and all of them as one list: sizes and adjoined
+    # bounds differ from row to row, and each star is its row of one padded
+    # stack, cropped.
+    exts = two_point_extensions(lats)
+    assert len(exts) == len(lats)
+    for lat, listed in zip(lats, exts):
         star, bottom, top = two_point_extension_loops(lat)
-        assert (ext.added_bottom, ext.added_top) == (bottom, top)
-        assert ext.star == star
+        for ext in (two_point_extension(lat), listed):
+            assert ext.source is lat
+            assert (ext.added_bottom, ext.added_top) == (bottom, top)
+            assert ext.star == star and ext.star.order == star.order
+
+
+def test_empty_stack_extends_to_nothing():
+    empty = np.zeros((0, 3, 3), dtype=np.int64)
+    x = extension_stack(empty, empty, np.zeros(0, dtype=np.int64))
+    assert x.join.shape == x.meet.shape == (0, 3, 3)
+    assert [len(v) for v in (x.sizes, x.bottom, x.top)] == [0, 0, 0]
+    assert two_point_extensions([]) == []
 
 
 def test_two_point_extension_matches_its_definition_on_corpus5():

@@ -34,7 +34,7 @@ for e in all_partial_congruences(fig9):
 
 e = parse_partition("a|b d|c", labels)
 w = is_congruence_on_partial(fig9, e)
-star_labels = w.extension.star.labels
+star_labels = fig9.extension.star.labels
 print("generated classes upstairs:",
       [tuple(star_labels[i] for i in block) for block in w.theta.blocks])
 

@@ -69,7 +69,6 @@ from .congruence import (
     all_congruences,
     all_partial_congruences,
     con_is_closed_under_meets,
-    congruence_witnesses,
     generate_congruence,
     is_congruence_on_partial,
     lattice_quotient,

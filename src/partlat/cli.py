@@ -10,7 +10,7 @@ import re
 import sys
 
 from . import figures, fmt, verify
-from .congruence import quotient
+from .congruence import all_partial_congruences, quotient
 from .errors import BadParameter, ParseError, PartlatError, SemanticError
 from .extension import one_point_extension
 from .morphism import find_isomorphism
@@ -123,7 +123,7 @@ def cmd_onepoint(args):
 
 def cmd_congruences(args):
     lat = _as_plattice(_load(args.file))
-    for e in lat.congruences:
+    for e in all_partial_congruences(lat):
         print(e.render(lat.labels))
     return 0
 

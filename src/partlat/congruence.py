@@ -35,6 +35,8 @@ class Partition:
     def __init__(self, block_of):
         first = {}
         canon = tuple(first.setdefault(b, len(first)) for b in block_of)
+        if not canon:
+            raise BadParameter("carrier must be nonempty")
         self.block_of = canon
         self.n = len(canon)
         blocks = [[] for _ in range(len(first))]
@@ -59,7 +61,7 @@ class Partition:
                 if not is_integer_in(i, 0, n - 1):
                     raise BadParameter(f"element {i!r} outside carrier of size {n}")
                 if block_of[i] is not None:
-                    raise BadParameter(f"element {i} appears in two blocks")
+                    raise BadParameter(f"element {i} is listed twice")
                 block_of[i] = b
         for i in range(n):
             if block_of[i] is None:
@@ -71,21 +73,6 @@ class Partition:
 
     def block_containing(self, i):
         return self.blocks[self.block_of[i]]
-
-    def meet(self, other):
-        """Common refinement."""
-        if self.n != other.n:
-            raise BadParameter("partition carrier mismatch")
-        return Partition(list(zip(self.block_of, other.block_of)))
-
-    def refines(self, other):
-        if self.n != other.n:
-            raise BadParameter("partition carrier mismatch")
-        seen = {}
-        for mine, theirs in zip(self.block_of, other.block_of):
-            if seen.setdefault(mine, theirs) != theirs:
-                return False
-        return True
 
     def render(self, labels):
         return "|".join(" ".join(labels[i] for i in block) for block in self.blocks)
@@ -167,7 +154,6 @@ class CongruenceWitness:
     theta: Partition
     restriction: Partition
     is_congruence: bool
-    extension: object
 
     def __bool__(self):
         return self.is_congruence
@@ -182,12 +168,12 @@ def is_congruence_on_partial(lat, e):
     """
     if e.n != lat.n:
         raise BadParameter("partition carrier mismatch")
-    ext = lat.extension
+    star = lat.extension.star
     # Block ids of e are below n, so the adjoined bounds n.. stay singletons.
-    lifted = Partition(e.block_of + tuple(range(lat.n, ext.star.n)))
-    theta = generate_congruence(ext.star, lifted)
+    lifted = Partition(e.block_of + tuple(range(lat.n, star.n)))
+    theta = generate_congruence(star, lifted)
     restriction = Partition(theta.block_of[:lat.n])  # the carrier is the prefix of the star
-    return CongruenceWitness(theta, restriction, restriction == e, ext)
+    return CongruenceWitness(theta, restriction, restriction == e)
 
 
 def all_congruences(lat):
@@ -226,12 +212,6 @@ def congruence_table(lat):
     e = theta[:, :lat.n]
     last = np.concatenate(((e[1:] != e[:-1]).any(1), [True]))
     return CongruenceTable(_frozen(e[last]), _frozen(theta[last]))
-
-
-def congruence_witnesses(lat):
-    """One witness per congruence, sorted, read off ``lat.congruence_table``."""
-    return tuple(CongruenceWitness(Partition(theta), e, True, lat.extension)
-                 for theta, e in zip(lat.congruence_table.theta.tolist(), lat.congruences))
 
 
 def all_partial_congruences(lat):
@@ -295,10 +275,10 @@ def _require_congruence(lat, e):
     return w
 
 
-def _quotient(w):
-    """L/E from the witness of a congruence e: ``quotient_stack`` of e alone,
-    which passes the axiom validator."""
-    lat, e = w.extension.source, w.restriction
+def _quotient(lat, w):
+    """L/E from the witness of a congruence e on ``lat``: ``quotient_stack``
+    of e alone, which passes the axiom validator."""
+    e = w.restriction
     least = np.array([block[0] for block in w.theta.blocks])[list(w.theta.block_of)]
     join, meet, reps = quotient_stack(lat, np.array([e.block_of]), least[None])
     labels = tuple(f"[{lat.labels[r]}]" for r in reps[0])
@@ -314,7 +294,7 @@ def quotient(lat, e):
     tables are ``quotient_stack`` of ``e`` alone, well defined as Theta(e)
     is a congruence of L* restricting to ``e``.
     """
-    return _quotient(_require_congruence(lat, e))
+    return _quotient(lat, _require_congruence(lat, e))
 
 
 def quotient_stack(lat, block_of, least):
@@ -359,7 +339,7 @@ def quotient_join_cases(lat, e):
     exactly when the join has a gap, so without one no cell reads it.
     """
     w = _require_congruence(lat, e)
-    top = w.extension.added_top
+    top = lat.extension.added_top
     alpha = lat.n if top is None else w.theta.block_containing(top)[0]
     return join_case_stack(lat, np.array([e.block_of]), np.array([alpha]))[0]
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .order import BOTTOM_LABEL, TOP_LABEL, UNDEF, Carrier, Lattice, Poset, _frozen, sink_table
-from .plattice import BOTH_TOTAL, PartialLattice, is_total
+from .plattice import BOTH_TOTAL, is_total
 
 ONE_POINT_LABEL = "c*"
 
@@ -18,11 +18,9 @@ class Extension:
     The carrier is the prefix of the star: source element i is star index
     i, an adjoined bottom is star index n and an adjoined top is the last
     star index. The bottom sits strictly below every other star element
-    and the top strictly above. The source is kept by reference so
-    congruence and quotient code can move between both index spaces.
+    and the top strictly above.
     """
 
-    source: PartialLattice
     star: Lattice
     added_bottom: int | None
     added_top: int | None
@@ -71,7 +69,7 @@ def two_point_extensions(lats):
         crop = slice(len(labels))
         star = Lattice(Poset(labels, leq[i, crop, crop]), x.join[i, crop, crop],
                        x.meet[i, crop, crop])
-        out.append(Extension(lat, star, bottom, top))
+        out.append(Extension(star, bottom, top))
     return out
 
 

@@ -106,7 +106,7 @@ def _quot_star(fig, classes):
 def _star_quot(fig, classes):
     lat = source(fig)
     w = is_congruence_on_partial(lat, congruence_of(lat, classes))
-    return lattice_quotient(w.extension.star, w.theta)
+    return lattice_quotient(lat.extension.star, w.theta)
 
 
 DEMOS = {

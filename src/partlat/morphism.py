@@ -114,7 +114,7 @@ def canonical_projection(lat, e):
     Always a homomorphism; closed exactly when each adjoined bound of the
     extension forms a singleton class of the generated congruence.
     """
-    return Morphism(lat, _quotient(_require_congruence(lat, e)), tuple(e.block_of))
+    return Morphism(lat, _quotient(lat, _require_congruence(lat, e)), tuple(e.block_of))
 
 
 def extend_hom(h):
@@ -232,7 +232,7 @@ def hom_theorem_check(h):
     w = is_congruence_on_partial(h.source, ker)
     ensure(w.is_congruence, "kernel of a closed homomorphism must be a congruence")
     image, pos = _image_sublattice(h)
-    quot = _quotient(w)
+    quot = _quotient(h.source, w)
     fwd_map = np.empty(image.n, dtype=np.int64)
     fwd_map[pos[list(h.mapping)]] = ker.block_of
     iso = _verify_iso(Morphism(image, quot, tuple(fwd_map.tolist())))
@@ -254,8 +254,8 @@ def quotient_extension_iso(lat, e):
     The top is dual.
     """
     w = _require_congruence(lat, e)
-    ext = w.extension
-    qx = _quotient(w).extension
+    ext = lat.extension
+    qx = _quotient(lat, w).extension
     big = lattice_quotient(ext.star, w.theta)
     # Star prefixes again: block k of e, then the bottom, then the top.
     mapping = [w.theta.block_of[block[0]] for block in e.blocks]

@@ -347,10 +347,9 @@ class PartialLattice(Carrier):
 
     The induced order, the two-point extension and the congruence table
     depend only on the tables, so each is built once, on first access, by
-    its module-level builder; the congruences and witnesses read the table.
-    The corpus sweep assigns the extension, built for a block of structures
-    at once, before its first access. A table that ``_table`` finds frozen
-    is held, not copied.
+    its module-level builder; none holds the structure. The sweep assigns
+    the extension, built for a block of structures at once, before its first
+    access. A table that ``_table`` finds frozen is held, not copied.
     """
 
     def __init__(self, labels, join, meet):
@@ -380,20 +379,6 @@ class PartialLattice(Carrier):
         from . import congruence
 
         return congruence.congruence_table(self)
-
-    @cached_property
-    def congruence_witnesses(self):
-        """One witness per congruence, as read by ``congruence_witnesses``."""
-        from . import congruence
-
-        return congruence.congruence_witnesses(self)
-
-    @cached_property
-    def congruences(self):
-        """All congruences, as read by ``all_partial_congruences``."""
-        from . import congruence
-
-        return congruence.all_partial_congruences(self)
 
     def __eq__(self, other):
         return (isinstance(other, PartialLattice) and self.labels == other.labels

@@ -15,11 +15,10 @@ reads the structure's congruence table, L/E and (L/E)* of all its rows are
 built as padded stacks of tables, and each check is one gather or broadcast
 over the stack. Every check runs on every row, and the failure reported is
 the first failing check of the first failing row. A row is recognised as
-Theta(e) by ``congruence.generated_rows``, which nothing else calls: the
-per-congruence functions generate Theta(e) themselves. A check that
-earlier checks imply is left out, with its proof in the docstring of the
-laws it would join. The per-congruence functions of ``congruence``,
-``extension`` and ``morphism`` stay the reference for it.
+Theta(e) by ``congruence.generated_rows``. A check that earlier checks
+imply is left out, with its proof in the docstring of the laws it would
+join. The per-congruence functions of ``congruence``, ``extension`` and
+``morphism`` stay the reference for it.
 """
 
 import traceback
@@ -28,7 +27,7 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from . import fmt
+from . import congruence, fmt
 from .congruence import con_is_closed_under_meets, generated_rows, join_case_stack, quotient_stack
 from .enumeration import enumerate_partial_lattices
 from .errors import InvariantError
@@ -75,7 +74,7 @@ def _first_failure(laws, lat):
     fails one, or None. A law is a per-row list of exceptions or None, each
     row's exception its detail; or a mask over [congruence, ...] and a
     detail: a template filled with the first failing pair and the
-    congruence ``e`` of ``lat.congruences``, or an InvariantError to raise."""
+    congruence ``e``, built only then, or an InvariantError to raise."""
     laws = [(np.array([error is not None for error in law]), law) if isinstance(law, list) else law
             for law in laws]
     cell = first_true(np.stack([mask.reshape(len(mask), -1).any(1) for mask, _ in laws], axis=1))
@@ -87,7 +86,7 @@ def _first_failure(laws, lat):
         detail = detail[i]
     elif isinstance(detail, str):
         detail = detail.format(*(first_true(mask[i]) if mask.ndim > 1 else ()),
-                               e=lat.congruences[i])
+                               e=congruence.all_partial_congruences(lat)[i])
     return i, detail
 
 
@@ -253,8 +252,7 @@ def verify_corpus(n_max):
     with one stacked call per kind; then ``structure_checks``, looked up at
     each call, runs on each structure in stream order, so failures are
     listed as a sweep of one structure at a time lists them. A structure is
-    dropped once its laws are read, its L* first: L* holds its source, and
-    the cycle would keep the block's stacks until the collector ran.
+    dropped once its laws are read.
     """
     checked = 0
     failures = []
@@ -268,5 +266,5 @@ def verify_corpus(n_max):
                 for name, ok, detail in structure_checks(lat):
                     if not ok:
                         failures.append(f"{name}: {detail}\n{serialize(lat)}")
-                del lat.extension
+                del lat
     return checked, failures

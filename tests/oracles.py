@@ -19,10 +19,12 @@ raise exactly what the library versions must. ``quotient_loops`` reads the
 carrier as the prefix of the extension, source element i at star index i.
 ``canonical_form_loops`` and ``all_posets_masks`` are the enumeration the
 library replaced: a Python ``min`` over every relabeling, and a filter over
-every relation mask. ``con_is_closed_under_meets_partitions`` builds every
-``Partition.meet`` of two congruences, and ``congruence_witnesses_partitions``
-keeps one witness per congruence in a dict keyed by ``Partition``, as the
-library did before the congruences became one array table per structure;
+every relation mask. ``partition_meet`` and ``partition_refines`` are the
+common refinement and the refinement order of partitions, once ``Partition``
+methods; ``con_is_closed_under_meets_partitions`` builds every
+``partition_meet`` of two congruences, and ``congruence_witnesses_partitions``
+keeps one (theta, e) pair per congruence in a dict keyed by ``Partition``, as
+the library did before the congruences became one array table per structure;
 ``least_member_rows`` writes partitions in that table's row form. ``extrema_rows`` is the sup/inf
 kernel one carrier row at a time, before it became one broadcast,
 ``covers_loops`` the covering relation one triple at a time, and
@@ -39,7 +41,7 @@ the case law.
 join-irreducibles read from one gather over all pairs, before that gather
 went over blocks. ``congruence_law_per_witness`` is the congruence law for one congruence, as
 the sweep checked it before one stacked pass checked them all: it
-recognizes the witness with ``is_generated_witness``, which compares theta
+recognizes theta with ``is_generated``, which compares it
 with the worklist closure of the lifted e, and goes through the
 per-congruence ``canonical_projection``, ``extend_hom``, ``restrict_hom``
 and ``quotient_extension_iso``. It still asks, with ``lost_upper_bounds``
@@ -72,7 +74,6 @@ from partlat import (
     UNDEF,
     AxiomViolation,
     BadParameter,
-    CongruenceWitness,
     HomReport,
     IdentityReport,
     JoinCase,
@@ -85,6 +86,7 @@ from partlat import (
     PlosReport,
     Poset,
     all_congruences,
+    all_partial_congruences,
     all_posets,
     canonical_projection,
     extend_hom,
@@ -481,13 +483,16 @@ def _class_cell(n, e, theta, star_table, a, b):
     return block
 
 
-def quotient_loops(lat, e, witness=None):
+def quotient_loops(lat, e, theta=None):
     """The quotient partial lattice, evaluating the class operation on every
-    representative pair of every pair of blocks."""
-    w = witness if witness is not None else is_congruence_on_partial(lat, e)
-    if not w.is_congruence:
-        raise NotACongruence(w)
-    star = w.extension.star
+    representative pair of every pair of blocks. ``theta``, when given, is
+    taken unchecked as the congruence e generates on the extension."""
+    if theta is None:
+        w = is_congruence_on_partial(lat, e)
+        if not w.is_congruence:
+            raise NotACongruence(w)
+        theta = w.theta
+    star = lat.extension.star
     m = len(e.blocks)
     labels = tuple(f"[{lat.labels[block[0]]}]" for block in e.blocks)
     jt = np.full((m, m), UNDEF, dtype=np.int64)
@@ -496,7 +501,7 @@ def quotient_loops(lat, e, witness=None):
         for p in range(m):
             for q in range(p, m):
                 results = {
-                    _class_cell(lat.n, e, w.theta, table, a, b)
+                    _class_cell(lat.n, e, theta, table, a, b)
                     for a in e.blocks[p]
                     for b in e.blocks[q]
                 }
@@ -506,21 +511,20 @@ def quotient_loops(lat, e, witness=None):
     return validate_partial_lattice(labels, jt, mt)
 
 
-def is_generated_witness(w):
-    """Whether the witness theta restricts to e and is the congruence that
-    e generates on the extension, with the adjoined bounds as singletons,
-    as the worklist closure generates it."""
-    ext = w.extension
-    n = ext.source.n
-    lifted = Partition(w.restriction.block_of + tuple(range(n, ext.star.n)))
-    return (Partition(w.theta.block_of[:n]) == w.restriction
-            and generate_congruence_worklist(ext.star, lifted) == w.theta)
+def is_generated(lat, e, theta):
+    """Whether ``theta`` restricts to e and is the congruence that e
+    generates on the extension of ``lat``, with the adjoined bounds as
+    singletons, as the worklist closure generates it."""
+    star = lat.extension.star
+    lifted = Partition(e.block_of + tuple(range(lat.n, star.n)))
+    return (Partition(theta.block_of[:lat.n]) == e
+            and generate_congruence_worklist(star, lifted) == theta)
 
 
-def congruence_law_per_witness(lat, e, w):
-    """Quotient machinery for a single congruence, once its kept witness is
+def congruence_law_per_witness(lat, e, theta):
+    """Quotient machinery for a single congruence, once its kept ``theta`` is
     recognised; the per-congruence functions generate Theta(e) again."""
-    if not is_generated_witness(w):
+    if not is_generated(lat, e, theta):
         return False, f"enumerated congruence not recognized: {e!r}"
     quot = quotient(lat, e)
 
@@ -542,9 +546,9 @@ def congruence_law_per_witness(lat, e, w):
         return False, f"projection is not a homomorphism for {e!r}"
     if kernel(proj) != e:
         return False, f"projection kernel differs from {e!r}"
-    ext = w.extension
+    ext = lat.extension
     bounds_singleton = all(
-        len(w.theta.block_containing(bound)) == 1
+        len(theta.block_containing(bound)) == 1
         for bound in (ext.added_bottom, ext.added_top)
         if bound is not None
     )
@@ -682,17 +686,16 @@ def down_sets_filter(leq):
 
 
 def congruence_witnesses_partitions(lat):
-    """One witness per congruence of the partial lattice, sorted by
-    restriction: each congruence of L* is restricted to the carrier, its
-    prefix, and for each restriction e the one with the most blocks is kept
-    in a dict keyed by e."""
-    ext = lat.extension
+    """(theta, e) for each congruence e of the partial lattice, sorted by e:
+    each congruence of L* is restricted to the carrier, its prefix, and for
+    each restriction e the theta with the most blocks is kept in a dict
+    keyed by e."""
     kept = {}
-    for theta in all_congruences(ext.star):
+    for theta in all_congruences(lat.extension.star):
         e = Partition(theta.block_of[:lat.n])
         if e not in kept or len(theta.blocks) > len(kept[e].blocks):
             kept[e] = theta
-    return tuple(CongruenceWitness(kept[e], e, True, ext) for e in sorted(kept))
+    return tuple((kept[e], e) for e in sorted(kept))
 
 
 def least_member_rows(partitions, n):
@@ -702,10 +705,22 @@ def least_member_rows(partitions, n):
                     dtype=np.int64).reshape(-1, n)
 
 
+def partition_meet(p, q):
+    """The common refinement of two partitions of one carrier."""
+    return Partition(list(zip(p.block_of, q.block_of, strict=True)))
+
+
+def partition_refines(p, q):
+    """Whether every block of ``p`` lies inside a block of ``q``."""
+    seen = {}
+    return all(seen.setdefault(mine, theirs) == theirs
+               for mine, theirs in zip(p.block_of, q.block_of, strict=True))
+
+
 def con_is_closed_under_meets_partitions(lat):
-    """Every ``Partition.meet`` of two congruences is again a congruence."""
-    cons = set(lat.congruences)
-    return all(p.meet(q) in cons for p in cons for q in cons)
+    """Every ``partition_meet`` of two congruences is again a congruence."""
+    cons = set(all_partial_congruences(lat))
+    return all(partition_meet(p, q) in cons for p in cons for q in cons)
 
 
 def covers_loops(p):
@@ -749,7 +764,7 @@ def quotient_join_case_branches(lat, e, a, b):
         raise NotACongruence(w)
     if lat.join[a, b] != UNDEF:
         return JoinCase(DEFINED, int(e.block_of[int(lat.join[a, b])]))
-    ext = w.extension
+    ext = lat.extension
     ensure(ext.added_top is not None, "an undefined join forces an adjoined top")
     alpha = w.theta.block_containing(ext.added_top)[0]
     if alpha >= lat.n:

@@ -42,7 +42,7 @@ TOP = "⊤*"
 def theta_blocks_by_label(lat, classes):
     e = figs.congruence_of(lat, classes)
     w = is_congruence_on_partial(lat, e)
-    labels = w.extension.star.labels
+    labels = lat.extension.star.labels
     return w, {frozenset(labels[i] for i in b) for b in w.theta.blocks}
 
 

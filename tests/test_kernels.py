@@ -23,6 +23,7 @@ from partlat import (
     PartlatError,
     Poset,
     all_congruences,
+    all_partial_congruences,
     check_absorption,
     check_hom,
     check_distributivity,
@@ -574,7 +575,7 @@ def partitions(n):
 
 def test_quotient_gather_matches_loops_on_corpus5(corpus5):
     for lat in corpus5:
-        for e in lat.congruences:
+        for e in all_partial_congruences(lat):
             assert quotient(lat, e) == quotient_loops(lat, e)
         if lat.n > 1:  # merging 0 and 1 is often no congruence
             e = Partition.from_blocks(lat.n, [(0, 1)])
@@ -584,7 +585,7 @@ def test_quotient_gather_matches_loops_on_corpus5(corpus5):
 @given(plos_structures(random_posets()), st.data())
 @settings(max_examples=150, deadline=None)
 def test_quotient_gather_matches_loops(lat, data):
-    e = data.draw(st.one_of(st.sampled_from(lat.congruences), partitions(lat.n)))
+    e = data.draw(st.one_of(st.sampled_from(all_partial_congruences(lat)), partitions(lat.n)))
     assert outcome(quotient, lat, e) == outcome(quotient_loops, lat, e)
 
 
@@ -742,15 +743,13 @@ def test_meet_closure_rejects_a_forged_set():
 def test_kept_witnesses_are_the_generated_congruences_on_corpus6():
     total = 0
     for lat in enumerate_partial_lattices(6):
-        witnesses = lat.congruence_witnesses
-        assert lat.congruences == tuple(w.restriction for w in witnesses)
-        assert list(lat.congruences) == sorted(set(lat.congruences))
-        for w in witnesses:
-            generated = is_congruence_on_partial(lat, w.restriction)
-            assert generated.is_congruence and w.is_congruence
-            assert (w.theta, w.restriction) == (generated.theta, generated.restriction)
-            assert w.extension is lat.extension
-        total += len(witnesses)
+        congruences = all_partial_congruences(lat)
+        assert list(congruences) == sorted(set(congruences))
+        for theta, e in zip(lat.congruence_table.theta.tolist(), congruences, strict=True):
+            generated = is_congruence_on_partial(lat, e)
+            assert generated.is_congruence
+            assert (Partition(theta), e) == (generated.theta, generated.restriction)
+        total += len(congruences)
     assert total == 1944
 
 
@@ -759,19 +758,16 @@ def test_kept_witnesses_are_the_generated_congruences_on_corpus6():
 def test_congruence_table_matches_partition_dedupe(lat):
     # Sort order included: the table is sorted by its least-member rows,
     # the oracle by Partition.
-    witnesses = congruence_witnesses_partitions(lat)
-    assert lat.congruence_witnesses == witnesses
-    assert lat.congruences == tuple(w.restriction for w in witnesses)
+    thetas, congruences = zip(*congruence_witnesses_partitions(lat))
+    assert all_partial_congruences(lat) == congruences
     table = lat.congruence_table
-    assert np.array_equal(table.block_of, least_member_rows(lat.congruences, lat.n))
-    assert np.array_equal(table.theta, least_member_rows([w.theta for w in witnesses],
-                                                         lat.extension.star.n))
+    assert np.array_equal(table.block_of, least_member_rows(congruences, lat.n))
+    assert np.array_equal(table.theta, least_member_rows(thetas, lat.extension.star.n))
 
 
 def test_join_case_table_matches_branches(corpus5, fig4, fig9):
     for lat in [*corpus5, fig4, fig9]:
-        for w in lat.congruence_witnesses:
-            e = w.restriction
+        for e in all_partial_congruences(lat):
             table = quotient_join_cases(lat, e)
             assert table.shape == (lat.n, lat.n)
             for a in range(lat.n):

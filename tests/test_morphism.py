@@ -13,6 +13,7 @@ from partlat import (
     Morphism,
     NotClosed,
     Partition,
+    all_partial_congruences,
     antichain,
     canonical_projection,
     check_hom,
@@ -202,7 +203,7 @@ class TestExtendRestrict:
         w = is_congruence_on_partial(fig9, e)
         iso = quotient_extension_iso(fig9, e)
         big = iso.forward.target  # extension star of the quotient, quotiented view
-        x1 = w.extension
+        x1 = fig9.extension
         proj_star = Morphism(
             x1.star, big, tuple(w.theta.block_of)
         )
@@ -282,15 +283,15 @@ class TestHomTheorem:
             # quotient_join_cases: a top is adjoined exactly when the join has a gap
             assert (ext.added_top is not None) == (lat.join == UNDEF).any()
             assert (ext.added_bottom is not None) == (lat.meet == UNDEF).any()
-            for w in lat.congruence_witnesses:
+            for row, e in zip(lat.congruence_table.theta.tolist(), all_partial_congruences(lat)):
                 congruences += 1
-                e, qx = w.restriction, quotient(lat, w.restriction).extension
+                theta, qx = Partition(row), quotient(lat, e).extension
                 # quotient_extension_iso: (L/E)* adjoins a bound only where L* does
                 assert set(qx.added) <= set(ext.added)
                 # quotient_join_case: the top's class meets the carrier at the
                 # least member of the block the join cases name
                 if ext.added_top is not None:
-                    alpha = w.theta.block_containing(ext.added_top)[0]
+                    alpha = theta.block_containing(ext.added_top)[0]
                     for a, b in zip(*np.nonzero(lat.join == UNDEF)):
                         case = quotient_join_case(lat, e, int(a), int(b))
                         assert case.alpha == (alpha if alpha < lat.n else None)
@@ -300,7 +301,7 @@ class TestHomTheorem:
                 closed += 1
                 # hom_theorem_check: theta(ker h) keeps the adjoined bounds singletons
                 for bound in (ext.added_bottom, ext.added_top):
-                    assert bound is None or w.theta.block_containing(bound) == (bound,)
+                    assert bound is None or theta.block_containing(bound) == (bound,)
                 # extend_hom: closedness forces each target bound
                 assert qx.added == ext.added
                 extend_hom(proj)

@@ -1,3 +1,8 @@
+import gc
+import tracemalloc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,23 +14,28 @@ from partlat import (
     AxiomViolation,
     BadParameter,
     NotPlos,
-    all_partial_congruences,
+    PartialLattice,
     antichain,
     check_absorption,
     check_distributivity,
+    enumerate_partial_lattices,
     from_plos,
     induced_order,
+    is_congruence_on_partial,
     is_total,
     lower_bounds,
     lp_roundtrip,
     make_poset,
     named_lattice,
     pl_roundtrip,
+    quotient,
     to_lattice,
     two_point_extension,
     upper_bounds,
     validate_partial_lattice,
 )
+from partlat import figures as figs
+from partlat.congruence import congruence_table
 
 
 def tables_of(lat):
@@ -130,13 +140,51 @@ class TestDerivedObjects:
         for lat in corpus5:
             assert lat.order == induced_order(lat)
             assert lat.extension == two_point_extension(lat)
-            assert lat.congruences == all_partial_congruences(lat)
+            assert all(map(np.array_equal, lat.congruence_table, congruence_table(lat)))
 
     def test_repeated_access_returns_the_same_object(self, corpus5):
         for lat in corpus5:
             assert lat.order is lat.order
             assert lat.extension is lat.extension
-            assert lat.congruences is lat.congruences
+            assert lat.congruence_table is lat.congruence_table
+
+    def test_a_structure_goes_with_its_last_reference(self, fig9):
+        # No derived object points back at its structure, so reference
+        # counting alone frees it, with the collector off.
+        lat = PartialLattice(fig9.labels, fig9.join, fig9.meet)
+        e = figs.congruence_of(lat, "a|b d|c")
+        with collector_off():
+            lat.order, lat.congruence_table, lat.extension.star.irreducibles
+            quotient(lat, e), is_congruence_on_partial(lat, e)
+            ref = weakref.ref(lat)
+            del lat
+            assert ref() is None
+
+    def test_a_loop_over_structures_holds_none_of_them(self):
+        # Each structure read in the loop is freed when the loop moves on.
+        # The peak read 0.74 MiB; with every structure left as cyclic
+        # garbage it read 1.82 MiB.
+        with collector_off():
+            tracemalloc.start()
+            try:
+                for lat in enumerate_partial_lattices(6):
+                    lat.extension, lat.congruence_table
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.0 * 2**20
+
+
+@contextmanager
+def collector_off():
+    """The cyclic garbage collector switched off, and restored after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestFromPlos:

@@ -146,6 +146,25 @@ def test_no_witness_is_read_back():
     assert not hasattr(CongruenceWitness, "quot")
 
 
+def test_nothing_points_back_at_its_structure():
+    # Neither L* nor a congruence witness holds the structure it came from:
+    # a function that needs the structure takes it as an argument. Con L is
+    # stored once, as lat.congruence_table, and all_partial_congruences is
+    # its one Partition view.
+    from dataclasses import fields
+
+    from partlat import CongruenceWitness, Extension, PartialLattice, Partition
+    from partlat.congruence import _quotient
+
+    assert [f.name for f in fields(Extension)] == ["star", "added_bottom", "added_top"]
+    assert [f.name for f in fields(CongruenceWitness)] == ["theta", "restriction",
+                                                           "is_congruence"]
+    assert not hasattr(PartialLattice, "congruences")
+    assert not hasattr(PartialLattice, "congruence_witnesses")
+    assert not hasattr(Partition, "meet") and not hasattr(Partition, "refines")
+    assert list(inspect.signature(_quotient).parameters)[0] == "lat"
+
+
 def test_one_scan_per_order():
     # A Poset caches its sup/inf scan as p.extrema, which is_plos, from_plos,
     # validate_lattice and the sweep's extension law read; the enumeration

@@ -16,6 +16,7 @@ from partlat import (
     UNDEF,
     PartialLattice,
     PartlatError,
+    all_partial_congruences,
     antichain,
     enumerate_partial_lattices,
     from_plos,
@@ -36,11 +37,10 @@ CORPUS5 = list(enumerate_partial_lattices(5))
 
 def stacks(lat):
     """The stacked L/E tables and block representatives, the axiom verdicts
-    and the (L/E)* of every kept witness of ``lat``."""
-    witnesses = lat.congruence_witnesses
-    block_of = np.array([w.restriction.block_of for w in witnesses])
-    theta = np.array([w.theta.block_of for w in witnesses])
-    least = (theta[:, :, None] == theta[:, None, :]).argmax(2)
+    and the (L/E)* of every congruence of ``lat``, with the theta rows of its
+    congruence table."""
+    block_of = np.array([e.block_of for e in all_partial_congruences(lat)])
+    least = lat.congruence_table.theta
     join, meet, reps = quotient_stack(lat, block_of, least)
     sizes = (reps != UNDEF).sum(1)
     axioms = axiom_violations(lambda i, x: f"[{lat.labels[reps[i, x]]}]", join, meet, sizes)
@@ -57,10 +57,10 @@ def padded(table, size):
 def assert_rows_match(lat):
     join, meet, reps, axioms, x = stacks(lat)
     s, m = join.shape[1], x.join.shape[1]
-    for i, w in enumerate(lat.congruence_witnesses):
-        q = quotient(lat, w.restriction)
+    for i, e in enumerate(all_partial_congruences(lat)):
+        q = quotient(lat, e)
         assert axioms[i] is None
-        assert reps[i].tolist() == [b[0] for b in w.restriction.blocks] + [UNDEF] * (s - q.n)
+        assert reps[i].tolist() == [b[0] for b in e.blocks] + [UNDEF] * (s - q.n)
         assert np.array_equal(join[i], padded(q.join, s))
         assert np.array_equal(meet[i], padded(q.meet, s))
         ext = two_point_extension(q)
@@ -118,7 +118,7 @@ def test_forged_stacks_raise_what_each_row_raises(data):
     # out of range or breaking symmetry; every row must get the verdict that
     # validate_partial_lattice gives its own tables, and every row that
     # passes the extension that two_point_extension gives it.
-    lat = data.draw(st.sampled_from([lat for lat in CORPUS5 if len(lat.congruences) > 1]))
+    lat = data.draw(st.sampled_from([lat for lat in CORPUS5 if len(lat.congruence_table.block_of) > 1]))
     join, meet, reps, _, _ = stacks(lat)
     sizes = (reps != UNDEF).sum(1)
     i = data.draw(st.integers(0, len(join) - 1))
@@ -172,7 +172,7 @@ def test_forged_row_reports_its_first_violation():
     # A stack of three copies of a quotient table: the middle one breaks
     # commutativity and the last one idempotency, and only they are flagged.
     lat = CORPUS5[-1]
-    q = quotient(lat, lat.congruences[-1])  # by the identity: lat itself
+    q = quotient(lat, all_partial_congruences(lat)[-1])  # by the identity: lat itself
     join = np.stack([q.join] * 3)
     meet = np.stack([q.meet] * 3)
     join[1, 0, 1] = UNDEF if join[1, 0, 1] != UNDEF else 0
@@ -198,7 +198,7 @@ def test_two_point_extension_matches_its_definition(lats):
     for lat, listed in zip(lats, exts):
         star, bottom, top = two_point_extension_loops(lat)
         for ext in (two_point_extension(lat), listed):
-            assert ext.source is lat
+            assert ext.star.labels[:lat.n] == lat.labels
             assert (ext.added_bottom, ext.added_top) == (bottom, top)
             assert ext.star == star and ext.star.order == star.order
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NotACongruence
-from .order import Lattice, Poset, _frozen, down_sets, first_true, is_integer_in
+from .order import (Lattice, Poset, _frozen, down_set_stack, down_sets, first_true,
+                    irreducibles_stack, is_integer_in)
 from .plattice import UNDEF, to_lattice, validate_partial_lattice
 
 
@@ -90,25 +91,39 @@ class Partition:
         return f"Partition({self.render([str(i) for i in range(self.n)])})"
 
 
-def _read(lat, collapsed):
-    """The congruences of a total lattice that collapse the join-irreducibles
-    in the rows of ``collapsed``, k D-closed masks over ``irreducibles.members``.
+def _read(rows, collapsed, owner):
+    """The congruences of total lattices that collapse the join-irreducibles
+    in the rows of ``collapsed``, R D-closed masks, each over the
+    join-irreducibles of the lattice its ``owner`` names. ``rows`` are the
+    ``Irreducibles.rows`` of the lattices, k x j x m, padded as
+    ``irreducibles_stack`` pads them.
 
     For b <= a, a theta b exactly when every p <= a left out is below b, so
     the least member of the class of a is the join of those p: the first
     element, in a linear extension, above them all, and its place there
-    labels the class. A float32 product counts the p left out below v and
-    not below u exactly, in blocks within 2 MB. Returns the labels, k x n.
+    labels the class. The linear extension is by the number of
+    join-irreducibles below, which grows strictly along the order. A pad is
+    above none of its lattice's join-irreducibles, so it is never first
+    above a nonempty set of them, and the elements with none left out
+    below, the bottom's class, all take the first place: no pad changes a
+    label. A float32 product of each mask by its owner's gathered rows
+    counts the p left out below v and not below u exactly, over blocks of
+    2^14 / m^2 masks, so each block's arrays stay within 64 KB. Returns the
+    labels, R x m.
     """
-    n, irr = lat.n, lat.irreducibles
-    ascending = lat.leq.sum(0).argsort(kind="stable")  # a linear extension
-    below_v = irr.rows.T.astype(np.float32, order="C")  # [v, p]: p <= v
-    not_above = (~irr.rows.take(ascending, 1)).astype(np.float32)  # [p, i]: p !<= ascending[i]
-    step = max(1, 2**19 // (n * n))
-    places = np.empty((len(collapsed), n), dtype=np.int64)
+    k, j, m = rows.shape
+    ascending = np.argsort(rows.sum(1), axis=1, kind="stable")
+    below_v = rows.transpose(0, 2, 1).astype(np.float32, order="C")  # [i, v, p]: p <= v
+    at = np.arange(0, k * m, m)[:, None]  # the flat row of each lattice's element 0
+    not_above = np.ascontiguousarray(  # [i, p, u]: p !<= ascending[u]
+        1 - below_v.reshape(k * m, j)[ascending + at].transpose(0, 2, 1))
+    places = np.empty((len(collapsed), m), dtype=np.int64)
+    step = max(1, 2**14 // (m * m))
     for start in range(0, len(collapsed), step):
-        left = ~collapsed[start:start + step, None] * below_v  # [c, v, p]: p left out, p <= v
-        places[start:start + step] = (left @ not_above).argmin(2)  # the first 0 of counts [c, v, i]
+        block = slice(start, start + step)
+        of = owner[block]
+        left = ~collapsed[block, None] * below_v[of]  # [c, v, p]: p left out, p <= v
+        places[block] = (left @ not_above[of] == 0).argmax(2)  # the first 0 of counts [c, v, u]
     return places
 
 
@@ -126,7 +141,9 @@ def generate_congruence(lat, *seeds):
     if any(seed.n != lat.n for seed in seeds):
         raise BadParameter("seed partitions a different carrier")
     block_of = np.array([seed.block_of for seed in seeds], dtype=np.int64).reshape(-1, lat.n)
-    return Partition(_read(lat, collapsed_irreducibles(lat, block_of).any(0, keepdims=True))[0])
+    collapsed = collapsed_irreducibles(lat, block_of).any(0, keepdims=True)
+    labels = _read(lat.irreducibles.rows[None], collapsed, np.zeros(1, np.int64))
+    return Partition(labels[0])
 
 
 def collapsed_irreducibles(lat, block_of):
@@ -189,7 +206,10 @@ def all_congruences(lat):
     of that preorder gives one congruence, and all are read at once.
     """
     lat = to_lattice(lat)
-    return tuple(sorted(map(Partition, _read(lat, down_sets(lat.irreducibles.below)).tolist())))
+    irr = lat.irreducibles
+    collapsed = down_sets(irr.below)
+    labels = _read(irr.rows[None], collapsed, np.zeros(len(collapsed), np.int64))
+    return tuple(sorted(map(Partition, labels.tolist())))
 
 
 # The congruences e of a partial lattice, k x n, sorted, and the congruences
@@ -201,17 +221,45 @@ CongruenceTable = namedtuple("CongruenceTable", "block_of theta")
 
 
 def congruence_table(lat):
-    """The ``CongruenceTable`` of the partial lattice, read off Con L*. Every
-    congruence of L* that restricts to e contains theta(e), the congruence e
-    generates with the adjoined bounds as singletons, so it labels each element
-    by a least member no greater: of the rows sorted, theta(e) is the last."""
-    star = lat.extension.star
-    labels = _read(star, down_sets(star.irreducibles.below))
+    """The ``CongruenceTable`` of the partial lattice: ``congruence_tables``
+    of it alone."""
+    return congruence_tables([lat])[0]
+
+
+def congruence_tables(lats):
+    """The ``CongruenceTable`` of each partial lattice of ``lats``, of any
+    sizes, read off Con L* of all their extensions in one stacked pass.
+
+    Every congruence of L* that restricts to e contains theta(e), the
+    congruence e generates with the adjoined bounds as singletons, so it
+    labels each element by a least member no greater: of the rows sorted,
+    theta(e) is the last. The stars' join-irreducibles are one
+    ``irreducibles_stack``, which also fills each star's ``irreducibles``
+    slot unless it is cached; the down-sets of their D orders one
+    ``down_set_stack``, each row owned by its star; the congruences one
+    ``_read``; and one ``lexsort``, by owner first, with one "last row per
+    (owner, e)" pick, dedupes them. Each table is a read-only view of its
+    owner's rows of one frozen array.
+    """
+    stars = [lat.extension.star for lat in lats]
+    irr, crops = irreducibles_stack(stars)
+    for star, crop in zip(stars, crops):
+        vars(star).setdefault("irreducibles", crop)
+    collapsed, counts = down_set_stack(irr.below, [len(crop.members) for crop in crops])
+    owner = np.repeat(np.arange(len(lats)), counts)
+    labels = _read(irr.rows, collapsed, owner)
     theta = (labels[:, :, None] == labels[:, None, :]).argmax(2)  # least member of x's class
-    theta = theta[np.lexsort(theta.T[::-1])]
-    e = theta[:, :lat.n]
-    last = np.concatenate(((e[1:] != e[:-1]).any(1), [True]))
-    return CongruenceTable(_frozen(e[last]), _frozen(theta[last]))
+    order = np.lexsort((*theta.T[::-1], owner))
+    theta, owner = theta[order], owner[order]
+    # e is theta[:, :n] for the owner's carrier size n
+    sizes = np.array([lat.n for lat in lats], dtype=np.int64)
+    carrier = np.arange(theta.shape[1]) < sizes[owner, None]
+    last = np.ones(len(theta), dtype=bool)
+    last[:-1] = ((theta[1:] != theta[:-1]) & carrier[1:]).any(1) | (owner[1:] != owner[:-1])
+    theta = _frozen(theta[last])
+    bounds = np.searchsorted(owner[last], np.arange(len(lats) + 1)).tolist()
+    return [CongruenceTable(theta[a:b, :lat.n], theta[a:b, :star.n])
+            for lat, star, a, b in zip(lats, stars, bounds, bounds[1:])]
 
 
 def all_partial_congruences(lat):

@@ -5,7 +5,7 @@ exhaustive generation", J. Algorithms 26 (1998); Brinkmann & McKay, "Posets
 on up to 16 points", Order 19 (2002)): removing a maximal element from a
 poset on m points leaves a poset on m - 1 points below which it sat over a
 down-set, so level m is level m - 1 with a new last element added above each
-down-set of each member (``order.down_sets``).
+down-set of each member (``order.down_set_stack``).
 
 The candidates of a level are deduplicated by one stacked canonical form:
 colours refined to the equitable partition of McKay & Piperno, "Practical
@@ -29,7 +29,7 @@ from math import factorial
 import numpy as np
 
 from .errors import BadParameter
-from .order import Poset, _frozen, down_sets, extrema_stack, is_integer_in
+from .order import Poset, _frozen, down_set_stack, extrema_stack, is_integer_in
 from .plattice import PartialLattice
 
 _LABELS = "abcdefgh"
@@ -160,10 +160,10 @@ def _level(m):
     if m == 1:
         return _frozen(np.ones((1, 1, 1), dtype=bool))
     parents = _level(m - 1)
-    downs = [down_sets(leq) for leq in parents]
-    grown = np.zeros((sum(map(len, downs)), m, m), dtype=bool)
-    grown[:, :-1, :-1] = np.repeat(parents, [len(d) for d in downs], axis=0)
-    grown[:, :-1, -1] = np.concatenate(downs)  # the new element m - 1 sits above each down-set
+    downs, counts = down_set_stack(parents, [m - 1] * len(parents))
+    grown = np.zeros((len(downs), m, m), dtype=bool)
+    grown[:, :-1, :-1] = np.repeat(parents, counts, axis=0)
+    grown[:, :-1, -1] = downs  # the new element m - 1 sits above each down-set
     grown[:, -1, -1] = True
     keys, canon = canonical_form(grown)
     return _frozen(canon[np.unique(keys, return_index=True)[1]])

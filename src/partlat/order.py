@@ -303,30 +303,47 @@ def is_plos(p):
 
 
 def down_sets(leq):
-    """Every down-set of the preorder ``leq`` as a row of a boolean matrix.
+    """Every down-set of the preorder ``leq`` as a row of a boolean matrix:
+    ``down_set_stack`` of this preorder alone."""
+    return down_set_stack(leq[None], [len(leq)])[0]
+
+
+def down_set_stack(leq, sizes):
+    """Every down-set of each preorder of a k x m x m stack, preorder i on
+    its first sizes[i] positions, none of which may lie above a position
+    past them. Returns ``(rows, counts)``: the down-sets of all of them, in
+    stack order, as the rows of one boolean matrix m wide, False past each
+    preorder's positions, and how many each has.
 
     Elements with one down-set form a class. Taken by down-set size, a linear
     extension, each class is added to every down-set found so far that holds
     all strictly below it: each down-set is built once, as an int bit mask,
-    and the work follows their number, not 2^m.
+    and the work follows their number, not 2^m. The stack is packed into
+    bytes, and the masks of all preorders unpacked, by one call each.
     """
-    m = len(leq)
+    k, m = leq.shape[:2]
     width = -(-m // 8)
-    bits = np.zeros((m, 8 * width), dtype=bool)
-    bits[:, :m] = leq.T  # row k: the down-set of k, padded to whole bytes
+    bits = np.zeros((k, m, 8 * width), dtype=bool)
+    # row x of preorder i: the down-set of x, padded to whole bytes
+    bits[:, :, :m] = leq.transpose(0, 2, 1)
     packed = np.packbits(bits, bitorder="little").tobytes()
-    classes = {}
-    for k in range(m):
-        down = int.from_bytes(packed[k * width:(k + 1) * width], "little")
-        classes[down] = classes.get(down, 0) | 1 << k
-    found = [0]
-    for down in sorted(classes, key=int.bit_count):
-        members = classes[down]
-        need = down ^ members  # everything strictly below the class
-        found += [s | members for s in found if s & need == need]
+    found, counts = [], []
+    for i, size in enumerate(sizes):
+        classes = {}
+        for x in range(size):
+            at = (i * m + x) * width
+            down = int.from_bytes(packed[at:at + width], "little")
+            classes[down] = classes.get(down, 0) | 1 << x
+        sets = [0]
+        for down in sorted(classes, key=int.bit_count):
+            members = classes[down]
+            need = down ^ members  # everything strictly below the class
+            sets += [s | members for s in sets if s & need == need]
+        found += sets
+        counts.append(len(sets))
     rows = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in found), np.uint8)
-    return np.unpackbits(rows.reshape(len(found), width), axis=1, count=m,
-                         bitorder="little").view(bool)
+    return (np.unpackbits(rows.reshape(len(found), width), axis=1, count=m,
+                          bitorder="little").view(bool), np.array(counts, dtype=np.int64))
 
 
 def _table(table):
@@ -408,30 +425,75 @@ class Lattice(PartialLattice):
 
     @cached_property
     def irreducibles(self):
-        """The join-irreducibles, with ``below`` the reflexive-transitive
-        closure of D over positions in ``members``. p D q when some x has
-        p <= q v x but p !<= q_* v x. Then con(p_*, p) <= con(q_*, q): if
-        q_* theta q, then p = p ^ (q v x) theta p ^ (q_* v x) <= p_*."""
-        covers = self.order.covers
-        members = np.flatnonzero(covers.sum(0) == 1)
-        lower = covers[:, members].argmax(0)
-        rows = self.leq[members]
-        j = len(members)
-        below = np.eye(j, dtype=bool)
-        # [p, q, x] is p <= q v x and p !<= q_* v x, over a block of q at a
-        # time: each such array stays within 4 MB, and every carrier up to
-        # 128 elements is one block.
-        step = max(1, 2**22 // max(1, j * self.n))
-        for start in range(0, j, step):
-            qs = slice(start, start + step)
-            below[:, qs] |= (rows[:, self.join[members[qs]]]
-                             & ~rows[:, self.join[lower[qs]]]).any(2)
-        for k in range(j):
-            below |= below[:, k : k + 1] & below[k : k + 1, :]
-        return Irreducibles(*map(_frozen, (members, lower, rows, below)))
+        """The join-irreducibles: ``irreducibles_stack`` of this lattice alone."""
+        return irreducibles_stack([self])[1][0]
 
     def __repr__(self):
         return f"Lattice({self.order!r})"
+
+
+def irreducibles_stack(lats):
+    """The join-irreducibles of each lattice of ``lats``, of any sizes, from
+    one pass over their join tables and covers padded to the largest size m.
+
+    Returns the padded ``Irreducibles`` of the stack and each lattice's crop,
+    a read-only view. With j the most join-irreducibles of any lattice,
+    ``members`` and ``lower`` are k x j, ``rows`` k x j x m and ``below``
+    k x j x j. ``below`` is the transitive closure of D: p D q when some x
+    has p <= q v x but p !<= q_* v x, so p D p with x the bottom. Then
+    con(p_*, p) <= con(q_*, q): if q_* theta q, then
+    p = p ^ (q v x) theta p ^ (q_* v x) <= p_*.
+
+    m is one more than the largest size, so the last position is a pad of
+    every lattice. A pad is joined with an element a to a, so it is related
+    only to itself, is no member and has no cover; a pad x gives q v x = q
+    and q_* v x = q_*, as the bottom does. Past a lattice's own
+    join-irreducibles, ``members`` holds the last position and ``lower``
+    0; no q v x of the lattice reaches the last position, so these pad rows
+    are below only each other in D, and D over the padded tables is each
+    lattice's own. The order is read from the join, a <= b when a v b = b.
+    [q, x, p] of D is gathered over blocks of (lattice, q): whole lattices
+    while j^2 m cells fit in 2^22, else q of one lattice, so each boolean
+    array stays within 4 MB and every lattice up to 128 elements is one
+    block. Each gather takes whole rows of the flat stack by a k x j x m
+    index, never a cube.
+    """
+    k = len(lats)
+    m = max((lat.n for lat in lats), default=0) + 1
+    join = np.empty((k, m, m), dtype=np.int64)
+    join[:] = np.arange(m)[:, None]
+    covers = np.zeros((k, m, m), dtype=bool)
+    for i, lat in enumerate(lats):
+        join[i, :lat.n, :lat.n] = lat.join
+        covers[i, :lat.n, :lat.n] = lat.order.covers
+    is_member = covers.sum(1) == 1
+    counts = is_member.sum(1)
+    j = int(counts.max(initial=0))
+    members = np.sort(np.where(is_member, np.arange(m), m - 1), axis=1)[:, :j]
+    at = np.arange(0, k * m, m)[:, None]  # the flat row of each lattice's element 0
+    members_at = members + at
+    lower = covers.argmax(1).ravel()[members_at]
+    # [0, i, q, x]: q v x; [1, i, q, x]: q_* v x
+    ends = join.reshape(k * m, m)[np.array((members_at, lower + at))]
+    rows = ends[0] == np.arange(m)
+    ends += at[:, :, None]  # now flat rows
+    above = rows.transpose(0, 2, 1).reshape(k * m, j)  # flat row v: [p]: p <= v
+    below = np.zeros((k, j, j), dtype=bool)
+    step = max(1, 2**22 // max(1, j * m))
+    per_block = max(1, step // max(1, j))
+    for first in range(0, k, per_block):
+        block = slice(first, first + per_block)
+        for start in range(0, j, step):
+            qs = slice(start, start + step)
+            # [i, q, x, p]: p <= q v x, then p <= q v x and p !<= q_* v x
+            up = above[ends[0, block, qs]]
+            np.greater(up, above[ends[1, block, qs]], out=up)
+            below[block, :, qs] = up.any(2).transpose(0, 2, 1)
+    for t in range(j):
+        below |= below[:, :, t : t + 1] & below[:, t : t + 1, :]
+    stack = Irreducibles(*map(_frozen, (members, lower, rows, below)))
+    return stack, [Irreducibles(members[i, :c], lower[i, :c], rows[i, :c, :lat.n], below[i, :c, :c])
+                   for i, (lat, c) in enumerate(zip(lats, counts.tolist()))]
 
 
 def validate_lattice(p):

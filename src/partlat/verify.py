@@ -5,9 +5,9 @@ partial lattices. Failures carry the offending structure serialized in the
 input format so they can be replayed from the command line.
 
 The sweep takes each level of the corpus in blocks. A block's derived
-objects, L* and the scans of L's and L*'s orders, are built with one
-stacked call per kind into the structures' cached slots, and the laws then
-run on each structure alone.
+objects, L*, the scans of L's and L*'s orders, L*'s join-irreducibles and
+the congruence table, are built with one stacked call per kind into the
+structures' cached slots, and the laws then run on each structure alone.
 
 The congruence law, that L/E is a partial lattice and (L/E)* is isomorphic
 to L*/theta(E), is checked for all congruences of a structure at once: it
@@ -28,7 +28,8 @@ from itertools import groupby, islice
 import numpy as np
 
 from . import congruence, fmt
-from .congruence import con_is_closed_under_meets, generated_rows, join_case_stack, quotient_stack
+from .congruence import (con_is_closed_under_meets, congruence_tables, generated_rows,
+                         join_case_stack, quotient_stack)
 from .enumeration import enumerate_partial_lattices
 from .errors import InvariantError
 from .extension import extension_stack, two_point_extensions
@@ -232,15 +233,20 @@ def structure_checks(lat):
 
 
 def _derive_block(lats):
-    """Give each structure of ``lats`` its L* and the sup/inf and cover
-    scans of its order and of L*'s, in their cached slots, from one
-    ``two_point_extensions`` call and one ``scan_orders`` call per order
-    kind. L's order is ``lat.order``, read from the structure's own join,
-    so the roundtrip laws still compare the join with the order it gives."""
+    """Give each structure of ``lats`` its L*, the sup/inf and cover scans
+    of its order and of L*'s, its congruence table and L*'s
+    join-irreducibles, in their cached slots, from one
+    ``two_point_extensions`` call, one ``scan_orders`` call per order kind
+    and one ``congruence_tables`` call, which fills the stars'
+    ``irreducibles``. L's order is ``lat.order``, read from the structure's
+    own join, so the roundtrip laws still compare the join with the order
+    it gives."""
     for lat, ext in zip(lats, two_point_extensions(lats)):
         lat.extension = ext
     scan_orders([lat.order for lat in lats])
     scan_orders([lat.extension.star.order for lat in lats])
+    for lat, table in zip(lats, congruence_tables(lats)):
+        lat.congruence_table = table
 
 
 def verify_corpus(n_max):
@@ -248,9 +254,10 @@ def verify_corpus(n_max):
 
     The one enumeration stream is grouped by carrier size, and each level
     is cut into blocks whose L* tables, padded to n + 2 elements, fit in
-    ``_CELLS`` cells. ``_derive_block`` builds a block's derived objects
-    with one stacked call per kind; then ``structure_checks``, looked up at
-    each call, runs on each structure in stream order, so failures are
+    ``_CELLS`` cells. ``_derive_block`` builds a block's derived objects,
+    the congruence tables among them, with one stacked call per kind, so
+    ``structure_checks`` builds none. Then ``structure_checks``, looked up
+    at each call, runs on each structure in stream order, so failures are
     listed as a sweep of one structure at a time lists them. A structure is
     dropped once its laws are read.
     """

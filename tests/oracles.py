@@ -39,7 +39,12 @@ the case law.
 
 ``irreducibles_below_gather`` is the dependency order of the
 join-irreducibles read from one gather over all pairs, before that gather
-went over blocks. ``congruence_law_per_witness`` is the congruence law for one congruence, as
+went over blocks. ``irreducibles_per_lattice`` and
+``congruence_table_per_structure`` build the join-irreducibles of one
+lattice and the congruence table of one partial lattice from its own
+tables, before the structures of a sweep block were padded into one stack
+and read in one pass; the table's down-sets come from ``down_sets_filter``.
+``congruence_law_per_witness`` is the congruence law for one congruence, as
 the sweep checked it before one stacked pass checked them all: it
 recognizes theta with ``is_generated``, which compares it
 with the worklist closure of the lifted e, and goes through the
@@ -101,10 +106,10 @@ from partlat import (
     upper_bounds,
     validate_partial_lattice,
 )
-from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON
+from partlat.congruence import ALPHA, DEFINED, UNDEFINED_TOP_SINGLETON, CongruenceTable
 from partlat.errors import ParseError, SemanticError, ensure
 from partlat.fmt import Document, shown, text_end
-from partlat.order import first_true
+from partlat.order import Irreducibles, first_true
 
 
 def all_partitions(n):
@@ -584,6 +589,44 @@ def irreducibles_below_gather(lat):
     for k in range(len(members)):
         below |= below[:, k : k + 1] & below[k : k + 1, :]
     return below
+
+
+def irreducibles_per_lattice(lat):
+    """``Lattice.irreducibles`` of one lattice, read from its own tables over
+    blocks of q, before the lattices of a block were padded into one stack."""
+    covers = lat.order.covers
+    members = np.flatnonzero(covers.sum(0) == 1)
+    lower = covers[:, members].argmax(0)
+    rows = lat.leq[members]
+    j = len(members)
+    below = np.eye(j, dtype=bool)
+    step = max(1, 2**22 // max(1, j * lat.n))
+    for start in range(0, j, step):
+        qs = slice(start, start + step)
+        below[:, qs] |= (rows[:, lat.join[members[qs]]] & ~rows[:, lat.join[lower[qs]]]).any(2)
+    for k in range(j):
+        below |= below[:, k : k + 1] & below[k : k + 1, :]
+    return Irreducibles(members, lower, rows, below)
+
+
+def congruence_table_per_structure(lat):
+    """``congruence_table`` of one partial lattice, before the tables of a
+    block were read in one stacked pass: every down-set of L*'s D order
+    (``down_sets_filter``) read by one float32 product against a linear
+    extension by down-set size, then sorted, and the last row kept for each
+    e. The join-irreducibles are ``irreducibles_per_lattice``."""
+    star = lat.extension.star
+    irr = irreducibles_per_lattice(star)
+    ascending = star.leq.sum(0).argsort(kind="stable")
+    below_v = irr.rows.T.astype(np.float32)  # [v, p]: p <= v
+    not_above = (~irr.rows.take(ascending, 1)).astype(np.float32)  # [p, i]: p !<= ascending[i]
+    left = ~down_sets_filter(irr.below)[:, None] * below_v  # [c, v, p]: p left out, p <= v
+    labels = (left @ not_above).argmin(2)
+    theta = (labels[:, :, None] == labels[:, None, :]).argmax(2)  # least member of x's class
+    theta = theta[np.lexsort(theta.T[::-1])]
+    e = theta[:, :lat.n]
+    last = np.concatenate(((e[1:] != e[:-1]).any(1), [True]))
+    return CongruenceTable(e[last], theta[last])
 
 
 def order_isomorphism_signatures(a, b):

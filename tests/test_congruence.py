@@ -36,10 +36,8 @@ from partlat.congruence import (
     DEFINED,
     UNDEFINED_TOP_SINGLETON,
     JoinCase,
-    _read,
     generated_rows,
 )
-from partlat.order import down_sets
 
 from oracles import (
     all_congruences_bruteforce,
@@ -414,9 +412,7 @@ class TestQuotient:
 
 def extension_congruences(lat):
     """(theta, e) for every congruence theta of L*, e its restriction."""
-    star = lat.extension.star
-    for row in _read(star, down_sets(star.irreducibles.below)).tolist():
-        theta = Partition(row)
+    for theta in all_congruences(lat.extension.star):
         yield theta, Partition(theta.block_of[:lat.n])
 
 

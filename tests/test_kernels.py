@@ -50,7 +50,14 @@ from partlat import (
 from partlat.congruence import CongruenceTable, collapsed_irreducibles
 from partlat.enumeration import all_posets, plos_lattices
 from partlat.morphism import hom_masks
-from partlat.order import down_sets, extrema_stack, first_true, scan_orders
+from partlat.order import (
+    down_set_stack,
+    down_sets,
+    extrema_stack,
+    first_true,
+    irreducibles_stack,
+    scan_orders,
+)
 
 from oracles import (
     check_absorption_loops,
@@ -64,6 +71,7 @@ from oracles import (
     from_plos_loops,
     generate_congruence_worklist,
     irreducibles_below_gather,
+    irreducibles_per_lattice,
     is_distributive_loops,
     is_modular_loops,
     is_plos_loops,
@@ -262,6 +270,36 @@ def test_down_sets_match_filter(leq):
     assert {np.zeros(len(leq), dtype=bool).tobytes(), np.ones(len(leq), dtype=bool).tobytes()} <= found
 
 
+@given(st.lists(st.one_of(random_posets().map(lambda p: p.leq), random_preorders()), max_size=5))
+@example([])
+@example([np.ones((1, 1), dtype=bool), np.zeros((0, 0), dtype=bool)])
+@settings(max_examples=150, deadline=None)
+def test_down_set_stack_matches_each_preorder(orders):
+    # Preorders of different sizes in one stack, each padded with positions
+    # related to nothing: the rows of each are its own down-sets, in the
+    # order down_sets lists them, and False past its positions.
+    m = max((len(leq) for leq in orders), default=0)
+    stack = np.zeros((len(orders), m, m), dtype=bool)
+    for row, leq in zip(stack, orders):
+        row[: len(leq), : len(leq)] = leq
+    rows, counts = down_set_stack(stack, [len(leq) for leq in orders])
+    assert rows.shape == (counts.sum(), m) and len(counts) == len(orders)
+    for leq, part in zip(orders, np.split(rows, np.cumsum(counts)[:-1])):
+        assert np.array_equal(part[:, : len(leq)], down_sets(leq)) and not part[:, len(leq):].any()
+        assert ({r.tobytes() for r in part[:, : len(leq)]}
+                == {r.tobytes() for r in down_sets_filter(leq)})
+
+
+def test_down_sets_of_no_elements():
+    # The 1-element lattice has no join-irreducibles: its D order has no
+    # positions and one down-set, the empty one.
+    assert down_sets(np.zeros((0, 0), dtype=bool)).shape == (1, 0)
+    rows, counts = down_set_stack(np.ones((2, 3, 3), dtype=bool), [0, 0])
+    assert rows.shape == (2, 3) and not rows.any() and counts.tolist() == [1, 1]
+    rows, counts = down_set_stack(np.zeros((0, 4, 4), dtype=bool), [])
+    assert rows.shape == (0, 4) and counts.shape == (0,)
+
+
 def test_down_sets_of_a_long_chain():
     # m + 1 down-sets, where the filter would test 2^m subsets. m = 20 comes
     # first, so a lister that is exponential fails there rather than trying
@@ -364,6 +402,20 @@ def parsed_lattice(kind, n):
 ], ids=lambda lat: f"{lat.n}-{int(lat.leq.sum())}")
 def test_irreducibles_below_matches_one_gather(lat):
     assert np.array_equal(lat.irreducibles.below, irreducibles_below_gather(lat))
+
+
+def test_irreducibles_stack_crops_match_each_lattice():
+    # One stack of lattices of different sizes, one of them long enough that
+    # D is gathered over blocks of q: each crop is the lattice's own.
+    lats = [named_lattice("N5"), parsed_lattice("chain", 170), named_lattice("chain", 1),
+            named_lattice("boolean", 3), parsed_lattice("N5", 5), named_lattice("M", 12)]
+    stack, crops = irreducibles_stack(lats)
+    assert stack.below.shape == (6, 169, 169) and stack.rows.shape == (6, 169, 171)
+    for lat, crop in zip(lats, crops, strict=True):
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+                   for a, b in zip(crop, irreducibles_per_lattice(lat), strict=True))
+    stack, crops = irreducibles_stack([])
+    assert crops == [] and stack.below.shape == (0, 0, 0)
 
 
 def test_irreducibles_memory_is_bounded_by_blocks():

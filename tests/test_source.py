@@ -97,13 +97,56 @@ def test_sweep_restates_no_seeding_or_homomorphism_scan():
 
 
 def test_one_down_set_lister():
-    # order.down_sets lists the down-sets of an order for the poset levels
-    # and of the dependency order for Con L; neither caller keeps its own
+    # order.down_set_stack lists the down-sets of a stack of orders for the
+    # poset levels and of the dependency orders for Con L; down_sets is its
+    # one-row call, with no walk of its own, and no caller keeps its own
     # filter or walk, nor the per-congruence reader.
     for module in ("enumeration", "congruence"):
         names = module_names(module)
-        assert "down_sets" in names, module
+        assert "down_set_stack" in names, module
         assert names & {"_down_sets", "under", "_congruence_reader"} == set(), module
+    assert one_row_call(function("order", "down_sets")) == "down_set_stack"
+
+
+def function(module, name, cls=None):
+    """The definition of ``name`` in ``module``.py, a method of ``cls`` if given."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    if cls is not None:
+        tree = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def one_row_call(node):
+    """The name of the function whose call ``node`` returns, or an item of,
+    when its body is that return statement alone, after the docstring, with
+    no loop."""
+    docstring = isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    body = node.body[docstring:]
+    assert len(body) == 1 and isinstance(body[0], ast.Return), node.name
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension))
+                   for n in ast.walk(node)), node.name
+    value = body[0].value
+    while isinstance(value, ast.Subscript):
+        value = value.value
+    return value.func.id
+
+
+def test_per_structure_builders_are_one_row_calls():
+    # The join-irreducibles of a lattice and the congruence table of a
+    # partial lattice are the stacked builders run on it alone, with no
+    # second copy of either; the sweep's block step fills each structure's
+    # congruence table from one congruence_tables call.
+    assert one_row_call(function("order", "irreducibles", cls="Lattice")) == "irreducibles_stack"
+    assert one_row_call(function("congruence", "congruence_table")) == "congruence_tables"
+    block = function("verify", "_derive_block")
+    filled = {target.attr for node in ast.walk(block) if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Attribute)}
+    called = {node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"extension", "congruence_table"} <= filled
+    assert {"two_point_extensions", "scan_orders", "congruence_tables"} <= called
 
 
 def test_congruence_law_picks_its_failure_once():

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import extrema_rows, two_point_extension_loops, validate_partial_lattice_loops
+from oracles import (
+    congruence_table_per_structure,
+    extrema_rows,
+    irreducibles_per_lattice,
+    two_point_extension_loops,
+    validate_partial_lattice_loops,
+)
 
 from partlat import (
     UNDEF,
@@ -27,7 +33,7 @@ from partlat import (
     two_point_extension,
     validate_partial_lattice,
 )
-from partlat.congruence import quotient_stack
+from partlat.congruence import congruence_table, congruence_tables, quotient_stack
 from partlat.extension import extension_stack, two_point_extensions
 from partlat.order import extrema_stack
 from partlat.plattice import axiom_violations
@@ -201,6 +207,32 @@ def test_two_point_extension_matches_its_definition(lats):
             assert ext.star.labels[:lat.n] == lat.labels
             assert (ext.added_bottom, ext.added_top) == (bottom, top)
             assert ext.star == star and ext.star.order == star.order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(random_partial_lattices(), max_size=5))
+@example([])
+@example([antichain(1), named_lattice("N5"), antichain(3), named_lattice("chain", 1),
+          antichain(1), from_plos(make_poset("abc", ["ab", "ac"])),
+          from_plos(make_poset("abc", ["ac", "bc"]))])
+def test_congruence_tables_match_each_structure(lats):
+    # Stars of different sizes, with 0, 1 or 2 adjoined bounds, read in one
+    # stacked pass: each table, and the join-irreducibles the pass leaves on
+    # each star, equal the per-structure references; and each table is that
+    # structure's own table read alone.
+    tables = congruence_tables(lats)
+    assert len(tables) == len(lats)
+    for lat, table in zip(lats, tables):
+        for got in (table, congruence_table(lat)):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+                       for a, b in zip(got, congruence_table_per_structure(lat), strict=True))
+        star = lat.extension.star
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+                   for a, b in zip(star.irreducibles, irreducibles_per_lattice(star), strict=True))
+
+
+def test_no_structures_have_no_tables():
+    assert congruence_tables([]) == []
 
 
 def test_empty_stack_extends_to_nothing():

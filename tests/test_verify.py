@@ -232,18 +232,35 @@ def test_sweep_builds_no_quotient_and_one_extension_per_structure(monkeypatch):
 
 def test_sweep_scans_each_block_once(monkeypatch):
     # Each block's orders, L's and L*'s, are scanned by one extrema_stack and
-    # one covers_stack call per kind; every structure still gets its one
-    # timed structure_checks call. The enumeration scans each level once.
+    # one covers_stack call per kind, and its congruence tables by one
+    # congruence_tables call, which builds L*'s join-irreducibles with one
+    # irreducibles_stack call; neither is built again, lazily, inside the
+    # timed structure_checks. Every structure still gets its one
+    # structure_checks call. The enumeration scans each level once.
     calls = count_calls(monkeypatch, verify, "structure_checks")
     count_calls(monkeypatch, extension, "two_point_extensions", calls=calls)
-    count_calls(monkeypatch, order, "extrema_stack", "covers_stack", calls=calls)
+    count_calls(monkeypatch, order, "extrema_stack", "covers_stack", "irreducibles_stack",
+                calls=calls)
+    count_calls(monkeypatch, congruence, "congruence_tables", calls=calls)
     count_calls(monkeypatch, enumeration, "plos_lattices", calls=calls)
+    checks, lazy = verify.structure_checks, Counter()
+
+    def watched(lat):
+        before = calls.copy()
+        results = checks(lat)
+        lazy.update({name: calls[name] - before[name]
+                     for name in ("irreducibles_stack", "congruence_tables")})
+        return results
+
+    monkeypatch.setattr(verify, "structure_checks", watched)
     assert verify_corpus(5) == (76, [])
     blocks = calls["two_point_extensions"]
     assert calls["structure_checks"] == 76
     assert blocks == 5  # every level of corpus 5 fits in one block
     assert calls["extrema_stack"] <= calls["plos_lattices"] + 2 * blocks
     assert calls["covers_stack"] <= 2 * blocks
+    assert calls["congruence_tables"] == calls["irreducibles_stack"] == blocks
+    assert +lazy == Counter()
 
 
 def test_block_built_objects_match_a_fresh_build(monkeypatch):
@@ -253,7 +270,10 @@ def test_block_built_objects_match_a_fresh_build(monkeypatch):
 
     def compared(lat):
         assert "extension" in vars(lat) and "extrema" in vars(lat.order)
+        assert "congruence_table" in vars(lat) and "irreducibles" in vars(lat.extension.star)
         fresh = PartialLattice(lat.labels, lat.join, lat.meet)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(lat.congruence_table, fresh.congruence_table, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(lat.order.extrema, fresh.order.extrema))
         assert np.array_equal(lat.order.covers, fresh.order.covers)
         ext, want = lat.extension, fresh.extension
